@@ -41,7 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import DOMAIN_EPS, DiscretePath
 from .errors import DomainError
@@ -99,15 +98,20 @@ def theta_of_rho(rho, k: float):
     arr = np.clip(arr, rm, 1.0)
     if k == 0.0:
         out = np.where(arr > 0.0, 0.0, -math.pi / 2.0)
-        return float(out) if np.ndim(rho) == 0 else out
-    u = np.sqrt((1.0 - arr) * (1.0 + arr))
-    w = np.sqrt((k * k + 1.0) * (arr - rm) * (arr + rm)) / k
+    else:
+        out = _theta_closed_form(arr, k, rm)
+    return float(out) if np.ndim(rho) == 0 else out
+
+
+def _theta_closed_form(rho, k, rm):
+    """theta_of_rho for k > 0 and rho already inside [rm, 1], unchecked."""
+    u = np.sqrt((1.0 - rho) * (1.0 + rho))
+    w = np.sqrt((k * k + 1.0) * (rho - rm) * (rho + rm)) / k
     # the arcsine of sqrt(k^2+1)*u evaluated as atan2: its sine and cosine
     # (sqrt(k^2+1) u, k w) form an exact unit pair, so no clamping is
     # needed and the vertical arcsine slope at the turnaround is harmless
-    out = -np.arctan2(u, w) + rm * np.arctan2(math.sqrt(k * k + 1.0) * u,
-                                              k * w)
-    return float(out) if np.ndim(rho) == 0 else out
+    return -np.arctan2(u, w) + rm * np.arctan2(math.sqrt(k * k + 1.0) * u,
+                                               k * w)
 
 
 def separation_angle(k: float) -> float:
@@ -199,29 +203,45 @@ def sample_path(family: BrachFamily, n: int) -> DiscretePath:
 def rho_at_theta(family: BrachFamily, theta):
     """Radius of the tunnel at polar angle theta in [-separation_angle, 0].
 
-    Inverts the closed form by bracketed root finding; angles past the
-    bisector use the mirror symmetry.  For the k = 0 diameter every
-    interior angle maps to the center.
+    Angles past the bisector use the mirror symmetry.  theta_of_rho
+    increases with rho, so all angles are inverted at once by one
+    bisection on [rho_min, 1], run until every bracket closes on two
+    adjacent floats.  Theta 0 maps to exactly 1.0 and the bisector to
+    exactly rho_min; for the k = 0 diameter every interior angle maps to
+    the center.  Returns a float for scalar theta and an array of
+    theta's shape otherwise.  A non-finite or out-of-range angle raises
+    DomainError naming the value.
     """
     k, rm, sep = family.k, family.rho_min, family.separation_angle
     arr = np.asarray(theta, dtype=float)
-    if np.any(arr > DOMAIN_EPS) or np.any(arr < -sep - DOMAIN_EPS):
-        raise DomainError("theta must lie in [-separation_angle, 0]")
+    bad = ~np.isfinite(arr) | (arr > DOMAIN_EPS) | (arr < -sep - DOMAIN_EPS)
+    if np.any(bad):
+        offender = float(np.ravel(arr[bad])[0])
+        raise DomainError("theta must be a finite angle in "
+                          f"[-separation_angle, 0] (separation_angle = "
+                          f"{sep!r}); got theta = {offender!r}")
     arr = np.clip(arr, -sep, 0.0)
     mid = -sep / 2.0
-    folded = np.where(arr < mid, 2.0 * mid - arr, arr)
-
-    def solve_one(target):
-        if k == 0.0:
-            return 1.0 if target >= -DOMAIN_EPS else 0.0
-        if target >= -1e-15:
-            return 1.0
-        if target <= mid + 1e-15:
-            return rm
-        return brentq(lambda r: theta_of_rho(r, k) - target, rm, 1.0,
-                      xtol=1e-15, rtol=8.9e-16)
-
-    out = np.array([solve_one(t) for t in np.ravel(folded)]).reshape(arr.shape)
+    target = np.where(arr < mid, 2.0 * mid - arr, arr)
+    at_surface = target >= 0.0
+    if k == 0.0:
+        out = np.where(at_surface, 1.0, 0.0)
+        return float(out) if np.ndim(theta) == 0 else out
+    # Bisect on the bit patterns, which order non-negative doubles: each
+    # halving splits the floats left in a bracket, so every bracket closes
+    # on adjacent floats within 64 halvings however small rho_min is.
+    # Invariant: theta(lo) < target <= theta(hi); a closed bracket stays.
+    lo = np.where(at_surface, 1.0, rm).view(np.int64)
+    hi = np.where((target <= mid) & ~at_surface, rm, 1.0).view(np.int64)
+    for _ in range(64):
+        half = lo + (hi - lo) // 2
+        split = half > lo
+        if not np.any(split):
+            break
+        below = _theta_closed_form(half.view(float), k, rm) < target
+        lo = np.where(split & below, half, lo)
+        hi = np.where(split & ~below, half, hi)
+    out = hi.view(float)
     return float(out) if np.ndim(theta) == 0 else out
 
 

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .brachistochrone import BrachFamily, sample_path
 from .errors import DomainError, RootFindError
@@ -59,9 +58,10 @@ def cycloid_between(horizontal_span: float, vertical_drop: float) -> CycloidSolu
     """Solve a(phi - sin phi) = span, a(1 - cos phi) = drop for (a, phi).
 
     The ratio (phi - sin phi)/(1 - cos phi) is strictly increasing on
-    (0, 2*pi), so the end angle is found by bracketed root finding; a
-    zero drop gives the full arch phi = 2*pi in closed form.  Residuals
-    of both boundary equations are verified below 1e-12.
+    (0, 2*pi), so for a positive drop the end angle is found by scipy's
+    bracketed root finder; a zero drop gives the full arch phi = 2*pi in
+    closed form and needs numpy alone.  Residuals of both boundary
+    equations are verified below 1e-12.
     """
     span = float(horizontal_span)
     drop = float(vertical_drop)
@@ -73,6 +73,8 @@ def cycloid_between(horizontal_span: float, vertical_drop: float) -> CycloidSolu
         phi = 2.0 * math.pi
         a = span / (2.0 * math.pi)
     else:
+        from scipy.optimize import brentq
+
         def g(phi):
             return drop * _phi_minus_sin(phi) - span * _one_minus_cos(phi)
 

@@ -11,10 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
-from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
-from scipy.optimize import minimize
 
 from .brachistochrone import BrachFamily, sample_path
 from .core import DOMAIN_EPS, DiscretePath
@@ -66,6 +62,8 @@ def _newton_polish(objective, x, lo, hi, max_iter):
     Hessian is tridiagonal and cheap to difference and solve.  Stops at
     the finite-difference noise floor (~1e-8 on the gradient).
     """
+    from scipy.linalg import solve_banded
+
     m = x.size
     iterations = 0
     for _ in range(max_iter):
@@ -129,6 +127,8 @@ def optimize_path(delta_theta: float, interior_points: int,
     Returns a report rather than raising when the optimizer stops without
     meeting the first-order threshold.
     """
+    from scipy.optimize import minimize
+
     delta_theta = float(delta_theta)
     if not (math.isfinite(delta_theta) and 0.0 < delta_theta < math.pi):
         raise DomainError("optimize_path needs a separation in (0, pi); got "
@@ -271,6 +271,9 @@ def simulate_bead(path: DiscretePath, step_control: StepControl | None = None,
     integrator error.  Raises StalledTrajectoryError, carrying the
     turning point, if the bead fails to reach the far end by ``max_tau``.
     """
+    from scipy.integrate import cumulative_trapezoid, solve_ivp
+    from scipy.interpolate import CubicSpline
+
     if not isinstance(path, DiscretePath):
         raise DomainError("simulate_bead expects a DiscretePath")
     ctrl = step_control or StepControl()

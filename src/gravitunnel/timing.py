@@ -279,16 +279,14 @@ def _segment_times(rho, theta):
     return times
 
 
-def path_transit_time(path: DiscretePath, cfg=None) -> TransitResult:
+def path_transit_time(path: DiscretePath) -> TransitResult:
     """Transit time of a discrete path, exact per straight segment.
 
-    ``cfg`` is accepted for interface symmetry with the quadrature
-    routes; the per-segment evaluation is closed form and needs no
-    tolerance.  The error estimate compares against a half-resolution
-    subsample of the same path, so it reflects how converged the path's
-    geometry is, not floating-point noise.
+    The per-segment evaluation is closed form and needs no tolerance.
+    The error estimate compares against a half-resolution subsample of
+    the same path, so it reflects how converged the path's geometry is,
+    not floating-point noise.
     """
-    del cfg
     if not isinstance(path, DiscretePath):
         path = DiscretePath.from_arrays(*path)
     times = _segment_times(path.rho, path.theta)

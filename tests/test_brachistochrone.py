@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from conftest import bisect_root, fd4, quad_half_length, quad_slope_sweep
 from gravitunnel import (BrachFamily, DomainError, arc_length,
@@ -223,3 +226,69 @@ class TestRhoAtTheta:
         fam = BrachFamily.from_momentum(1.0)
         with pytest.raises(DomainError):
             rho_at_theta(fam, 0.5)
+
+
+@st.composite
+def separation_and_angle(draw):
+    sep = draw(st.floats(1e-9, math.pi))
+    return sep, draw(st.floats(-sep, 0.0))
+
+
+class TestRhoAtThetaSolve:
+    """The vectorized bisection behind rho_at_theta, over its whole domain."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(separation_and_angle())
+    def test_brackets_the_target(self, case):
+        sep, theta = case
+        fam = family_from_separation(sep)
+        rm, k = fam.rho_min, fam.k
+        r = rho_at_theta(fam, theta)
+        assert rm <= r <= 1.0
+        target = -sep - theta if theta < -sep / 2.0 else theta
+        below = theta_of_rho(max(r - 1e-15, rm), k)
+        above = theta_of_rho(min(r + 1e-15, 1.0), k)
+        assert below <= target <= above
+
+    @pytest.mark.parametrize("sep", (1e-12, 1e-6, 0.1, 1.5, 3.0,
+                                     math.pi - 1e-9))
+    def test_matches_per_angle_brentq(self, sep):
+        # the per-angle root finder this solve replaced, as the reference;
+        # its stopping rule xtol=1e-15, rtol=8.9e-16 bounds the gap
+        fam = family_from_separation(sep)
+        thetas = np.linspace(-sep / 2.0, 0.0, 52)[1:-1]
+        ref = [brentq(lambda r, t=t: theta_of_rho(r, fam.k) - t, fam.rho_min,
+                      1.0, xtol=1e-15, rtol=8.9e-16) for t in thetas]
+        assert np.max(np.abs(rho_at_theta(fam, thetas) - ref)) <= 2e-15
+
+    def test_scalar_and_array_shapes(self):
+        fam = family_from_separation(1.0)
+        for scalar in (-0.3, np.float64(-0.3), np.array(-0.3)):
+            assert type(rho_at_theta(fam, scalar)) is float
+        grid = np.linspace(-1.0, 0.0, 12).reshape(3, 4)
+        out = rho_at_theta(fam, grid)
+        assert out.shape == (3, 4)
+        assert out[1, 2] == rho_at_theta(fam, float(grid[1, 2]))
+
+    @pytest.mark.parametrize("sep", (1e-6, 0.7, 2.498, math.pi - 1e-6,
+                                     math.pi))
+    def test_mirror_symmetry_on_dense_grid(self, sep):
+        fam = family_from_separation(sep)
+        rho = rho_at_theta(fam, np.linspace(-sep, 0.0, 1000))
+        assert np.max(np.abs(rho - rho[::-1])) <= 1e-12
+        assert rho[0] == rho[-1] == 1.0
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_non_finite_angle_is_named(self, bad):
+        fam = family_from_separation(1.0)
+        with pytest.raises(DomainError, match=repr(bad)):
+            rho_at_theta(fam, bad)
+        with pytest.raises(DomainError, match=repr(bad)):
+            rho_at_theta(fam, np.array([-0.5, bad, -0.2]))
+
+    def test_out_of_range_angle_is_named(self):
+        fam = family_from_separation(1.0)
+        with pytest.raises(DomainError, match="0.5"):
+            rho_at_theta(fam, 0.5)
+        with pytest.raises(DomainError, match="-1.25"):
+            rho_at_theta(fam, np.array([-0.5, -1.25]))

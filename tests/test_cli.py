@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import gravitunnel
 from gravitunnel import DiscretePath, QuadratureError, path_transit_time
 from gravitunnel.cli import main
 
@@ -184,6 +189,36 @@ class TestCompareCycloid:
         code, _, err = run_cli(capsys, "compare-cycloid", "--sep", "1.0")
         assert code == 1
         assert "0.2" in err
+
+
+def test_table_commands_never_import_scipy():
+    # A fresh interpreter, so modules imported by other tests do not count.
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        import gravitunnel
+        from gravitunnel.cli import main
+        codes = []
+        for argv in (["time", "--sep", "90deg"],
+                     ["sweep", "--k-range", "0.1:5", "--count", "7"],
+                     ["path", "--sep", "2.0", "--samples", "41",
+                      "--include-chord"],
+                     ["compare-cycloid", "--sep", "0.1"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(main(argv))
+        loaded = sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))
+        print(json.dumps({"codes": codes, "scipy": loaded}))
+    """)
+    src_dir = os.path.dirname(os.path.dirname(gravitunnel.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0, 0, 0]
+    assert report["scipy"] == []
 
 
 class TestVerifyCommand:
