@@ -20,6 +20,7 @@ import numpy as np
 from gravitunnel import (family_from_separation, optimize_path, rho_min,
                          sample_path, simulate_bead, theta_of_rho,
                          theta_prime, total_transit_time)
+from gravitunnel.checks import antiderivative_with_coefficient, fd4
 
 delta = math.pi / 2
 fam = family_from_separation(delta)
@@ -47,26 +48,15 @@ print(f"  k^2/(k^2+1)    = {0.5:.15f}   <- does not")
 print()
 
 grid = np.linspace(root + 1e-4, 1 - 1e-4, 200)
-h = 2e-6
-
-
-def fd(f):
-    return (-f(grid + 2*h) + 8*f(grid + h) - 8*f(grid - h)
-            + f(grid - 2*h)) / (12*h)
-
-
-def with_coefficient(c):
-    def antiderivative(rho):
-        u = np.sqrt((1 - rho) * (1 + rho))
-        w = np.sqrt((k*k + 1) * (rho - root) * (rho + root)) / k
-        return -np.arctan2(u, w) + c * np.arctan2(math.sqrt(k*k + 1) * u,
-                                                  k * w)
-    return antiderivative
-
-
 slope = theta_prime(grid, k)
-good = np.max(np.abs(fd(with_coefficient(root)) - slope) / np.abs(slope))
-bad = np.max(np.abs(fd(with_coefficient(k)) - slope) / np.abs(slope))
+
+
+def misfit(c):
+    fd = fd4(lambda r: antiderivative_with_coefficient(r, k, c), grid, 2e-6)
+    return np.max(np.abs(fd - slope) / np.abs(slope))
+
+
+good, bad = misfit(root), misfit(k)
 print("Differentiating the angle antiderivative back to the slope field:")
 print(f"  arcsine coefficient rho_min: max relative error {good:.1e}")
 print(f"  arcsine coefficient k:       max relative error {bad:.1e}")

@@ -71,8 +71,7 @@ def theta_prime(rho, k: float):
                           f"(rho_min = {rm!r}); got rho = {offender!r}")
     arr = np.clip(arr, rm, 1.0)
     u = np.sqrt((1.0 - arr) * (1.0 + arr))
-    # (k^2+1) rho^2 - k^2 factored to avoid cancellation near rho_m
-    w = np.sqrt((k * k + 1.0) * (arr - rm) * (arr + rm)) / k
+    w = _w(arr, k, rm)
     out = u / (arr * w)
     return float(out) if np.ndim(rho) == 0 else out
 
@@ -103,10 +102,21 @@ def theta_of_rho(rho, k: float):
     return float(out) if np.ndim(rho) == 0 else out
 
 
+def _w(rho, k, rm):
+    """sqrt(((k^2+1)/k^2) rho^2 - 1) for rho in [rm, 1].
+
+    (k^2+1) rho^2 - k^2 is factored as (k^2+1)(rho - rm)(rho + rm) to
+    avoid cancellation near rho_m, and each factor takes its own square
+    root so the product cannot underflow near the turnaround of a family
+    with a tiny rho_m.
+    """
+    return math.sqrt(k * k + 1.0) * np.sqrt(rho - rm) * np.sqrt(rho + rm) / k
+
+
 def _theta_closed_form(rho, k, rm):
     """theta_of_rho for k > 0 and rho already inside [rm, 1], unchecked."""
     u = np.sqrt((1.0 - rho) * (1.0 + rho))
-    w = np.sqrt((k * k + 1.0) * (rho - rm) * (rho + rm)) / k
+    w = _w(rho, k, rm)
     # the arcsine of sqrt(k^2+1)*u evaluated as atan2: its sine and cosine
     # (sqrt(k^2+1) u, k w) form an exact unit pair, so no clamping is
     # needed and the vertical arcsine slope at the turnaround is harmless

@@ -16,12 +16,9 @@ import numpy as np
 from . import brachistochrone as brach
 from . import chord as chord_mod
 from . import cycloid as cycloid_mod
-from . import oracle as oracle_mod
 from . import timing
-from .core import PhysicalParams, latitude_to_polar, make_scaling
+from .core import EARTH, PhysicalParams, latitude_to_polar, make_scaling
 from .errors import DomainError, TunnelError
-
-EARTH = PhysicalParams(radius_m=6.371e6, gravity_m_s2=9.80665)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -325,214 +322,12 @@ def cmd_compare_cycloid(args):
     return EXIT_OK
 
 
-# --- verification checks (reduced-scale acceptance run) -----------------
-
-def _bisect_root(f, lo, hi, iterations=200):
-    flo = f(lo)
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if flo * fmid <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
-def _alt_theta_of_rho(rho, k):
-    """Antiderivative candidate with arcsine coefficient k: must misfit."""
-    rm = brach.rho_min(k)
-    u = np.sqrt((1.0 - rho) * (1.0 + rho))
-    w = np.sqrt((k * k + 1.0) * (rho - rm) * (rho + rm)) / k
-    return -np.arctan2(u, w) + k * np.arcsin(np.clip(math.sqrt(k * k + 1.0) * u,
-                                                     -1.0, 1.0))
-
-
-def _fd4(f, grid, h):
-    return (-f(grid + 2 * h) + 8 * f(grid + h)
-            - 8 * f(grid - h) + f(grid - 2 * h)) / (12.0 * h)
-
-
-def _check_chord_time(scale):
-    spec = chord_mod.chord_from_separation(2.0)
-    res = timing.path_transit_time(chord_mod.chord_path(spec, 4001))
-    measure = abs(res.tau - math.pi) / math.pi
-    threshold = 1e-4 * scale
-    return measure <= threshold, measure, threshold, \
-        "straight-chord quadrature vs the exact half-period pi"
-
-
-def _check_min_radius_root(scale):
-    worst = 0.0
-    for k in (0.5, 1.0, 2.0):
-        root = _bisect_root(lambda r, k=k: (k * k + 1.0) * r * r - k * k, 0.0, 1.0)
-        worst = max(worst, abs(root - brach.rho_min(k)))
-    threshold = 1e-12 * scale
-    return worst <= threshold, worst, threshold, \
-        "bisection root of the slope denominator vs k/sqrt(k^2+1)"
-
-
-def _check_alt_min_radius(scale):
-    del scale
-    gap = min(abs(_bisect_root(lambda r, k=k: (k * k + 1.0) * r * r - k * k,
-                               0.0, 1.0) - k * k / (k * k + 1.0))
-              for k in (0.5, 1.0, 2.0))
-    return gap >= 1e-3, gap, 1e-3, \
-        "squared-ratio alternative k^2/(k^2+1) must stay distinct from the root"
-
-
-def _check_slope_antiderivative(scale):
-    h = 2e-6
-    worst = 0.0
-    for k in (0.5, 1.0, 2.0):
-        rm = brach.rho_min(k)
-        grid = np.linspace(rm + 1e-4, 1.0 - 1e-4, 200)
-        fd = _fd4(lambda r, k=k: np.asarray(brach.theta_of_rho(r, k)), grid, h)
-        worst = max(worst, float(np.max(np.abs(fd - brach.theta_prime(grid, k))
-                                        / np.abs(brach.theta_prime(grid, k)))))
-    threshold = 1e-6 * scale
-    return worst <= threshold, worst, threshold, \
-        "finite differences of the antiderivative reproduce the slope field"
-
-
-def _check_alt_coefficient(scale):
-    del scale
-    worst_ratio = math.inf
-    for k in (0.5, 1.0, 2.0):
-        rm = brach.rho_min(k)
-        grid = np.linspace(rm + 1e-4, 1.0 - 1e-4, 200)
-        fd = _fd4(lambda r, k=k: _alt_theta_of_rho(r, k), grid, 2e-6)
-        misfit = float(np.max(np.abs(fd - brach.theta_prime(grid, k))
-                              / np.abs(brach.theta_prime(grid, k))))
-        required = math.sqrt(1.0 + 1.0 / (k * k)) - 1.0
-        worst_ratio = min(worst_ratio, misfit / required)
-    return worst_ratio >= 1.0, worst_ratio, 1.0, \
-        "arcsine coefficient k misfits the slope by at least sqrt(1+1/k^2)-1"
-
-
-def _check_separation_quadrature(scale):
-    worst = 0.0
-    cfg = timing.QuadratureConfig()
-    for k in np.geomspace(0.05, 20.0, 7):
-        rm = brach.rho_min(k)
-
-        def integrand(u, k=k, rm=rm):
-            rho = rm + u * u
-            return (2.0 * k * np.sqrt((1.0 - rho) * (1.0 + rho))
-                    / (rho * np.sqrt((k * k + 1.0) * (rho + rm))))
-
-        swept, _, _ = timing._adaptive(integrand, 0.0, math.sqrt(1.0 - rm),
-                                       cfg, "separation check")
-        worst = max(worst, abs(2.0 * swept - brach.separation_angle(k)))
-    threshold = 1e-8 * scale
-    return worst <= threshold, worst, threshold, \
-        "pi(1 - rho_min) vs direct quadrature of the slope field"
-
-
-def _check_transit_closed_form(scale):
-    worst = 0.0
-    for k in np.geomspace(0.05, 20.0, 7):
-        fam = brach.BrachFamily.from_momentum(k)
-        tau = timing.total_transit_time(fam).tau
-        worst = max(worst, abs(tau - math.pi * math.sqrt(1.0 - fam.rho_min ** 2)))
-    worst = max(worst, abs(timing.total_transit_time(
-        brach.BrachFamily.from_momentum(0.0)).tau - math.pi))
-    threshold = 1e-7 * scale
-    return worst <= threshold, worst, threshold, \
-        "transit quadrature vs pi*sqrt(1 - rho_min^2), including k=0 -> pi"
-
-
-def _check_oracle_triangle(scale):
-    delta = math.pi / 2.0
-    fam = brach.family_from_separation(delta)
-    t_quad = timing.total_transit_time(fam).tau
-    report = oracle_mod.optimize_path(delta, 24)
-    t_bead = oracle_mod.simulate_bead(brach.sample_path(fam, 1500)).transit_time
-    times = {"quadrature": t_quad, "optimizer": report.best_time, "bead": t_bead}
-    worst = max(abs(a - b) / t_quad
-                for a in times.values() for b in times.values())
-    undercut = t_quad - report.best_time
-    threshold = 5e-3 * scale
-    passed = worst <= threshold and undercut <= 1e-6 * scale
-    detail = ("pairwise agreement of quadrature/optimizer/bead; optimizer "
-              f"undercut {undercut:.3e} (limit {1e-6 * scale:.3e})")
-    return passed, worst, threshold, detail
-
-
-def _check_stationarity(scale):
-    fam = brach.BrachFamily.from_momentum(1.0)
-    worst_delta = 0.0
-    ratio_off = 0.0
-    for mode in (1, 3):
-        d1 = oracle_mod.perturbation_test(fam, 1e-3, mode)
-        d2 = oracle_mod.perturbation_test(fam, 2e-3, mode)
-        worst_delta = min(worst_delta, d1, d2)
-        ratio_off = max(ratio_off, abs(d2 / d1 - 4.0))
-    passed = worst_delta >= -1e-9 * scale and ratio_off <= 0.3
-    detail = (f"most negative delta {worst_delta:.3e}; worst quadratic-ratio "
-              f"offset {ratio_off:.3f} (limit 0.3)")
-    return passed, -worst_delta, 1e-9 * scale, detail
-
-
-def _check_energy_drift(scale):
-    paths = [chord_mod.chord_path(chord_mod.chord_from_separation(2.0), 1001),
-             brach.sample_path(brach.BrachFamily.from_momentum(1.0), 1001)]
-    worst = max(oracle_mod.simulate_bead(p).max_energy_drift for p in paths)
-    threshold = 1e-8 * scale
-    return worst <= threshold, worst, threshold, \
-        "bead energy drift on chord and tunnel paths"
-
-
-def _check_small_arc(scale):
-    r1 = cycloid_mod.compare_small_arc(0.1)
-    r2 = cycloid_mod.compare_small_arc(0.05)
-    threshold = 1e-2 * scale
-    passed = (r1.relative_time_difference <= threshold
-              and r2.relative_time_difference < r1.relative_time_difference
-              and r2.max_geometry_deviation < r1.max_geometry_deviation)
-    return passed, r1.relative_time_difference, threshold, \
-        "cycloid agreement improves as the arc shrinks"
-
-
-def _check_depth_span_ratio(scale):
-    worst = max(abs((1.0 - brach.family_from_separation(d).rho_min) / d
-                    - 1.0 / math.pi)
-                for d in np.linspace(0.05, math.pi, 9))
-    threshold = 1e-12 * scale
-    return worst <= threshold, worst, threshold, \
-        "(1 - rho_min)/separation equals 1/pi for every family member"
-
-
-_VERIFY_CHECKS = [
-    ("chord-time-quadrature", _check_chord_time),
-    ("min-radius-root", _check_min_radius_root),
-    ("alt-min-radius-rejected", _check_alt_min_radius),
-    ("slope-antiderivative", _check_slope_antiderivative),
-    ("alt-coefficient-misfit", _check_alt_coefficient),
-    ("separation-quadrature", _check_separation_quadrature),
-    ("transit-closed-form", _check_transit_closed_form),
-    ("oracle-triangle", _check_oracle_triangle),
-    ("stationarity", _check_stationarity),
-    ("energy-drift", _check_energy_drift),
-    ("small-arc-limit", _check_small_arc),
-    ("depth-span-ratio", _check_depth_span_ratio),
-]
-
-
 def cmd_verify(args):
     scale = args.tol_scale
     if not (scale > 0.0):
         raise _UsageError("--tol-scale must be positive")
-    results = []
-    for name, check in _VERIFY_CHECKS:
-        try:
-            passed, measure, threshold, detail = check(scale)
-        except TunnelError as exc:
-            passed, measure, threshold = False, math.nan, math.nan
-            detail = f"raised {type(exc).__name__}: {exc}"
-        results.append({"name": name, "passed": bool(passed),
-                        "measure": float(measure), "threshold": float(threshold),
-                        "detail": detail})
+    from . import checks   # the oracles load only when verifying
+    results = [r._asdict() for r in checks.run("reduced", scale)]
     all_passed = all(r["passed"] for r in results)
     out, close = _open_out(args.out)
     try:

@@ -52,6 +52,10 @@ class PhysicalParams:
                                   f"got {value!r}")
 
 
+# Mean radius and standard gravity; `gravitunnel --body earth` uses these.
+EARTH = PhysicalParams(radius_m=6.371e6, gravity_m_s2=9.80665)
+
+
 @dataclass(frozen=True)
 class Scaling:
     """Conversion factors between dimensionless and physical quantities."""

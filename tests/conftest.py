@@ -2,45 +2,16 @@
 
 These deliberately avoid the package's own quadrature and closed forms:
 bisection for roots, scipy's QUADPACK for integrals, high-order finite
-differences for derivatives.
+differences for derivatives.  Bisection, the finite difference and the
+QUADPACK slope sweep are the ones `gravitunnel.checks` runs for
+``gravitunnel verify`` and the acceptance suite, re-used here; the two
+QUADPACK integrals below are needed by the unit tests alone.
 """
 
 import numpy as np
 from scipy.integrate import quad
 
-
-def bisect_root(f, lo, hi, iterations=200):
-    flo = f(lo)
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if flo * f(mid) <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, f(mid)
-    return 0.5 * (lo + hi)
-
-
-def fd4(f, x, h):
-    """Fourth-order central finite difference of f at x (scalar or array)."""
-    return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
-
-
-def quad_slope_sweep(k):
-    """Surface sweep 2 * integral of the slope field, by QUADPACK.
-
-    Uses the substitution rho = rho_m + u^2 so the turnaround inverse
-    square root disappears before quad sees it.
-    """
-    rm = k / np.hypot(k, 1.0)
-
-    def integrand(u):
-        rho = rm + u * u
-        return (2.0 * k * np.sqrt((1.0 - rho) * (1.0 + rho))
-                / (rho * np.sqrt((k * k + 1.0) * (rho + rm))))
-
-    val, _ = quad(integrand, 0.0, np.sqrt(1.0 - rm), limit=200,
-                  epsabs=1e-13, epsrel=1e-13)
-    return 2.0 * val
+from gravitunnel.checks import bisect_root, fd4, quad_slope_sweep  # noqa: F401
 
 
 def quad_half_time(k):

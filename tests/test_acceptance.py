@@ -1,181 +1,28 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the
-criteria execute.
+The checks live once, in `gravitunnel.checks`; each test runs one
+criterion's checks at their full inputs (``gravitunnel verify`` runs the
+same checks at reduced inputs), so a check registered there runs here
+too.  Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines
+as the criteria execute.
 """
 
-import math
-
-import numpy as np
-
-from conftest import bisect_root, fd4, quad_slope_sweep
-from gravitunnel import (BrachFamily, PhysicalParams, chord_from_separation,
-                         chord_path, chord_transit_time, compare_small_arc,
-                         dimensional_time, family_from_separation,
-                         make_scaling, optimize_path, path_transit_time,
-                         perturbation_test, rho_min, sample_path,
-                         simulate_bead, theta_of_rho, theta_prime,
-                         total_transit_time)
-
-K_FIVE = (0.1, 0.5, 1.0, 2.0, 10.0)
-K_SWEEP = np.geomspace(0.05, 20.0, 20)
+from gravitunnel import checks
 
 
-def check(number, name, passed, detail):
-    line = f"ACCEPTANCE {number:02d} {name}: " \
-           f"{'PASS' if passed else 'FAIL'} ({detail})"
-    print(line)
-    assert passed, line
+def _criterion_test(number, title):
+    def test():
+        records = checks.run("full", criterion=number)
+        passed = bool(records) and all(r.passed for r in records)
+        line = (f"ACCEPTANCE {number:02d} {title}: "
+                f"{'PASS' if passed else 'FAIL'} "
+                f"({'; '.join(r.detail for r in records)})")
+        print(line)
+        assert passed, line
+    return test
 
 
-def test_criterion_01_gravity_elevator():
-    exact = all(chord_transit_time(chord_from_separation(d)) == math.pi
-                for d in (0.1, math.pi / 4, math.pi / 2, math.pi))
-    seconds = dimensional_time(math.pi,
-                               make_scaling(PhysicalParams(6.371e6, 9.80665)))
-    earth_ok = abs(seconds - 2531.9) / 2531.9 < 5e-4
-    worst = max(abs(path_transit_time(chord_path(chord_from_separation(d),
-                                                 10_000)).tau - math.pi)
-                / math.pi
-                for d in (0.1, math.pi / 4, math.pi / 2, math.pi))
-    check(1, "gravity-elevator",
-          exact and earth_ok and worst < 1e-4,
-          f"chord tau is pi bitwise, Earth {seconds:.1f} s, "
-          f"quadrature rel err {worst:.2e} < 1e-4")
-
-
-def test_criterion_02_min_radius_erratum():
-    worst_root = 0.0
-    min_gap = math.inf
-    for k in K_FIVE:
-        root = bisect_root(lambda r, k=k: (k * k + 1) * r * r - k * k,
-                           0.0, 1.0)
-        worst_root = max(worst_root, abs(root - rho_min(k)))
-        min_gap = min(min_gap, abs(root - k * k / (k * k + 1)))
-    check(2, "min-radius-root",
-          worst_root < 1e-12 and min_gap > 1e-3,
-          f"root vs k/sqrt(k^2+1) off {worst_root:.1e} < 1e-12; "
-          f"squared-ratio alternative differs by >= {min_gap:.2e}")
-
-
-def _alt_antiderivative(rho, k):
-    # arcsine coefficient k in place of rho_min: must fail differentiation
-    rm = rho_min(k)
-    u = np.sqrt((1 - rho) * (1 + rho))
-    w = np.sqrt((k * k + 1) * (rho - rm) * (rho + rm)) / k
-    return -np.arctan2(u, w) + k * np.arcsin(
-        np.clip(math.sqrt(k * k + 1) * u, -1.0, 1.0))
-
-
-def test_criterion_03_antiderivative_erratum():
-    h = 2e-6
-    worst_good = 0.0
-    min_ratio = math.inf
-    for k in K_FIVE:
-        grid = np.linspace(rho_min(k) + 1e-4, 1 - 1e-4, 500)
-        slope = theta_prime(grid, k)
-        fd_good = fd4(lambda r, k=k: np.asarray(theta_of_rho(r, k)), grid, h)
-        worst_good = max(worst_good,
-                         float(np.max(np.abs(fd_good - slope) / np.abs(slope))))
-        fd_alt = fd4(lambda r, k=k: _alt_antiderivative(r, k), grid, h)
-        misfit = float(np.max(np.abs(fd_alt - slope) / np.abs(slope)))
-        min_ratio = min(min_ratio,
-                        misfit / (math.sqrt(1 + 1 / (k * k)) - 1))
-    check(3, "antiderivative-coefficient",
-          worst_good < 1e-6 and min_ratio >= 1.0,
-          f"correct coefficient rel err {worst_good:.2e} < 1e-6; alternative "
-          f"misfit >= required factor (worst margin x{min_ratio:.1f})")
-
-
-def test_criterion_04_angular_sweep_law():
-    worst = max(abs(math.pi * (1 - rho_min(float(k))) - quad_slope_sweep(float(k)))
-                for k in K_SWEEP)
-    check(4, "angular-sweep-law", worst < 1e-8,
-          f"pi(1 - rho_min) vs slope quadrature off {worst:.1e} < 1e-8")
-
-
-def test_criterion_05_transit_time_conjecture():
-    worst = 0.0
-    for k in K_SWEEP:
-        fam = BrachFamily.from_momentum(float(k))
-        worst = max(worst, abs(total_transit_time(fam).tau
-                               - math.pi * math.sqrt(1 - fam.rho_min**2)))
-    k0 = total_transit_time(BrachFamily.from_momentum(0.0)).tau
-    check(5, "transit-time-conjecture",
-          worst < 1e-7 and k0 == math.pi,
-          f"quadrature vs pi*sqrt(1-rho_min^2) off {worst:.1e} < 1e-7; "
-          f"k=0 gives pi exactly")
-
-
-def test_criterion_06_oracle_triangle():
-    worst_pair = 0.0
-    worst_undercut = -math.inf
-    for delta in (math.pi / 6, math.pi / 2, 5 * math.pi / 6):
-        fam = family_from_separation(delta)
-        quad_tau = total_transit_time(fam).tau
-        report = optimize_path(delta, 64)
-        bead_tau = simulate_bead(sample_path(fam, 10_000)).transit_time
-        times = (quad_tau, report.best_time, bead_tau)
-        worst_pair = max(worst_pair,
-                         max(abs(a - b) / quad_tau
-                             for a in times for b in times))
-        worst_undercut = max(worst_undercut, quad_tau - report.best_time)
-    check(6, "oracle-triangle",
-          worst_pair < 5e-3 and worst_undercut <= 1e-6,
-          f"pairwise within {worst_pair:.2e} < 0.5%; optimizer undercut "
-          f"{worst_undercut:.1e} <= 1e-6")
-
-
-def test_criterion_07_stationarity():
-    worst_delta = 0.0
-    worst_ratio_err = 0.0
-    for k in (0.5, 1.0, 2.0):
-        fam = BrachFamily.from_momentum(k)
-        for mode in range(1, 6):
-            for amp in (1e-4, 1e-3, 1e-2):
-                worst_delta = min(worst_delta,
-                                  perturbation_test(fam, amp, mode))
-            for amp in (5e-4, 5e-3):
-                ratio = (perturbation_test(fam, 2 * amp, mode)
-                         / perturbation_test(fam, amp, mode))
-                worst_ratio_err = max(worst_ratio_err, abs(ratio - 4.0))
-    check(7, "stationarity",
-          worst_delta >= -1e-9 and worst_ratio_err <= 0.3,
-          f"most negative delta {worst_delta:.1e} >= -1e-9; doubling ratio "
-          f"within 4.0 +/- {worst_ratio_err:.2f}")
-
-
-def test_criterion_08_energy_conservation():
-    paths = [chord_path(chord_from_separation(math.pi), 10_000),
-             chord_path(chord_from_separation(math.pi / 2), 10_000),
-             sample_path(family_from_separation(math.pi / 2), 10_000),
-             sample_path(BrachFamily.from_momentum(1.0), 10_000),
-             sample_path(family_from_separation(5 * math.pi / 6), 10_000)]
-    worst = max(simulate_bead(p).max_energy_drift for p in paths)
-    check(8, "energy-conservation", worst < 1e-8,
-          f"bead energy drift {worst:.1e} < 1e-8 on all test paths")
-
-
-def test_criterion_09_small_arc_limit():
-    deltas = (0.2, 0.1, 0.05, 0.025)
-    reports = [compare_small_arc(d) for d in deltas]
-    times = [r.relative_time_difference for r in reports]
-    devs = [r.max_geometry_deviation for r in reports]
-    monotone = (all(a > b for a, b in zip(times, times[1:]))
-                and all(a > b for a, b in zip(devs, devs[1:])))
-    orders = [float(np.polyfit(np.log(deltas), np.log(series), 1)[0])
-              for series in (times, devs)]
-    at_tenth = times[1]
-    check(9, "small-arc-limit",
-          monotone and min(orders) >= 1.0 and at_tenth < 1e-2
-          and abs(at_tenth - 0.00799) < 3e-4,
-          f"monotone, orders {orders[0]:.2f}/{orders[1]:.2f} >= 1, "
-          f"rel time diff at 0.1 rad = {at_tenth:.4f} < 1%")
-
-
-def test_criterion_10_depth_span_ratio():
-    worst = max(abs((1 - family_from_separation(float(d)).rho_min) / float(d)
-                    - 1 / math.pi)
-                for d in np.linspace(0.01, math.pi, 50))
-    check(10, "depth-span-ratio", worst < 1e-12,
-          f"(1 - rho_min)/separation vs 1/pi off {worst:.1e} < 1e-12")
+for _number, _title in checks.CRITERIA.items():
+    _name = f"test_criterion_{_number:02d}_{_title.replace('-', '_')}"
+    globals()[_name] = _criterion_test(_number, _title)
+    globals()[_name].__name__ = _name

@@ -42,6 +42,10 @@ class TestThetaPrime:
         # confirmed by the quadrature consistency test below
         assert theta_prime(0.9, 1.0) == pytest.approx(0.6150896882340685,
                                                       rel=1e-12)
+        # theta'(c k) scales as 1/k for tiny k, also below k ~ 1e-154 where
+        # (k^2+1)(rho - rm)(rho + rm) underflows
+        assert theta_prime(1.5e-200, 1e-200) == pytest.approx(
+            1e100 * theta_prime(1.5e-100, 1e-100), rel=1e-12)
 
     def test_diverges_at_minimum_radius(self):
         k = 1.0
@@ -102,6 +106,10 @@ class TestThetaOfRho:
     def test_degenerate_diameter(self):
         assert theta_of_rho(0.5, 0.0) == 0.0
         assert theta_of_rho(0.0, 0.0) == -math.pi / 2
+        # a tiny k > 0 is no diameter: theta(c k) does not depend on k
+        for k in (1e-100, 1e-200, 1e-300):
+            assert theta_of_rho(1.5 * k, k) == pytest.approx(
+                -0.7297276562269663, rel=1e-12)
 
 
 class TestSeparationAngle:
@@ -229,26 +237,35 @@ class TestRhoAtTheta:
 
 
 @st.composite
-def separation_and_angle(draw):
-    sep = draw(st.floats(1e-9, math.pi))
-    return sep, draw(st.floats(-sep, 0.0))
+def family_and_angle(draw):
+    # bulk separations, plus momenta so small that (k^2+1)(rho^2 - rm^2)
+    # underflows near the turnaround
+    if draw(st.booleans()):
+        fam = family_from_separation(draw(st.floats(1e-9, math.pi)))
+    else:
+        fam = BrachFamily.from_momentum(10.0 ** draw(st.floats(-300, -100)))
+    return fam, draw(st.floats(-fam.separation_angle, 0.0))
 
 
 class TestRhoAtThetaSolve:
     """The vectorized bisection behind rho_at_theta, over its whole domain."""
 
     @settings(max_examples=400, deadline=None)
-    @given(separation_and_angle())
+    @given(family_and_angle())
     def test_brackets_the_target(self, case):
-        sep, theta = case
-        fam = family_from_separation(sep)
-        rm, k = fam.rho_min, fam.k
+        fam, theta = case
+        sep, rm, k = fam.separation_angle, fam.rho_min, fam.k
         r = rho_at_theta(fam, theta)
         assert rm <= r <= 1.0
         target = -sep - theta if theta < -sep / 2.0 else theta
-        below = theta_of_rho(max(r - 1e-15, rm), k)
-        above = theta_of_rho(min(r + 1e-15, 1.0), k)
+        slack = max(1e-15 * r, 5e-324)   # relative, so tiny radii count too
+        # the bisector maps to exactly rho_min, whose computed angle may
+        # round to either side of -sep/2: nothing lies below it to compare
+        below = theta_of_rho(max(r - slack, rm), k) if r > rm else -math.inf
+        above = theta_of_rho(min(r + slack, 1.0), k)
         assert below <= target <= above
+        if k > 0.0 and r > rm:   # theta is continuous: tight in angle too
+            assert above - below <= 1e-6
 
     @pytest.mark.parametrize("sep", (1e-12, 1e-6, 0.1, 1.5, 3.0,
                                      math.pi - 1e-9))

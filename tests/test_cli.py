@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gravitunnel
-from gravitunnel import DiscretePath, QuadratureError, path_transit_time
+from gravitunnel import DiscretePath, QuadratureError, checks, path_transit_time
 from gravitunnel.cli import main
 
 
@@ -193,6 +193,7 @@ class TestCompareCycloid:
 
 def test_table_commands_never_import_scipy():
     # A fresh interpreter, so modules imported by other tests do not count.
+    # The verification registry (gravitunnel.checks) must stay unloaded too.
     script = textwrap.dedent("""
         import contextlib, io, json, sys
         import gravitunnel
@@ -206,7 +207,8 @@ def test_table_commands_never_import_scipy():
             with contextlib.redirect_stdout(io.StringIO()):
                 codes.append(main(argv))
         loaded = sorted(m for m in sys.modules
-                        if m == "scipy" or m.startswith("scipy."))
+                        if m == "scipy" or m.startswith("scipy.")
+                        or m == "gravitunnel.checks")
         print(json.dumps({"codes": codes, "scipy": loaded}))
     """)
     src_dir = os.path.dirname(os.path.dirname(gravitunnel.__file__))
@@ -236,6 +238,14 @@ class TestVerifyCommand:
         misfit = next(c for c in payload["checks"]
                       if c["name"] == "alt-coefficient-misfit")
         assert misfit["measure"] >= 1.0
+        # one registry: verify reports every registered check, in order,
+        # and every acceptance criterion is covered by at least one of them
+        assert names == [c.name for c in checks.REGISTRY]
+        assert {c["criterion"] for c in payload["checks"]} == set(range(1, 11))
+        assert set(checks.CRITERIA) == set(range(1, 11))
+        stationarity = next(c for c in payload["checks"]
+                            if c["name"] == "stationarity")
+        assert math.copysign(1.0, stationarity["measure"]) == 1.0
 
     def test_forced_tolerance_fails(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--tol-scale", "1e-30")
