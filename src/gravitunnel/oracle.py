@@ -230,7 +230,14 @@ class StepControl:
 
 @dataclass(frozen=True)
 class SimulationTrace:
-    """Sampled history of a bead run plus its summary numbers."""
+    """Sampled history of a bead run plus its summary numbers.
+
+    ``rhs_evaluations`` and ``steps`` count the integrator's right-hand
+    side calls and accepted steps.  ``end_correction`` is the signed time
+    added to (positive) or taken from (negative) the integrated arrival
+    to close a zero-speed sliver at the far end, and 0.0 when the bead
+    reached the end without it.
+    """
 
     tau: np.ndarray
     arclength: np.ndarray
@@ -238,6 +245,9 @@ class SimulationTrace:
     speed: np.ndarray
     transit_time: float
     max_energy_drift: float
+    rhs_evaluations: int
+    steps: int
+    end_correction: float
 
     @property
     def samples(self):
@@ -318,6 +328,7 @@ def simulate_bead(path: DiscretePath, step_control: StepControl | None = None,
     sol = solve_ivp(rhs, (0.0, float(max_tau)), (0.0, 0.0), method=ctrl.method,
                     rtol=ctrl.rtol, atol=ctrl.atol, dense_output=True,
                     events=(reach_end, turnaround, escaped_back))
+    end_correction = 0.0
     if sol.t_events[0].size:
         t_end = float(sol.t_events[0][0])
     elif sol.t_events[1].size:
@@ -332,8 +343,9 @@ def simulate_bead(path: DiscretePath, step_control: StepControl | None = None,
         if abs(gap) <= 1e-6 * max(sigma_end, 1.0) and decel > 0.0:
             # positive gap: fell short, add the time over the sliver;
             # negative gap: overshot inside one step, subtract it back
-            t_end = t_turn + math.copysign(math.sqrt(2.0 * abs(gap) / decel),
+            end_correction = math.copysign(math.sqrt(2.0 * abs(gap) / decel),
                                            gap)
+            t_end = t_turn + end_correction
         else:
             p_turn = spline(s_turn)
             raise StalledTrajectoryError(
@@ -374,4 +386,6 @@ def simulate_bead(path: DiscretePath, step_control: StepControl | None = None,
         arr.setflags(write=False)
     return SimulationTrace(tau=taus, arclength=arclength, rho=rho,
                            speed=np.abs(speed), transit_time=t_end,
-                           max_energy_drift=drift)
+                           max_energy_drift=drift,
+                           rhs_evaluations=int(sol.nfev), steps=sol.t.size - 1,
+                           end_correction=end_correction)

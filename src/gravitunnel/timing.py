@@ -237,17 +237,29 @@ def _segment_times(rho, theta):
     ends on the surface and InfiniteTimeError for a positive-length
     segment with both ends on the surface (the evaluator has no basis to
     assume such a segment dips below zero speed).  Other zero-length
-    segments contribute zero time.
+    segments contribute exactly zero time.
     """
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    x = rho * np.cos(theta)
-    y = rho * np.sin(theta)
+    return _cartesian_segment_times(rho * np.cos(theta), rho * np.sin(theta),
+                                    rho)
+
+
+def _cartesian_segment_times(x, y, rho):
+    """_segment_times on the polyline's points (x, y) and their radii rho.
+
+    One pass over whole arrays: every segment runs the same vector math,
+    a zero-length one divided by 1 instead of 0, and the entries it must
+    not use are overwritten afterwards (+-pi/2 at surface ends, 0 for
+    zero-length segments), so no masked copy of the inputs is made.
+    """
     dx = np.diff(x)
     dy = np.diff(y)
     length = np.hypot(dx, dy)
     on_surface = rho >= 1.0 - DOMAIN_EPS
-    both_surface = on_surface[:-1] & on_surface[1:]
+    start_surface = on_surface[:-1]
+    end_surface = on_surface[1:]
+    both_surface = start_surface & end_surface
     zero = length <= _ZERO_LENGTH
     if np.any(zero & both_surface):
         i = int(np.flatnonzero(zero & both_surface)[0])
@@ -258,46 +270,57 @@ def _segment_times(rho, theta):
         raise InfiniteTimeError(
             f"segment {i} of positive length has both endpoints at rho = 1; "
             "its traversal time is unbounded for this evaluator")
-    times = np.zeros_like(length)
-    keep = ~zero
-    if np.any(keep):
-        L = length[keep]
-        tx = dx[keep] / L
-        ty = dy[keep] / L
-        b = x[:-1][keep] * tx + y[:-1][keep] * ty
-        nu0sq = np.maximum((1.0 - rho[:-1][keep]) * (1.0 + rho[:-1][keep]), 0.0)
-        c = np.sqrt(nu0sq + b * b)
-        c = np.where(c == 0.0, _ZERO_LENGTH, c)
-        # A segment end sitting exactly on the surface has zero speed, so
-        # its arcsine argument is exactly +-1; writing +-pi/2 directly
-        # avoids amplifying round-off through the arcsine's vertical slope.
-        asin0 = np.where(on_surface[:-1][keep], -math.pi / 2.0,
-                         np.arcsin(np.clip(b / c, -1.0, 1.0)))
-        asin1 = np.where(on_surface[1:][keep], math.pi / 2.0,
-                         np.arcsin(np.clip((L + b) / c, -1.0, 1.0)))
-        times[keep] = asin1 - asin0
+    divisor = np.where(zero, 1.0, length)
+    tx = dx / divisor
+    ty = dy / divisor
+    b = x[:-1] * tx + y[:-1] * ty
+    rho0 = rho[:-1]
+    nu0sq = np.maximum((1.0 - rho0) * (1.0 + rho0), 0.0)
+    c = np.sqrt(nu0sq + b * b)
+    c[c == 0.0] = _ZERO_LENGTH
+    # A segment end sitting exactly on the surface has zero speed, so
+    # its arcsine argument is exactly +-1; writing +-pi/2 directly
+    # avoids amplifying round-off through the arcsine's vertical slope.
+    asin0 = np.arcsin(np.clip(b / c, -1.0, 1.0))
+    asin0[start_surface] = -math.pi / 2.0
+    asin1 = np.arcsin(np.clip((length + b) / c, -1.0, 1.0))
+    asin1[end_surface] = math.pi / 2.0
+    times = asin1 - asin0
+    times[zero] = 0.0
     return times
+
+
+def _every_other(a):
+    """Samples 0, 2, 4, ... of a, plus the last one when a's length is even."""
+    return a[::2] if a.size % 2 else np.append(a[::2], a[-1])
 
 
 def path_transit_time(path: DiscretePath) -> TransitResult:
     """Transit time of a discrete path, exact per straight segment.
 
     The per-segment evaluation is closed form and needs no tolerance.
-    The error estimate compares against a half-resolution subsample of
-    the same path, so it reflects how converged the path's geometry is,
-    not floating-point noise.
+    The error estimate is |tau - tau_coarse|, where tau_coarse times the
+    same path through samples 0, 2, 4, ... and the last one, so it
+    reflects how converged the path's geometry is, not floating-point
+    noise.  Both passes share one evaluation of the points' cosines and
+    sines.  Paths under 5 samples, and paths whose coarse subsample
+    cannot be timed (a segment between two surface samples), report only
+    a round-off bound.
     """
     if not isinstance(path, DiscretePath):
         path = DiscretePath.from_arrays(*path)
-    times = _segment_times(path.rho, path.theta)
+    rho = path.rho
+    x = rho * np.cos(path.theta)
+    y = rho * np.sin(path.theta)
+    times = _cartesian_segment_times(x, y, rho)
     tau = float(np.sum(times))
     evaluations = times.size
     n = len(path)
     error = float(n * np.finfo(float).eps * max(abs(tau), 1.0))
     if n >= 5:
-        idx = np.unique(np.concatenate((np.arange(0, n, 2), [n - 1])))
         try:
-            coarse = _segment_times(path.rho[idx], path.theta[idx])
+            coarse = _cartesian_segment_times(_every_other(x), _every_other(y),
+                                              _every_other(rho))
             error = abs(tau - float(np.sum(coarse)))
             evaluations += coarse.size
         except (DegenerateSegmentError, InfiniteTimeError):

@@ -12,6 +12,8 @@ from gravitunnel import (BrachFamily, DomainError, arc_length,
                          family_from_separation, rho_at_theta, rho_min,
                          sample_path, separation_angle, theta_of_rho,
                          theta_prime)
+from gravitunnel import brachistochrone
+from gravitunnel.brachistochrone import _bisect_bits, _theta_closed_form
 
 K_GRID = (0.1, 0.5, 1.0, 2.0, 10.0)
 
@@ -247,6 +249,27 @@ def family_and_angle(draw):
     return fam, draw(st.floats(-fam.separation_angle, 0.0))
 
 
+def assert_adjacent_float_brackets(fam, thetas, rho):
+    """Each interior radius closes its target's bracket on adjacent floats.
+
+    It must also lie within a few floats of a bisection over the whole of
+    [rho_min, 1]; the two can differ only where the computed angle is not
+    monotone.  The angle is the closed form on the family's own rho_min,
+    which for a family built from its separation can differ in the last
+    bit from the rho_min(k) that theta_of_rho derives.
+    """
+    sep, k, rm = fam.separation_angle, fam.k, fam.rho_min
+    target = np.where(thetas < -sep / 2.0, -sep - thetas, thetas)
+    inner = (target < 0.0) & (rho > rm)
+    r, t = rho[inner], target[inner]
+    assert np.all(_theta_closed_form(np.nextafter(r, 0.0), k, rm) < t)
+    assert np.all(_theta_closed_form(r, k, rm) >= t)
+    whole = _bisect_bits(np.full(r.size, rm).view(np.int64),
+                         np.ones(r.size).view(np.int64), t, k, rm)
+    ulps = np.abs(r.view(np.int64) - whole)
+    assert ulps.max() <= 4, f"largest difference {ulps.max()} floats"
+
+
 class TestRhoAtThetaSolve:
     """The vectorized bisection behind rho_at_theta, over its whole domain."""
 
@@ -287,13 +310,34 @@ class TestRhoAtThetaSolve:
         assert out.shape == (3, 4)
         assert out[1, 2] == rho_at_theta(fam, float(grid[1, 2]))
 
-    @pytest.mark.parametrize("sep", (1e-6, 0.7, 2.498, math.pi - 1e-6,
-                                     math.pi))
+    @pytest.mark.parametrize("sep", (1e-9, 1e-6, 0.01, 0.7, 2.498, 3.1,
+                                     math.pi - 1e-6, math.pi))
     def test_mirror_symmetry_on_dense_grid(self, sep):
         fam = family_from_separation(sep)
-        rho = rho_at_theta(fam, np.linspace(-sep, 0.0, 1000))
+        thetas = np.linspace(-sep, 0.0, 1000)
+        rho = rho_at_theta(fam, thetas)
         assert np.max(np.abs(rho - rho[::-1])) <= 1e-12
         assert rho[0] == rho[-1] == 1.0
+        if fam.k > 0.0:
+            assert_adjacent_float_brackets(fam, thetas, rho)
+
+    @pytest.mark.parametrize("sep", (1e-9, 0.01, 3.1))
+    def test_missed_seeds_bisect_the_whole_bracket(self, sep, monkeypatch):
+        # with no Newton steps the linear seed misses most brackets, so
+        # those angles are bisected again over the whole of [rho_min, 1]
+        fam = family_from_separation(sep)
+        thetas = np.linspace(-sep, 0.0, 1000)
+        whole_bracket = []
+
+        def spy(lo, hi, target, k, rm):
+            whole_bracket.append(int(np.sum((lo.view(float) == rm)
+                                            & (hi.view(float) == 1.0))))
+            return _bisect_bits(lo, hi, target, k, rm)
+        monkeypatch.setattr(brachistochrone, "_NEWTON_STEPS", 0)
+        monkeypatch.setattr(brachistochrone, "_bisect_bits", spy)
+        rho = rho_at_theta(fam, thetas)
+        assert whole_bracket[-1] > 0
+        assert_adjacent_float_brackets(fam, thetas, rho)
 
     @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
     def test_non_finite_angle_is_named(self, bad):

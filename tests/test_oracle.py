@@ -125,6 +125,19 @@ class TestSimulateBead:
         first = trace.samples[0]
         assert first[0] == 0.0 and first[3] == pytest.approx(0.0, abs=1e-12)
 
+    def test_run_counters_and_end_correction(self):
+        # the diameter ends on the surface, where the bead arrives at zero
+        # speed and the end sliver is closed analytically; a path ending
+        # inside the sphere is reached with speed and needs no correction
+        surface = simulate_bead(chord_path(chord_from_separation(math.pi), 50))
+        assert surface.rhs_evaluations > surface.steps > 0
+        assert surface.end_correction != 0.0
+        assert abs(surface.end_correction) < 1e-3
+        interior = simulate_bead(DiscretePath.from_arrays(
+            [1.0, 0.8, 0.6, 0.5], [0.0, -0.1, -0.2, -0.3]))
+        assert interior.rhs_evaluations > interior.steps > 0
+        assert interior.end_correction == 0.0
+
     def test_point_above_surface_rejected_at_validation(self):
         with pytest.raises(DomainError):
             DiscretePath.from_arrays([1.0, 1.05, 1.0], [0.0, -0.5, -1.0])

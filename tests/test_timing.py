@@ -3,6 +3,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import quad_half_time
 from gravitunnel import (BrachFamily, DegenerateSegmentError, DiscretePath,
@@ -11,6 +13,7 @@ from gravitunnel import (BrachFamily, DegenerateSegmentError, DiscretePath,
                          chord_path, cumulative_path_times,
                          family_from_separation, half_transit_time,
                          path_transit_time, sample_path, total_transit_time)
+from gravitunnel.timing import _segment_times
 
 K_SWEEP = np.geomspace(0.05, 20.0, 20)
 
@@ -144,6 +147,63 @@ class TestPathTransit:
                                            [0.0, -0.5, -0.5, -1.0])
         assert path_transit_time(doubled).tau == pytest.approx(
             path_transit_time(base).tau, rel=1e-15)
+
+
+def reference_segment_time(r0, t0, r1, t1):
+    """One segment's SHM traversal time, written with scalar math."""
+    x0, y0 = r0 * math.cos(t0), r0 * math.sin(t0)
+    dx, dy = r1 * math.cos(t1) - x0, r1 * math.sin(t1) - y0
+    length = math.hypot(dx, dy)
+    if length <= 1e-15:
+        return 0.0
+    b = (x0 * dx + y0 * dy) / length
+    c = math.sqrt(max((1.0 - r0) * (1.0 + r0), 0.0) + b * b) or 1e-15
+    start = (-math.pi / 2 if r0 == 1.0
+             else math.asin(max(-1.0, min(1.0, b / c))))
+    end = (math.pi / 2 if r1 == 1.0
+           else math.asin(max(-1.0, min(1.0, (length + b) / c))))
+    return end - start
+
+
+@st.composite
+def polar_polyline(draw):
+    """Interior points, a surface point at either end or both, repeats."""
+    n = draw(st.integers(2, 12))
+    rho = draw(st.lists(st.floats(0.0, 0.99), min_size=n, max_size=n))
+    theta = np.cumsum(draw(st.lists(st.floats(-0.8, 0.8), min_size=n,
+                                    max_size=n)))
+    ends = draw(st.sampled_from(((), (0,), (-1,), (0, -1))))
+    for i in ends if n > 2 else ends[:1]:
+        rho[i] = 1.0
+    # repeat some interior points, giving zero-length segments
+    repeats = draw(st.lists(st.integers(1, max(n - 2, 1)), max_size=3))
+    idx = sorted(list(range(n)) + [i for i in repeats if 0 < i < n - 1])
+    return np.asarray(rho)[idx], theta[idx]
+
+
+@settings(max_examples=300, deadline=None)
+@given(polar_polyline())
+def test_segment_times_match_scalar_reference(case):
+    rho, theta = case
+    times = _segment_times(rho, theta)
+    ref = [reference_segment_time(rho[i], theta[i], rho[i + 1], theta[i + 1])
+           for i in range(rho.size - 1)]
+    assert times == pytest.approx(ref, rel=1e-12, abs=1e-12)
+    repeated = (rho[1:] == rho[:-1]) & (theta[1:] == theta[:-1])
+    assert np.all(times[repeated] == 0.0)
+
+
+@pytest.mark.parametrize("n", (79, 78))
+def test_error_estimate_is_the_every_other_sample_gap(n):
+    # sample_path(family, 40) has 79 samples; dropping the second leaves 78
+    path = sample_path(BrachFamily.from_momentum(1.0), 40)
+    keep = [i for i in range(79) if n == 79 or i != 1]
+    rho, theta = path.rho[keep], path.theta[keep]
+    idx = sorted(set(range(0, n, 2)) | {n - 1})
+    result = path_transit_time(DiscretePath.from_arrays(rho, theta))
+    coarse = path_transit_time(DiscretePath.from_arrays(rho[idx], theta[idx]))
+    assert result.error_estimate == abs(result.tau - coarse.tau)
+    assert result.evaluations == (n - 1) + (len(idx) - 1)
 
 
 def test_cumulative_path_times():
