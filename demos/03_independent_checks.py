@@ -17,15 +17,15 @@ import math
 
 import numpy as np
 
-from gravitunnel import (family_from_separation, optimize_path, rho_min,
-                         sample_path, simulate_bead, theta_of_rho,
-                         theta_prime, total_transit_time)
+from gravitunnel import (family_from_separation, half_transit_time,
+                         optimize_path, rho_min, sample_path, simulate_bead,
+                         theta_of_rho, theta_prime)
 from gravitunnel.checks import antiderivative_with_coefficient, fd4
 
 delta = math.pi / 2
 fam = family_from_separation(delta)
 
-quad_tau = total_transit_time(fam).tau
+quad_tau = 2 * half_transit_time(fam).tau
 report = optimize_path(delta, 64)
 bead_tau = simulate_bead(sample_path(fam, 10_000)).transit_time
 

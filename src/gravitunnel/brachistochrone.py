@@ -328,11 +328,16 @@ def _bisect_bits(lo, hi, target, k, rm):
     return hi
 
 
-def arc_length(family: BrachFamily, cfg=None) -> float:
+def arc_length(family: BrachFamily) -> float:
     """Tunnel length 2 * integral of sqrt(1 + rho^2 theta'^2) d rho.
 
-    Evaluated by the singular quadrature in `timing`; 2 for the k = 0
-    diameter and strictly longer than the straight chord otherwise.
+    Closed form 2 (1 - rho_min^2), written as 2 q (2 - q) for
+    q = separation_angle / pi so tiny separations keep full relative
+    precision: 2 for the k = 0 diameter and strictly longer than the
+    straight chord otherwise.  ``2 * timing.arc_integral(family,
+    "length")`` is the singular-quadrature route to the same number.
     """
-    from . import timing
-    return 2.0 * timing.arc_integral(family, "length", cfg)
+    if not isinstance(family, BrachFamily):
+        raise DomainError("arc_length expects a BrachFamily")
+    q = family.separation_angle / math.pi
+    return 2.0 * q * (2.0 - q)

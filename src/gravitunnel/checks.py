@@ -232,9 +232,9 @@ def transit_closed_form(tol_scale, ks):
     worst = 0.0
     for k in ks:
         fam = brach.BrachFamily.from_momentum(k)
-        worst = max(worst, abs(timing.total_transit_time(fam).tau
+        worst = max(worst, abs(2.0 * timing.half_transit_time(fam).tau
                                - math.pi * math.sqrt(1.0 - fam.rho_min ** 2)))
-    k0 = timing.total_transit_time(brach.BrachFamily.from_momentum(0.0)).tau
+    k0 = 2.0 * timing.half_transit_time(brach.BrachFamily.from_momentum(0.0)).tau
     worst = max(worst, abs(k0 - math.pi))
     threshold = 1e-7 * tol_scale
     return (worst < threshold and k0 == math.pi, worst, threshold,
@@ -252,7 +252,7 @@ def oracle_triangle(tol_scale, separations, interior_points, samples):
     undercut = -math.inf
     for delta in separations:
         fam = brach.family_from_separation(delta)
-        t_quad = timing.total_transit_time(fam).tau
+        t_quad = 2.0 * timing.half_transit_time(fam).tau
         report = oracle_mod.optimize_path(delta, interior_points)
         t_bead = oracle_mod.simulate_bead(brach.sample_path(fam, samples)).transit_time
         times = (t_quad, report.best_time, t_bead)

@@ -132,8 +132,8 @@ class SmallArcComparison:
     relative_time_difference: float
 
 
-def compare_small_arc(delta_theta: float, samples_per_half: int = 2001,
-                      cfg=None) -> SmallArcComparison:
+def compare_small_arc(delta_theta: float,
+                      samples_per_half: int = 2001) -> SmallArcComparison:
     """Compare the spherical tunnel with its flat-space cycloid twin.
 
     The spherical path for the given separation is mapped to local
@@ -161,7 +161,7 @@ def compare_small_arc(delta_theta: float, samples_per_half: int = 2001,
     y_on_stations = np.interp(x_sphere, x_cyc, y_cyc)
     deviation = float(np.max(np.abs(y_sphere - y_on_stations))) / delta_theta
 
-    t_sphere = total_transit_time(family, cfg).tau
+    t_sphere = total_transit_time(family).tau
     t_cyc = cycloid_time(flat, 1.0)
     return SmallArcComparison(delta_theta=delta_theta,
                               max_geometry_deviation=deviation,

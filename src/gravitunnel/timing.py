@@ -1,6 +1,12 @@
 """Transit-time and arc-length evaluation, with singular endpoints tamed.
 
-The half-tunnel time of a family member k is
+A family member's full transit time has the closed form
+
+    T = pi * sqrt(1 - rho_m^2) = pi * sqrt(q (2 - q)),   q = separation / pi,
+
+which `total_transit_time` returns.  The singular quadrature below is
+kept as an independent route to the same number.  The half-tunnel time
+of a family member k is
 
     integral from rho_m to 1 of sqrt(1 + rho^2 theta'^2) / sqrt(1-rho^2),
 
@@ -14,16 +20,19 @@ turnaround end.  The smooth remainders go to an adaptive Gauss-Kronrod
 
 Discrete paths are timed segment by segment.  Along any straight segment
 the motion is simple harmonic (the field is linear in position), so the
-traversal time of a segment from P0 with entry speed nu0 is elementary:
+traversal time of a segment is elementary.  Written from its polar ends
+(r0, theta0) and (r1, theta1), with dr = r1 - r0 and
+s2 = sin((theta1 - theta0)/2)^2,
 
-    t = asin((L + b)/c) - asin(b/c),   b = P0 . t_hat,  c = sqrt(nu0^2 + b^2),
+    L  = sqrt(dr^2 + 4 r0 r1 s2),        b0 = r0 (dr - 2 r1 s2) / L,
+    t  = atan2(b0 + L, nu1) - atan2(b0, nu0),   nu = sqrt(1 - rho^2),
 
-where L is the segment length and t_hat its direction.  Segment times
-are therefore exact for the polyline itself; the only error left in a
+where L is the segment length, b0 the start point's projection on the
+segment direction and nu the speed at each end.  Segment times are
+therefore exact for the polyline itself; the only error left in a
 discrete transit time is the polyline's geometric deviation from the
 curve it samples, which vanishes quadratically under refinement.  At a
-surface endpoint the formula's leading behavior reduces to the local
-model nu ~ sqrt(2 (1 - rho)).
+surface endpoint nu is 0 and the angle is +-pi/2.
 """
 
 import heapq
@@ -222,16 +231,40 @@ def half_transit_time(family: BrachFamily, cfg=None) -> TransitResult:
     return TransitResult(tau=value, error_estimate=err, evaluations=evals)
 
 
-def total_transit_time(family: BrachFamily, cfg=None) -> TransitResult:
-    """Full surface-to-surface time: twice the half by mirror symmetry."""
-    half = half_transit_time(family, cfg)
-    return TransitResult(tau=2.0 * half.tau,
-                         error_estimate=2.0 * half.error_estimate,
-                         evaluations=half.evaluations)
+def total_transit_time(family: BrachFamily) -> TransitResult:
+    """Full surface-to-surface time, in closed form.
+
+    pi * sqrt(1 - rho_min^2), with 1 - rho_min^2 written as q (2 - q) for
+    q = separation_angle / pi, which keeps full relative precision at
+    tiny separations.  Nothing is integrated: the error estimate and the
+    evaluation count are 0.  ``2 * half_transit_time(family).tau`` is the
+    singular-quadrature route to the same number.
+    """
+    if not isinstance(family, BrachFamily):
+        raise DomainError("total_transit_time expects a BrachFamily")
+    q = family.separation_angle / math.pi
+    return TransitResult(tau=math.pi * math.sqrt(q * (2.0 - q)),
+                         error_estimate=0.0, evaluations=0)
 
 
 def _segment_times(rho, theta):
     """Exact traversal times of each straight segment of a polar polyline.
+
+    Works from the polar samples directly.  With s2 = sin(dtheta/2)^2, a
+    segment from (r0, theta0) to (r1, theta1) has length and entry
+    projection
+
+        L = sqrt(dr^2 + 4 r0 r1 s2),   b0 = r0 (dr - 2 r1 s2) / L,
+
+    both free of the cancellation in a Cartesian difference x1 - x0.
+    Since nu^2 + s^2 is constant along the segment, each arcsine of the
+    SHM solution is an arctangent of the point's own speed,
+
+        t = atan2(b0 + L, nu1) - atan2(b0, nu0),   nu = sqrt((1-rho)(1+rho)),
+
+    which needs no clip.  The whole array runs the same vector math in
+    place, a zero-length segment divided by 1 instead of 0, and the
+    entries it must not use are overwritten afterwards.
 
     Raises DegenerateSegmentError for a zero-length segment with both
     ends on the surface and InfiniteTimeError for a positive-length
@@ -241,21 +274,19 @@ def _segment_times(rho, theta):
     """
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    return _cartesian_segment_times(rho * np.cos(theta), rho * np.sin(theta),
-                                    rho)
-
-
-def _cartesian_segment_times(x, y, rho):
-    """_segment_times on the polyline's points (x, y) and their radii rho.
-
-    One pass over whole arrays: every segment runs the same vector math,
-    a zero-length one divided by 1 instead of 0, and the entries it must
-    not use are overwritten afterwards (+-pi/2 at surface ends, 0 for
-    zero-length segments), so no masked copy of the inputs is made.
-    """
-    dx = np.diff(x)
-    dy = np.diff(y)
-    length = np.hypot(dx, dy)
+    r0, r1 = rho[:-1], rho[1:]
+    s2 = np.diff(theta)
+    s2 *= 0.5
+    np.sin(s2, out=s2)
+    s2 *= s2
+    dr = np.diff(rho)
+    # length = sqrt(dr^2 + 4 r0 r1 s2), with b as scratch
+    length = r0 * r1
+    length *= s2
+    length *= 4.0
+    b = dr * dr
+    length += b
+    np.sqrt(length, out=length)
     on_surface = rho >= 1.0 - DOMAIN_EPS
     start_surface = on_surface[:-1]
     end_surface = on_surface[1:]
@@ -270,22 +301,26 @@ def _cartesian_segment_times(x, y, rho):
         raise InfiniteTimeError(
             f"segment {i} of positive length has both endpoints at rho = 1; "
             "its traversal time is unbounded for this evaluator")
-    divisor = np.where(zero, 1.0, length)
-    tx = dx / divisor
-    ty = dy / divisor
-    b = x[:-1] * tx + y[:-1] * ty
-    rho0 = rho[:-1]
-    nu0sq = np.maximum((1.0 - rho0) * (1.0 + rho0), 0.0)
-    c = np.sqrt(nu0sq + b * b)
-    c[c == 0.0] = _ZERO_LENGTH
-    # A segment end sitting exactly on the surface has zero speed, so
-    # its arcsine argument is exactly +-1; writing +-pi/2 directly
-    # avoids amplifying round-off through the arcsine's vertical slope.
-    asin0 = np.arcsin(np.clip(b / c, -1.0, 1.0))
-    asin0[start_surface] = -math.pi / 2.0
-    asin1 = np.arcsin(np.clip((length + b) / c, -1.0, 1.0))
-    asin1[end_surface] = math.pi / 2.0
-    times = asin1 - asin0
+    length[zero] = 1.0
+    # b = b0 = r0 (dr - 2 r1 s2) / length, then b0 + length
+    np.multiply(r1, s2, out=b)
+    b *= -2.0
+    b += dr
+    b *= r0
+    b /= length
+    nu = 1.0 - rho
+    nu *= 1.0 + rho
+    np.maximum(nu, 0.0, out=nu)
+    np.sqrt(nu, out=nu)
+    start = np.arctan2(b, nu[:-1])
+    b += length
+    times = np.arctan2(b, nu[1:], out=b)
+    # An end within DOMAIN_EPS of the surface counts as on it, with zero
+    # speed, so its angle is exactly -pi/2 (start) or pi/2 (end) whatever
+    # the round-off in b or nu there.
+    start[start_surface] = -math.pi / 2.0
+    times[end_surface] = math.pi / 2.0
+    times -= start
     times[zero] = 0.0
     return times
 
@@ -302,25 +337,21 @@ def path_transit_time(path: DiscretePath) -> TransitResult:
     The error estimate is |tau - tau_coarse|, where tau_coarse times the
     same path through samples 0, 2, 4, ... and the last one, so it
     reflects how converged the path's geometry is, not floating-point
-    noise.  Both passes share one evaluation of the points' cosines and
-    sines.  Paths under 5 samples, and paths whose coarse subsample
+    noise.  Paths under 5 samples, and paths whose coarse subsample
     cannot be timed (a segment between two surface samples), report only
     a round-off bound.
     """
     if not isinstance(path, DiscretePath):
         path = DiscretePath.from_arrays(*path)
-    rho = path.rho
-    x = rho * np.cos(path.theta)
-    y = rho * np.sin(path.theta)
-    times = _cartesian_segment_times(x, y, rho)
+    times = _segment_times(path.rho, path.theta)
     tau = float(np.sum(times))
     evaluations = times.size
     n = len(path)
     error = float(n * np.finfo(float).eps * max(abs(tau), 1.0))
     if n >= 5:
         try:
-            coarse = _cartesian_segment_times(_every_other(x), _every_other(y),
-                                              _every_other(rho))
+            coarse = _segment_times(_every_other(path.rho),
+                                    _every_other(path.theta))
             error = abs(tau - float(np.sum(coarse)))
             evaluations += coarse.size
         except (DegenerateSegmentError, InfiniteTimeError):

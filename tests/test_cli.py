@@ -55,6 +55,14 @@ class TestTimeCommand:
                                "--lat2", "0deg")
         assert by_lat == by_sep
 
+    def test_tiny_separation(self, capsys):
+        code, out, _ = run_cli(capsys, "time", "--sep", "1e-12",
+                               "--format", "structured")
+        assert code == 0
+        table = json.loads(out)
+        assert table["tunnel_tau"] == pytest.approx(
+            math.pi * math.sqrt(2e-12 / math.pi), rel=1e-12)
+
     def test_custom_body(self, capsys):
         code, out, _ = run_cli(capsys, "time", "--sep", "1.0", "--body",
                                "custom", "--radius", "3.39e6",

@@ -1,18 +1,20 @@
 import math
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import quad_half_time
 from gravitunnel import (BrachFamily, DegenerateSegmentError, DiscretePath,
                          DomainError, InfiniteTimeError, QuadratureConfig,
-                         QuadratureError, arc_integral, chord_from_separation,
-                         chord_path, cumulative_path_times,
-                         family_from_separation, half_transit_time,
-                         path_transit_time, sample_path, total_transit_time)
+                         QuadratureError, arc_integral, arc_length,
+                         chord_from_separation, chord_path,
+                         cumulative_path_times, family_from_separation,
+                         half_transit_time, path_transit_time, sample_path,
+                         total_transit_time)
 from gravitunnel.timing import _segment_times
 
 K_SWEEP = np.geomspace(0.05, 20.0, 20)
@@ -45,7 +47,7 @@ class TestHalfTransit:
         assert result.tau == pytest.approx(quad_half_time(k), abs=1e-9)
 
     def test_vanishing_tunnel(self):
-        assert total_transit_time(BrachFamily.from_momentum(100.0)).tau < 0.05
+        assert 2 * half_transit_time(BrachFamily.from_momentum(100.0)).tau < 0.05
 
     def test_nonconvergence_reports_worst_interval(self):
         cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30, max_subdivisions=2)
@@ -56,22 +58,43 @@ class TestHalfTransit:
         assert err.value.error_estimate > 0
 
 
+def within_ulps(value, exact, ulps):
+    """|value - exact| <= ulps units in the last place of float(exact)."""
+    return abs(mpmath.mpf(value) - exact) <= ulps * math.ulp(float(exact))
+
+
 class TestTotalTransit:
-    def test_doubles_half(self):
+    def test_closed_form_record(self):
+        # nothing is integrated; the quadrature route agrees to round-off
         fam = BrachFamily.from_momentum(0.7)
-        half = half_transit_time(fam)
         total = total_transit_time(fam)
-        assert total.tau == 2 * half.tau
+        assert total.error_estimate == 0.0
+        assert total.evaluations == 0
+        assert total.tau == pytest.approx(2 * half_transit_time(fam).tau,
+                                          rel=1e-13)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-12, math.pi))
+    @example(1e-12)
+    @example(1e-9)
+    @example(math.pi)
+    def test_closed_forms_within_4_ulp(self, delta):
+        fam = family_from_separation(delta)
+        with mpmath.workdps(50):
+            q = mpmath.mpf(fam.separation_angle) / mpmath.pi
+            assert within_ulps(total_transit_time(fam).tau,
+                               mpmath.pi * mpmath.sqrt(q * (2 - q)), 4)
+            assert within_ulps(arc_length(fam), 2 * q * (2 - q), 4)
 
     def test_closed_form_conjecture_sweep(self):
         # regression promoted from the verified conjecture pi*sqrt(1-rho_m^2)
         for k in K_SWEEP:
             fam = BrachFamily.from_momentum(float(k))
-            tau = total_transit_time(fam).tau
+            tau = 2 * half_transit_time(fam).tau
             assert abs(tau - math.pi * math.sqrt(1 - fam.rho_min**2)) < 1e-7
 
     def test_monotone_decreasing_in_k(self):
-        taus = [total_transit_time(BrachFamily.from_momentum(float(k))).tau
+        taus = [2 * half_transit_time(BrachFamily.from_momentum(float(k))).tau
                 for k in K_SWEEP]
         assert np.all(np.diff(taus) < 0)
 
@@ -88,6 +111,12 @@ class TestArcIntegral:
         fam0 = BrachFamily.from_momentum(0.0)
         assert arc_integral(fam0, "length") == 1.0
         assert arc_integral(fam0, "time") == math.pi / 2
+
+    def test_length_selector_against_closed_form(self):
+        for k in K_SWEEP:
+            fam = BrachFamily.from_momentum(float(k))
+            q = fam.separation_angle / math.pi
+            assert abs(arc_integral(fam, "length") - q * (2 - q)) < 1e-9
 
     def test_time_selector_matches_half_transit(self):
         fam = BrachFamily.from_momentum(1.0)
@@ -150,19 +179,23 @@ class TestPathTransit:
 
 
 def reference_segment_time(r0, t0, r1, t1):
-    """One segment's SHM traversal time, written with scalar math."""
-    x0, y0 = r0 * math.cos(t0), r0 * math.sin(t0)
-    dx, dy = r1 * math.cos(t1) - x0, r1 * math.sin(t1) - y0
-    length = math.hypot(dx, dy)
-    if length <= 1e-15:
-        return 0.0
-    b = (x0 * dx + y0 * dy) / length
-    c = math.sqrt(max((1.0 - r0) * (1.0 + r0), 0.0) + b * b) or 1e-15
-    start = (-math.pi / 2 if r0 == 1.0
-             else math.asin(max(-1.0, min(1.0, b / c))))
-    end = (math.pi / 2 if r1 == 1.0
-           else math.asin(max(-1.0, min(1.0, (length + b) / c))))
-    return end - start
+    """One segment's SHM traversal time, in 40-digit mpmath.
+
+    The polar ends are taken as exact and the Cartesian arcsine form
+    t = asin((L + b)/c) - asin(b/c) is evaluated with no float round-off.
+    """
+    with mpmath.workdps(40):
+        r0, t0, r1, t1 = (mpmath.mpf(float(v)) for v in (r0, t0, r1, t1))
+        x0, y0 = r0 * mpmath.cos(t0), r0 * mpmath.sin(t0)
+        dx, dy = r1 * mpmath.cos(t1) - x0, r1 * mpmath.sin(t1) - y0
+        length = mpmath.sqrt(dx * dx + dy * dy)
+        if length <= 1e-15:
+            return 0.0
+        b = (x0 * dx + y0 * dy) / length
+        c = mpmath.sqrt((1 - r0) * (1 + r0) + b * b)
+        start = -mpmath.pi / 2 if r0 == 1 else mpmath.asin(b / c)
+        end = mpmath.pi / 2 if r1 == 1 else mpmath.asin((length + b) / c)
+        return float(end - start)
 
 
 @st.composite
@@ -191,6 +224,18 @@ def test_segment_times_match_scalar_reference(case):
     assert times == pytest.approx(ref, rel=1e-12, abs=1e-12)
     repeated = (rho[1:] == rho[:-1]) & (theta[1:] == theta[:-1])
     assert np.all(times[repeated] == 0.0)
+
+
+def test_segment_times_match_mpmath_on_a_short_tunnel():
+    # ~5e-7-long segments, where a Cartesian difference x1 - x0 cancels
+    # about six digits
+    path = sample_path(family_from_separation(0.01), 10_000)
+    times = _segment_times(path.rho, path.theta)
+    interior = np.flatnonzero((path.rho[:-1] < 1.0) & (path.rho[1:] < 1.0))
+    ref = np.array([reference_segment_time(path.rho[i], path.theta[i],
+                                           path.rho[i + 1], path.theta[i + 1])
+                    for i in interior])
+    assert np.max(np.abs(times[interior] - ref) / ref) < 1e-10
 
 
 @pytest.mark.parametrize("n", (79, 78))
@@ -223,7 +268,7 @@ def test_transit_result_positive():
 
 def test_concurrent_sweep_matches_serial():
     families = [BrachFamily.from_momentum(float(k)) for k in K_SWEEP]
-    serial = [total_transit_time(f).tau for f in families]
+    serial = [half_transit_time(f).tau for f in families]
     with ThreadPoolExecutor(max_workers=8) as pool:
-        threaded = list(pool.map(lambda f: total_transit_time(f).tau, families))
+        threaded = list(pool.map(lambda f: half_transit_time(f).tau, families))
     assert threaded == serial
