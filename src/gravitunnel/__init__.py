@@ -19,11 +19,10 @@ from .core import (DOMAIN_EPS, DiscretePath, PhysicalParams, PolarPoint,
 from .cycloid import (CycloidSolution, SmallArcComparison, compare_small_arc,
                       cycloid_between, cycloid_time, cycloid_xy)
 from .errors import (DegenerateSegmentError, DomainError, InfiniteTimeError,
-                     PathError, QuadratureError, RootFindError,
-                     StalledTrajectoryError, TunnelError)
-from .oracle import (OptimizationReport, OptimizeConfig, SimulationTrace,
-                     StepControl, optimize_path, perturbation_test,
-                     simulate_bead)
+                     PathError, QuadratureError, StalledTrajectoryError,
+                     TunnelError)
+from .oracle import (OptimizationReport, SimulationTrace, StepControl,
+                     optimize_path, perturbation_test, simulate_bead)
 from .timing import (QuadratureConfig, TransitResult, arc_integral,
                      cumulative_path_times, half_transit_time,
                      path_transit_time, total_transit_time)
@@ -33,9 +32,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BrachFamily", "ChordSpec", "CycloidSolution", "DiscretePath",
     "DegenerateSegmentError", "DomainError", "DOMAIN_EPS",
-    "InfiniteTimeError", "OptimizationReport", "OptimizeConfig", "PathError",
+    "InfiniteTimeError", "OptimizationReport", "PathError",
     "PhysicalParams", "PolarPoint", "QuadratureConfig", "QuadratureError",
-    "RootFindError", "Scaling", "SimulationTrace", "SmallArcComparison",
+    "Scaling", "SimulationTrace", "SmallArcComparison",
     "StalledTrajectoryError", "StepControl", "TransitResult", "TunnelError",
     "arc_integral", "arc_length", "chord_from_separation", "chord_path",
     "chord_position", "chord_transit_time", "compare_small_arc",

@@ -4,8 +4,8 @@ Seen from inside a short, shallow tunnel the sphere's interior field is
 indistinguishable from a uniform downward pull of surface strength, so
 the spherical minimum-time tunnel must flatten onto the classical
 cycloid solution as the surface separation shrinks.  This module carries
-the standard cycloid machinery (boundary solve and transit time) and the
-comparison that demonstrates the convergence.
+the level-endpoint cycloid arch, its transit time and the comparison
+that demonstrates the convergence.
 
 Cycloid conventions: a point on a circle of radius a rolling under a
 horizontal line traces x = a (phi - sin phi), y = a (1 - cos phi) with
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brachistochrone import BrachFamily, sample_path
-from .errors import DomainError, RootFindError
+from .errors import DomainError
 from .timing import total_transit_time
 
 
@@ -39,71 +39,17 @@ class CycloidSolution:
             raise DomainError("end_angle must lie in (0, 2*pi]")
 
 
-def _one_minus_cos(phi):
-    return 2.0 * math.sin(phi / 2.0) ** 2
+def cycloid_between(horizontal_span: float) -> CycloidSolution:
+    """The full cycloid arch between two level points a span apart.
 
-
-def _phi_minus_sin(phi):
-    if phi < 0.5:
-        # nested series, accurate to double precision on this range
-        p2 = phi * phi
-        inner = 1.0 - p2 / 110.0 * (1.0 - p2 / 156.0)
-        return (phi * p2 / 6.0) * (1.0 - p2 / 20.0
-                                   * (1.0 - p2 / 42.0
-                                      * (1.0 - p2 / 72.0 * inner)))
-    return phi - math.sin(phi)
-
-
-def cycloid_between(horizontal_span: float, vertical_drop: float) -> CycloidSolution:
-    """Solve a(phi - sin phi) = span, a(1 - cos phi) = drop for (a, phi).
-
-    The ratio (phi - sin phi)/(1 - cos phi) is strictly increasing on
-    (0, 2*pi), so for a positive drop the end angle is found by scipy's
-    bracketed root finder; a zero drop gives the full arch phi = 2*pi in
-    closed form and needs numpy alone.  Residuals of both boundary
-    equations are verified below 1e-12.
+    Level endpoints are the two cusps of one arch, phi = 0 and 2*pi, so
+    the rolling radius is span / (2*pi) in closed form.
     """
     span = float(horizontal_span)
-    drop = float(vertical_drop)
     if not (math.isfinite(span) and span > 0.0):
         raise DomainError(f"horizontal_span must be positive; got {span!r}")
-    if not (math.isfinite(drop) and drop >= 0.0):
-        raise DomainError(f"vertical_drop must be non-negative; got {drop!r}")
-    if drop == 0.0:
-        phi = 2.0 * math.pi
-        a = span / (2.0 * math.pi)
-    else:
-        from scipy.optimize import brentq
-
-        def g(phi):
-            return drop * _phi_minus_sin(phi) - span * _one_minus_cos(phi)
-
-        # g < 0 just above 0 and g(2*pi) = 2*pi*drop > 0: one sign change
-        phi = brentq(g, 1e-12, 2.0 * math.pi, xtol=1e-15, rtol=8.9e-16)
-        # Guarded Newton polish: residuals divide by phi - sin(phi), which
-        # is tiny for deep drops, so the root must sit at the evaluation
-        # noise floor; steps that fail to shrink |g| are rejected.
-        g0 = g(phi)
-        for _ in range(3):
-            slope = drop * _one_minus_cos(phi) - span * math.sin(phi)
-            if slope == 0.0 or g0 == 0.0:
-                break
-            candidate = phi - g0 / slope
-            if not (0.0 < candidate < 2.0 * math.pi):
-                break
-            g1 = g(candidate)
-            if abs(g1) >= abs(g0):
-                break
-            phi, g0 = candidate, g1
-        a = span / _phi_minus_sin(phi)
-    r1 = abs(a * _phi_minus_sin(phi) - span)
-    r2 = abs(a * _one_minus_cos(phi) - drop)
-    tol = 1e-12 * max(1.0, span, drop)
-    if r1 > tol or r2 > tol:
-        raise RootFindError("cycloid boundary solve missed its residual "
-                            f"tolerance: {r1:.2e}, {r2:.2e}")
-    return CycloidSolution(rolling_radius=a, end_angle=phi,
-                           horizontal_span=span)
+    return CycloidSolution(rolling_radius=span / (2.0 * math.pi),
+                           end_angle=2.0 * math.pi, horizontal_span=span)
 
 
 def cycloid_time(sol: CycloidSolution, field_strength: float = 1.0) -> float:
@@ -155,7 +101,7 @@ def compare_small_arc(delta_theta: float,
     x_sphere = -path.theta
     y_sphere = 1.0 - path.rho
 
-    flat = cycloid_between(delta_theta, 0.0)
+    flat = cycloid_between(delta_theta)
     phis = np.linspace(0.0, flat.end_angle, 8 * samples_per_half)
     x_cyc, y_cyc = cycloid_xy(flat, phis)
     y_on_stations = np.interp(x_sphere, x_cyc, y_cyc)

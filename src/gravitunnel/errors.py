@@ -39,10 +39,6 @@ class QuadratureError(TunnelError, ArithmeticError):
         self.evaluations = evaluations
 
 
-class RootFindError(TunnelError, ArithmeticError):
-    """A bracketed root solve failed to reach its residual tolerance."""
-
-
 class StalledTrajectoryError(TunnelError, RuntimeError):
     """The bead ran out of speed before reaching the far end of the tunnel.
 

@@ -2,9 +2,11 @@
 
 Nothing in this module consults the closed-form antiderivative to
 produce its answer.  The transcription optimizer searches over discrete
-paths directly, and the bead simulator integrates Newton's law along an
-interpolated tunnel; both have to land on the same transit times as the
-quadrature of the closed form, or something upstream is wrong.
+paths directly, by Newton's method on the exact derivatives of the
+polyline time (numpy only), and the bead simulator integrates Newton's
+law along an interpolated tunnel (the one user of scipy here); both
+have to land on the same transit times as the quadrature of the closed
+form, or something upstream is wrong.
 """
 
 import math
@@ -15,18 +17,7 @@ import numpy as np
 from .brachistochrone import BrachFamily, sample_path
 from .core import DOMAIN_EPS, DiscretePath
 from .errors import DomainError, PathError, StalledTrajectoryError
-from .timing import _segment_times
-
-
-@dataclass(frozen=True)
-class OptimizeConfig:
-    """Knobs for the direct path optimizer."""
-
-    max_iterations: int = 1000
-    gradient_tol: float = 1e-10
-    residual_threshold: float = 1e-6
-    bound_margin: float = 1e-9
-    polish_iterations: int = 12
+from .timing import _segment_time_partials, _segment_times
 
 
 @dataclass(frozen=True)
@@ -40,78 +31,54 @@ class OptimizationReport:
     first_order_residual: float
 
 
-_GRAD_STEP = 1e-7
-_HESS_STEP = 1e-5
+_BOUND_MARGIN = 1e-9
+_RESIDUAL_THRESHOLD = 1e-6
+_NEWTON_STEPS = 100
+_HALVINGS = 40
 
 
-def _fd_gradient(objective, x):
-    g = np.empty(x.size)
-    for i in range(x.size):
-        xp = x.copy()
-        xp[i] += _GRAD_STEP
-        xm = x.copy()
-        xm[i] -= _GRAD_STEP
-        g[i] = (objective(xp) - objective(xm)) / (2.0 * _GRAD_STEP)
-    return g
+def _tridiagonal_solve(diag, off, rhs):
+    """Solve a symmetric tridiagonal system by an LDL^T (Thomas) sweep.
 
-
-def _newton_polish(objective, x, lo, hi, max_iter):
-    """Damped Newton steps using the objective's tridiagonal Hessian.
-
-    Each free radius couples only to its two neighboring segments, so the
-    Hessian is tridiagonal and cheap to difference and solve.  Stops at
-    the finite-difference noise floor (~1e-8 on the gradient).
+    Returns None when a pivot is not positive, i.e. the matrix is not
+    positive definite.
     """
-    from scipy.linalg import solve_banded
+    m = diag.size
+    pivot = np.empty(m)
+    ratio = np.empty(m - 1)
+    y = np.empty(m)
+    pivot[0], y[0] = diag[0], rhs[0]
+    for i in range(1, m):
+        if not pivot[i - 1] > 0.0:
+            return None
+        ratio[i - 1] = off[i - 1] / pivot[i - 1]
+        pivot[i] = diag[i] - ratio[i - 1] * off[i - 1]
+        y[i] = rhs[i] - ratio[i - 1] * y[i - 1]
+    if not pivot[-1] > 0.0:
+        return None
+    x = y / pivot
+    for i in range(m - 2, -1, -1):
+        x[i] -= ratio[i] * x[i + 1]
+    return x
 
-    m = x.size
-    iterations = 0
-    for _ in range(max_iter):
-        g = _fd_gradient(objective, x)
-        if np.max(np.abs(g)) < 1e-8:
-            break
-        f0 = objective(x)
-        diag = np.empty(m)
-        off = np.empty(m - 1)
-        h = _HESS_STEP
-        for i in range(m):
-            xp = x.copy()
-            xp[i] += h
-            xm = x.copy()
-            xm[i] -= h
-            diag[i] = (objective(xp) - 2.0 * f0 + objective(xm)) / h**2
-        for i in range(m - 1):
-            corners = 0.0
-            for s1, s2, sign in ((h, h, 1.0), (h, -h, -1.0),
-                                 (-h, h, -1.0), (-h, -h, 1.0)):
-                xc = x.copy()
-                xc[i] += s1
-                xc[i + 1] += s2
-                corners += sign * objective(xc)
-            off[i] = corners / (4.0 * h * h)
-        banded = np.zeros((3, m))
-        banded[0, 1:] = off
-        banded[1] = diag
-        banded[2, :-1] = off
-        try:
-            step = solve_banded((1, 1), banded, -g)
-        except np.linalg.LinAlgError:
-            break
-        scale = 1.0
-        for _ in range(25):
-            candidate = np.clip(x + scale * step, lo, hi)
-            if objective(candidate) <= f0:
-                x = candidate
-                break
-            scale *= 0.5
-        else:
-            break
-        iterations += 1
-    return x, iterations
+
+def _newton_step(gradient, diag, off):
+    """Newton step on the tridiagonal Hessian, Levenberg-shifted if needed.
+
+    Returns None when a Hessian entry is not finite.
+    """
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        return None
+    shift = 0.0
+    while True:
+        step = _tridiagonal_solve(diag + shift, off, -gradient)
+        if step is not None:
+            return step
+        shift = (10.0 * shift if shift
+                 else 1e-8 * max(float(np.max(np.abs(diag))), 1.0))
 
 
 def optimize_path(delta_theta: float, interior_points: int,
-                  cfg: OptimizeConfig | None = None,
                   initial_rho=None) -> OptimizationReport:
     """Minimize the transit time over discretized tunnels directly.
 
@@ -120,15 +87,19 @@ def optimize_path(delta_theta: float, interior_points: int,
     free, which keeps every candidate single-valued in theta.  The objective
     is the exact polyline transit time, so the optimum can never undercut
     the true continuum minimum.  Starts from the straight chord unless
-    ``initial_rho`` supplies radii for the interior stations.  L-BFGS-B does
-    the descent and a damped tridiagonal Newton polish grinds the
-    first-order residual to the finite-difference floor.
+    ``initial_rho`` supplies radii for the interior stations.
 
-    Returns a report rather than raising when the optimizer stops without
-    meeting the first-order threshold.
+    Each segment time depends only on its two end radii, so the gradient
+    is a sum of two closed-form partials per station and the Hessian is
+    exactly tridiagonal (`timing._segment_time_partials`).  Damped Newton
+    steps, backtracked on the exact objective and Levenberg-shifted where
+    the Hessian is not positive definite, run until no step lowers the
+    time; once the gradient is settled, the first full step that does not
+    lower it ends the run.  The first-order residual is the max norm of
+    the exact gradient, and the run counts as converged (and settled)
+    when it is at most 1e-6.  Returns a report rather than raising when
+    it is not.
     """
-    from scipy.optimize import minimize
-
     delta_theta = float(delta_theta)
     if not (math.isfinite(delta_theta) and 0.0 < delta_theta < math.pi):
         raise DomainError("optimize_path needs a separation in (0, pi); got "
@@ -136,44 +107,55 @@ def optimize_path(delta_theta: float, interior_points: int,
     interior_points = int(interior_points)
     if interior_points < 3:
         raise DomainError("optimize_path needs at least 3 interior points")
-    cfg = cfg or OptimizeConfig()
 
     thetas = np.linspace(0.0, -delta_theta, interior_points + 2)
-    lo, hi = cfg.bound_margin, 1.0 - cfg.bound_margin
+    lo, hi = _BOUND_MARGIN, 1.0 - _BOUND_MARGIN
     if initial_rho is None:
         # polar equation of the straight chord between the endpoints
         d = math.cos(delta_theta / 2.0)
         x0 = d / np.cos(thetas[1:-1] + delta_theta / 2.0)
     else:
         x0 = np.asarray(initial_rho, dtype=float)
-        if x0.shape != (interior_points,):
-            raise DomainError("initial_rho must supply one radius per "
+        if x0.shape != (interior_points,) or not np.all(np.isfinite(x0)):
+            raise DomainError("initial_rho must supply one finite radius per "
                               "interior point")
-    x0 = np.clip(x0, lo, hi)
-
-    full_rho = np.empty(interior_points + 2)
-    full_rho[0] = full_rho[-1] = 1.0
+    rho = np.ones(interior_points + 2)
+    rho[1:-1] = np.clip(x0, lo, hi)
 
     def objective(r):
-        full_rho[1:-1] = r
-        return float(np.sum(_segment_times(full_rho, thetas)))
+        return float(np.sum(_segment_times(r, thetas)))
 
-    res = minimize(objective, x0, method="L-BFGS-B", jac="3-point",
-                   bounds=[(lo, hi)] * interior_points,
-                   options={"maxiter": cfg.max_iterations,
-                            "maxfun": 500000,
-                            "ftol": 1e-15,
-                            "gtol": cfg.gradient_tol,
-                            "maxcor": 50})
-    x, polish_iters = _newton_polish(objective, res.x.copy(), lo, hi,
-                                     cfg.polish_iterations)
-    residual = float(np.max(np.abs(_fd_gradient(objective, x))))
-    best = np.concatenate(([1.0], x, [1.0]))
-    path = DiscretePath.from_arrays(best, thetas)
-    return OptimizationReport(best_path=path,
-                              best_time=objective(x),
-                              iterations=int(res.nit) + polish_iters,
-                              converged=residual <= cfg.residual_threshold,
+    def derivatives(r):
+        t0, t1, t00, t01, t11 = _segment_time_partials(r, thetas)
+        return t1[:-1] + t0[1:], t11[:-1] + t00[1:], t01[1:-1]
+
+    best = objective(rho)
+    gradient, diag, off = derivatives(rho)
+    steps = 0
+    while steps < _NEWTON_STEPS:
+        step = _newton_step(gradient, diag, off)
+        if step is None:
+            break
+        settled = np.max(np.abs(gradient)) <= _RESIDUAL_THRESHOLD
+        candidate = rho.copy()
+        for _ in range(_HALVINGS):
+            candidate[1:-1] = np.clip(rho[1:-1] + step, lo, hi)
+            trial = objective(candidate)
+            # Once the gradient is settled, a full step that fails to
+            # lower the time has met the objective's round-off: stop.
+            if trial < best or settled:
+                break
+            step *= 0.5
+        if not trial < best:
+            break
+        rho, best = candidate, trial
+        gradient, diag, off = derivatives(rho)
+        steps += 1
+    residual = float(np.max(np.abs(gradient)))
+    return OptimizationReport(best_path=DiscretePath.from_arrays(rho, thetas),
+                              best_time=best,
+                              iterations=steps,
+                              converged=residual <= _RESIDUAL_THRESHOLD,
                               first_order_residual=residual)
 
 
@@ -215,8 +197,7 @@ class StepControl:
     """Integrator settings for the bead simulation.
 
     Defaults leave the energy drift near 1e-10, two orders under the
-    acceptance bar; drift near a zero-speed endpoint is amplified into
-    arrival-time error by a square root, so the margin is not free.
+    acceptance bar.
     """
 
     rtol: float = 1e-13
@@ -233,10 +214,10 @@ class SimulationTrace:
     """Sampled history of a bead run plus its summary numbers.
 
     ``rhs_evaluations`` and ``steps`` count the integrator's right-hand
-    side calls and accepted steps.  ``end_correction`` is the signed time
-    added to (positive) or taken from (negative) the integrated arrival
-    to close a zero-speed sliver at the far end, and 0.0 when the bead
-    reached the end without it.
+    side calls and accepted steps.  ``end_gap`` is the signed chordwise
+    distance from a zero-speed turnaround to the far end (positive when
+    the bead stopped short), whose time is reported as the arrival, and
+    0.0 when the bead crossed the end with speed.
     """
 
     tau: np.ndarray
@@ -247,7 +228,7 @@ class SimulationTrace:
     max_energy_drift: float
     rhs_evaluations: int
     steps: int
-    end_correction: float
+    end_gap: float
 
     @property
     def samples(self):
@@ -328,31 +309,27 @@ def simulate_bead(path: DiscretePath, step_control: StepControl | None = None,
     sol = solve_ivp(rhs, (0.0, float(max_tau)), (0.0, 0.0), method=ctrl.method,
                     rtol=ctrl.rtol, atol=ctrl.atol, dense_output=True,
                     events=(reach_end, turnaround, escaped_back))
-    end_correction = 0.0
+    end_gap = 0.0
     if sol.t_events[0].size:
         t_end = float(sol.t_events[0][0])
     elif sol.t_events[1].size:
         # The far endpoint of a surface-to-surface tunnel is reached with
-        # exactly zero speed, so integrator round-off can park the bead a
-        # sliver short; close that sliver with the local analytic time.
-        t_turn = float(sol.t_events[1][0])
+        # exactly zero speed, so the bead turns around there, a round-off
+        # sliver short of or past the end: the turnaround is the arrival.
+        t_end = float(sol.t_events[1][0])
         s_turn = float(sol.y_events[1][0][0])
         gap = sigma_end - s_turn
         g1_end = dspline(sigma_end)
         decel = (spline(sigma_end) @ g1_end) / math.hypot(*g1_end)
         if abs(gap) <= 1e-6 * max(sigma_end, 1.0) and decel > 0.0:
-            # positive gap: fell short, add the time over the sliver;
-            # negative gap: overshot inside one step, subtract it back
-            end_correction = math.copysign(math.sqrt(2.0 * abs(gap) / decel),
-                                           gap)
-            t_end = t_turn + end_correction
+            end_gap = gap
         else:
             p_turn = spline(s_turn)
             raise StalledTrajectoryError(
                 "bead turned around before the far end: turning point at "
-                f"tau = {t_turn:.6g}, arclength parameter {s_turn:.6g} of "
+                f"tau = {t_end:.6g}, arclength parameter {s_turn:.6g} of "
                 f"{sigma_end:.6g}, rho = {float(np.hypot(*p_turn)):.6g}",
-                tau=t_turn, arclength=s_turn,
+                tau=t_end, arclength=s_turn,
                 rho=float(np.hypot(*p_turn)))
     else:
         probe = np.linspace(0.0, sol.t[-1], 2001)
@@ -388,4 +365,4 @@ def simulate_bead(path: DiscretePath, step_control: StepControl | None = None,
                            speed=np.abs(speed), transit_time=t_end,
                            max_energy_drift=drift,
                            rhs_evaluations=int(sol.nfev), steps=sol.t.size - 1,
-                           end_correction=end_correction)
+                           end_gap=end_gap)

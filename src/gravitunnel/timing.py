@@ -325,6 +325,69 @@ def _segment_times(rho, theta):
     return times
 
 
+def _segment_time_partials(rho, theta):
+    """First and second partials of each segment time in its end radii.
+
+    With the angles held fixed a segment time depends only on its end
+    radii r0 and r1.  In the notation of `_segment_times`, s0 = b0,
+    s1 = b0 + L, c2 = 4 s2 (1 - s2) (r0 r1 / L)^2 is the squared distance
+    from the centre to the chord line and A2 = 1 - c2 = nu^2 + s^2 (taken
+    as nu0^2 + s0^2, free of cancellation).  Then
+
+        dt/dr1 = ( s1/(r1 nu1) + c2 (nu1 - nu0)/(r1 L)) / A2
+        dt/dr0 = (-s0/(r0 nu0) - c2 (nu1 - nu0)/(r0 L)) / A2
+
+    and the second partials follow by the chain rule from
+
+        d/dr1:  ds0 = c2/(r1 L),  ds1 = s1/r1 + c2/(r1 L),  dL = s1/r1,
+                dc2 = -2 c2 s0/(r1 L),  dnu1 = -r1/nu1;
+        d/dr0:  ds0 = s0/r0 - c2/(r0 L),  ds1 = -c2/(r0 L),  dL = -s0/r0,
+                dc2 = 2 c2 s1/(r0 L),  dnu0 = -r0/nu0.
+
+    Returns per-segment arrays (dt/dr0, dt/dr1, d2t/dr0^2, d2t/dr0dr1,
+    d2t/dr1^2).  A partial in the radius of an end on the surface, where
+    the speed is zero, is not finite and comes back as inf or nan.
+    """
+    rho = np.asarray(rho, dtype=float)
+    r0, r1 = rho[:-1], rho[1:]
+    s2 = np.sin(0.5 * np.diff(np.asarray(theta, dtype=float))) ** 2
+    length = np.sqrt((r1 - r0) ** 2 + 4.0 * r0 * r1 * s2)
+    s0 = r0 * (r1 - r0 - 2.0 * r1 * s2) / length
+    s1 = s0 + length
+    c2 = 4.0 * s2 * (1.0 - s2) * (r0 * r1 / length) ** 2
+    nu = np.sqrt((1.0 - rho) * (1.0 + rho))
+    nu0, nu1 = nu[:-1], nu[1:]
+    a2 = nu0 * nu0 + s0 * s0
+    nu_diff = (r0 - r1) * (r0 + r1) / (nu0 + nu1)      # nu1 - nu0
+
+    def g(r, s, nu_end):
+        # dt/dr1 is g at end 1 and dt/dr0 is -g at end 0
+        return (s / (r * nu_end) + c2 * nu_diff / (r * length)) / a2
+
+    def dg(r, s, nu_end, g_end, dr, ds, dnu_end, dlength, dc2, dnu_diff):
+        # g's derivative along a direction that moves its inputs by the d*
+        rel = dr / r
+        return ((ds - s * (rel + dnu_end / nu_end)) / (r * nu_end)
+                + (dc2 * nu_diff + c2 * dnu_diff
+                   - c2 * nu_diff * (rel + dlength / length)) / (r * length)
+                + g_end * dc2) / a2
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = g(r1, s1, nu1)
+        t0 = -g(r0, s0, nu0)
+        dnu1 = -r1 / nu1                                # along r1
+        dnu0 = -r0 / nu0                                # along r0
+        q1 = c2 / (r1 * length)
+        q0 = c2 / (r0 * length)
+        t11 = dg(r1, s1, nu1, t1, 1.0, s1 / r1 + q1, dnu1, s1 / r1,
+                 -2.0 * s0 * q1, dnu1)
+        t01 = dg(r1, s1, nu1, t1, 0.0, -q0, 0.0, -s0 / r0,
+                 2.0 * s1 * q0, -dnu0)
+        t00 = -dg(r0, s0, nu0, -t0, 1.0, s0 / r0 - q0, dnu0, -s0 / r0,
+                  2.0 * s1 * q0, -dnu0)
+    return t0, t1, t00, t01, t11
+
+
 def _every_other(a):
     """Samples 0, 2, 4, ... of a, plus the last one when a's length is even."""
     return a[::2] if a.size % 2 else np.append(a[::2], a[-1])

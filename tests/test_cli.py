@@ -199,10 +199,22 @@ class TestCompareCycloid:
         assert "0.2" in err
 
 
+def run_fresh(script):
+    """Run a script in a fresh interpreter; its last stdout line is JSON."""
+    src_dir = os.path.dirname(os.path.dirname(gravitunnel.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_table_commands_never_import_scipy():
     # A fresh interpreter, so modules imported by other tests do not count.
     # The verification registry (gravitunnel.checks) must stay unloaded too.
-    script = textwrap.dedent("""
+    report = run_fresh("""
         import contextlib, io, json, sys
         import gravitunnel
         from gravitunnel.cli import main
@@ -219,15 +231,21 @@ def test_table_commands_never_import_scipy():
                         or m == "gravitunnel.checks")
         print(json.dumps({"codes": codes, "scipy": loaded}))
     """)
-    src_dir = os.path.dirname(os.path.dirname(gravitunnel.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src_dir, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
     assert report["codes"] == [0, 0, 0, 0]
+    assert report["scipy"] == []
+
+
+def test_optimizer_and_small_arc_never_import_scipy():
+    report = run_fresh("""
+        import json, math, sys
+        from gravitunnel import compare_small_arc, optimize_path
+        converged = optimize_path(math.pi / 2, 24).converged
+        compare_small_arc(0.1)
+        loaded = sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))
+        print(json.dumps({"converged": converged, "scipy": loaded}))
+    """)
+    assert report["converged"]
     assert report["scipy"] == []
 
 

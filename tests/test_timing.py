@@ -15,7 +15,7 @@ from gravitunnel import (BrachFamily, DegenerateSegmentError, DiscretePath,
                          cumulative_path_times, family_from_separation,
                          half_transit_time, path_transit_time, sample_path,
                          total_transit_time)
-from gravitunnel.timing import _segment_times
+from gravitunnel.timing import _segment_time_partials, _segment_times
 
 K_SWEEP = np.geomspace(0.05, 20.0, 20)
 
@@ -224,6 +224,41 @@ def test_segment_times_match_scalar_reference(case):
     assert times == pytest.approx(ref, rel=1e-12, abs=1e-12)
     repeated = (rho[1:] == rho[:-1]) & (theta[1:] == theta[:-1])
     assert np.all(times[repeated] == 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-3, 1.0 - 1e-9), st.floats(1e-3, 1.0 - 1e-9),
+       st.floats(1e-3, math.pi / 2))
+@example(1.0 - 1e-9, 1.0 - 1e-9, 1e-3)
+@example(1e-3, 1.0 - 1e-9, math.pi / 2)
+def test_segment_time_partials_match_central_differences(r0, r1, dtheta):
+    theta = np.array([0.0, -dtheta])
+
+    def t(a, b):
+        return float(_segment_times(np.array([a, b]), theta)[0])
+
+    # each step well inside the radius' distance to 0, to the surface and
+    # the segment length, and exact in floating point; the noise term
+    # bounds ulp-sized errors in t divided by the difference's step
+    length = math.sqrt((r1 - r0) ** 2 + 4 * r0 * r1 * math.sin(dtheta / 2) ** 2)
+    h0 = (r0 + 1e-4 * min(r0, 1.0 - r0, length)) - r0
+    h1 = (r1 + 1e-4 * min(r1, 1.0 - r1, length)) - r1
+    center = t(r0, r1)
+    fd = [(t(r0 + h0, r1) - t(r0 - h0, r1)) / (2 * h0),
+          (t(r0, r1 + h1) - t(r0, r1 - h1)) / (2 * h1),
+          (t(r0 + h0, r1) - 2 * center + t(r0 - h0, r1)) / h0 ** 2,
+          (t(r0 + h0, r1 + h1) - t(r0 + h0, r1 - h1)
+           - t(r0 - h0, r1 + h1) + t(r0 - h0, r1 - h1)) / (4 * h0 * h1),
+          (t(r0, r1 + h1) - 2 * center + t(r0, r1 - h1)) / h1 ** 2]
+    noise = [1e-15 / h0, 1e-15 / h1, 4e-15 / h0 ** 2, 4e-15 / (h0 * h1),
+             4e-15 / h1 ** 2]
+    exact = [float(p[0]) for p in _segment_time_partials(np.array([r0, r1]),
+                                                         theta)]
+    # a mixed partial is measured against sqrt(|t00 t11|), its natural size
+    scale = [abs(e) for e in exact]
+    scale[3] = max(scale[3], math.sqrt(abs(exact[2] * exact[4])))
+    for got, want, size, floor in zip(exact, fd, scale, noise):
+        assert abs(got - want) <= 1e-3 * size + floor
 
 
 def test_segment_times_match_mpmath_on_a_short_tunnel():
