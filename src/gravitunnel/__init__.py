@@ -6,28 +6,41 @@ of minimum-time tunnels between two surface points, and their transit
 times, and verifies the closed forms with three independent numerical
 routes: singular quadrature of the time functional, direct transcription
 optimization over discrete paths, and constrained-bead dynamics.
+
+Only the math-only closed forms (`closed`) and the error types load
+with the package; every other name, and every submodule, is imported
+on first use, so a caller that needs no array never loads numpy.
 """
 
-from .brachistochrone import (BrachFamily, arc_length, family_from_separation,
-                              rho_at_theta, rho_min, sample_path,
-                              separation_angle, theta_of_rho, theta_prime)
-from .chord import (ChordSpec, chord_from_separation, chord_path,
-                    chord_position, chord_transit_time)
-from .core import (DOMAIN_EPS, DiscretePath, PhysicalParams, PolarPoint,
-                   Scaling, dimensional_time, latitude_to_polar, make_scaling,
-                   potential_per_mass, radial_acceleration, speed_at_radius)
-from .cycloid import (CycloidSolution, SmallArcComparison, compare_small_arc,
-                      cycloid_between, cycloid_time, cycloid_xy)
+import importlib
+
+from .closed import (BrachFamily, ChordSpec, PhysicalParams, Scaling,
+                     TransitResult, arc_length, chord_from_separation,
+                     chord_transit_time, family_from_separation, make_scaling,
+                     rho_min, separation_angle, total_transit_time)
 from .errors import (DegenerateSegmentError, DomainError, InfiniteTimeError,
                      PathError, QuadratureError, StalledTrajectoryError,
                      TunnelError)
-from .oracle import (OptimizationReport, SimulationTrace, StepControl,
-                     optimize_path, perturbation_test, simulate_bead)
-from .timing import (QuadratureConfig, TransitResult, arc_integral,
-                     cumulative_path_times, half_transit_time,
-                     path_transit_time, total_transit_time)
 
 __version__ = "0.1.0"
+
+# Names resolved on first access, by the submodule that defines them.
+_LAZY = {
+    "brachistochrone": ("rho_at_theta", "sample_path", "theta_of_rho",
+                        "theta_prime"),
+    "chord": ("chord_path", "chord_position"),
+    "core": ("DOMAIN_EPS", "DiscretePath", "PolarPoint", "dimensional_time",
+             "latitude_to_polar", "potential_per_mass", "radial_acceleration",
+             "speed_at_radius"),
+    "cycloid": ("CycloidSolution", "SmallArcComparison", "compare_small_arc",
+                "cycloid_between", "cycloid_time", "cycloid_xy"),
+    "oracle": ("OptimizationReport", "SimulationTrace", "StepControl",
+               "optimize_path", "perturbation_test", "simulate_bead"),
+    "timing": ("QuadratureConfig", "arc_integral", "cumulative_path_times",
+               "half_transit_time", "path_transit_time"),
+}
+_SOURCE = {name: module for module, names in _LAZY.items() for name in names}
+_SUBMODULES = frozenset(_LAZY) | {"checks", "cli"}
 
 __all__ = [
     "BrachFamily", "ChordSpec", "CycloidSolution", "DiscretePath",
@@ -46,3 +59,17 @@ __all__ = [
     "simulate_bead", "speed_at_radius", "theta_of_rho", "theta_prime",
     "total_transit_time",
 ]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SOURCE) | _SUBMODULES)

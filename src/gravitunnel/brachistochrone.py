@@ -35,23 +35,21 @@ quadrature of the antiderivative).
 k = 0 is admitted by continuity as the degenerate through-center member
 (the straight diameter), which keeps `family_from_separation` total on
 separations up to and including pi.
+
+The closed forms that need no array (`rho_min`, `separation_angle`,
+`BrachFamily`, `family_from_separation`, `arc_length`) live in `closed`
+and are re-exported here; this module adds the curve itself: its slope,
+its angle at a radius, its radius at an angle and its samples.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .closed import (BrachFamily, arc_length, family_from_separation,  # noqa: F401
+                     rho_min, separation_angle)
 from .core import DOMAIN_EPS, DiscretePath
 from .errors import DomainError
-
-
-def rho_min(k: float) -> float:
-    """Minimum radius k / sqrt(k^2 + 1) reached by the family member k."""
-    k = float(k)
-    if not (math.isfinite(k) and k >= 0.0):
-        raise DomainError(f"k must be a finite number >= 0; got {k!r}")
-    return k / math.hypot(k, 1.0)
 
 
 def theta_prime(rho, k: float):
@@ -122,60 +120,6 @@ def _theta_closed_form(rho, k, rm):
     # needed and the vertical arcsine slope at the turnaround is harmless
     return -np.arctan2(u, w) + rm * np.arctan2(math.sqrt(k * k + 1.0) * u,
                                                k * w)
-
-
-def separation_angle(k: float) -> float:
-    """Total angle pi (1 - rho_m) swept between the two surface endpoints."""
-    return math.pi * (1.0 - rho_min(k))
-
-
-@dataclass(frozen=True)
-class BrachFamily:
-    """One member of the minimum-time tunnel family.
-
-    k is the conserved momentum, rho_min the turnaround radius and
-    separation_angle the surface sweep; the three are locked together by
-    rho_min = k/sqrt(k^2+1) and separation_angle = pi (1 - rho_min).
-    """
-
-    k: float
-    rho_min: float
-    separation_angle: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.k) and self.k >= 0.0):
-            raise DomainError(f"k must be >= 0; got {self.k!r}")
-        if not (0.0 <= self.rho_min < 1.0):
-            raise DomainError(f"rho_min must lie in [0, 1); got {self.rho_min!r}")
-        if not (0.0 < self.separation_angle <= math.pi):
-            raise DomainError("separation_angle must lie in (0, pi]; got "
-                              f"{self.separation_angle!r}")
-        if (abs(self.rho_min - self.k / math.hypot(self.k, 1.0)) > 1e-9
-                or abs(self.separation_angle - math.pi * (1.0 - self.rho_min)) > 1e-9):
-            raise DomainError("inconsistent family fields; build with "
-                              "from_momentum or from_separation")
-
-    @classmethod
-    def from_momentum(cls, k: float) -> "BrachFamily":
-        rm = rho_min(k)
-        return cls(k=float(k), rho_min=rm, separation_angle=math.pi * (1.0 - rm))
-
-    @classmethod
-    def from_separation(cls, delta_theta: float) -> "BrachFamily":
-        delta_theta = float(delta_theta)
-        if not (math.isfinite(delta_theta) and 0.0 < delta_theta <= math.pi):
-            raise DomainError("separation must lie in (0, pi]; got "
-                              f"{delta_theta!r}")
-        rm = 1.0 - delta_theta / math.pi
-        if rm <= 0.0:
-            return cls(k=0.0, rho_min=0.0, separation_angle=math.pi)
-        k = rm / math.sqrt((1.0 - rm) * (1.0 + rm))
-        return cls(k=k, rho_min=rm, separation_angle=delta_theta)
-
-
-def family_from_separation(delta_theta: float) -> BrachFamily:
-    """Family member whose surface endpoints are delta_theta apart."""
-    return BrachFamily.from_separation(delta_theta)
 
 
 def sample_path(family: BrachFamily, n: int) -> DiscretePath:
@@ -326,18 +270,3 @@ def _bisect_bits(lo, hi, target, k, rm):
         lo = np.where(split & below, half, lo)
         hi = np.where(split & ~below, half, hi)
     return hi
-
-
-def arc_length(family: BrachFamily) -> float:
-    """Tunnel length 2 * integral of sqrt(1 + rho^2 theta'^2) d rho.
-
-    Closed form 2 (1 - rho_min^2), written as 2 q (2 - q) for
-    q = separation_angle / pi so tiny separations keep full relative
-    precision: 2 for the k = 0 diameter and strictly longer than the
-    straight chord otherwise.  ``2 * timing.arc_integral(family,
-    "length")`` is the singular-quadrature route to the same number.
-    """
-    if not isinstance(family, BrachFamily):
-        raise DomainError("arc_length expects a BrachFamily")
-    q = family.separation_angle / math.pi
-    return 2.0 * q * (2.0 - q)

@@ -9,58 +9,18 @@ benchmark the curved minimum-time tunnels have to beat.
 Chord endpoints follow the same convention as the curved family: the
 release point sits at (rho=1, theta=0) and the destination at
 (rho=1, theta=-separation_angle), so chord and tunnel samples can be fed
-to the same integrators and plotted on the same axes.
+to the same integrators and plotted on the same axes.  `ChordSpec`,
+`chord_from_separation` and `chord_transit_time` are closed forms and
+live in `closed`; this module samples and positions along a chord.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .closed import ChordSpec, chord_from_separation, chord_transit_time  # noqa: F401
 from .core import DiscretePath
 from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class ChordSpec:
-    """Geometry of one straight surface-to-surface chord.
-
-    half_chord = sin(separation_angle/2) is half the chord's length and
-    midpoint_radius = cos(separation_angle/2) its closest approach to the
-    center; the two are cosine/sine of the same angle, so their squares
-    sum to one.
-    """
-
-    separation_angle: float
-    half_chord: float
-    midpoint_radius: float
-
-    def __post_init__(self):
-        if not (0.0 < self.separation_angle <= math.pi):
-            raise DomainError("separation_angle must lie in (0, pi]; got "
-                              f"{self.separation_angle!r}")
-
-
-def chord_from_separation(delta_theta: float) -> ChordSpec:
-    """Chord between two surface points a central angle delta_theta apart."""
-    delta_theta = float(delta_theta)
-    if not (math.isfinite(delta_theta) and 0.0 < delta_theta <= math.pi):
-        raise DomainError("chord separation must lie in (0, pi]; got "
-                          f"{delta_theta!r}")
-    return ChordSpec(separation_angle=delta_theta,
-                     half_chord=math.sin(delta_theta / 2.0),
-                     midpoint_radius=math.cos(delta_theta / 2.0))
-
-
-def chord_transit_time(spec: ChordSpec) -> float:
-    """One-way transit time of any chord: pi, half the oscillation period.
-
-    Returned as the exact constant; the quadrature route that must agree
-    with it is exercised separately through `timing.path_transit_time`.
-    """
-    if not isinstance(spec, ChordSpec):
-        raise DomainError("chord_transit_time expects a ChordSpec")
-    return math.pi
 
 
 def chord_position(tau, spec: ChordSpec):

@@ -4,6 +4,10 @@ Angles are radians by default; append ``deg`` for degrees (``--sep 90deg``).
 Structured output is JSON; csv output carries a ``#``-prefixed header
 block describing the columns.  Exit codes: 0 success, 1 usage error,
 2 numeric failure, 3 verification failure.
+
+`time` and `sweep` print closed forms only and run on `closed` alone;
+the commands (and the ``--lat`` endpoint option) that need arrays
+import the numpy modules inside, so those two never load numpy.
 """
 
 import argparse
@@ -11,13 +15,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import brachistochrone as brach
-from . import chord as chord_mod
-from . import cycloid as cycloid_mod
-from . import timing
-from .core import EARTH, PhysicalParams, latitude_to_polar, make_scaling
+from . import closed
 from .errors import DomainError, TunnelError
 
 EXIT_OK = 0
@@ -57,6 +55,7 @@ def _endpoint_separation(args):
     if has_sep:
         delta = _parse_angle(args.sep)
     elif args.lat1 is not None and args.lat2 is not None:
+        from .core import latitude_to_polar
         try:
             t1 = latitude_to_polar(_parse_angle(args.lat1))
             t2 = latitude_to_polar(_parse_angle(args.lat2))
@@ -77,20 +76,24 @@ def _resolve_scaling(args):
             raise _UsageError("--radius/--gravity need --body custom")
         return None, None
     if args.body == "earth":
-        return "earth", make_scaling(EARTH)
+        return "earth", closed.make_scaling(closed.EARTH)
     if args.radius is None or args.gravity is None:
         raise _UsageError("--body custom needs --radius and --gravity")
     try:
-        params = PhysicalParams(radius_m=args.radius, gravity_m_s2=args.gravity)
+        params = closed.PhysicalParams(radius_m=args.radius,
+                                       gravity_m_s2=args.gravity)
     except DomainError as exc:
         raise _UsageError(str(exc))
-    return "custom", make_scaling(params)
+    return "custom", closed.make_scaling(params)
 
 
 def _open_out(spec):
     if spec is None or spec == "-":
         return sys.stdout, False
-    return open(spec, "w", newline="\n"), True
+    try:
+        return open(spec, "w", newline="\n"), True
+    except OSError as exc:
+        raise _UsageError(f"cannot write {spec}: {exc.strerror or exc}")
 
 
 def _emit_csv(stream, header_lines, columns, rows):
@@ -122,10 +125,9 @@ def _body_payload(body, scaling):
             "speed_unit_m_s": scaling.speed_unit_m_s}
 
 
-def _curve_rows(name, path, scaling):
+def _curve_rows(name, path, tau, scaling):
     x, y = path.xy()
     arc = path.cumulative_arclength()
-    tau = timing.cumulative_path_times(path)
     rows = []
     for i in range(len(path)):
         row = [name, _fmt(path.theta[i]), _fmt(path.rho[i]), _fmt(x[i]),
@@ -134,19 +136,20 @@ def _curve_rows(name, path, scaling):
             row += [_fmt(arc[i] * scaling.length_unit_m),
                     _fmt(tau[i] * scaling.time_unit_s)]
         rows.append(row)
-    return rows, arc, tau
+    return rows
 
 
 def cmd_path(args):
+    from . import brachistochrone, chord, timing
     delta = _endpoint_separation(args)
     body, scaling = _resolve_scaling(args)
-    family = brach.family_from_separation(delta)
-    tunnel = brach.sample_path(family, args.samples)
+    family = closed.family_from_separation(delta)
+    tunnel = brachistochrone.sample_path(family, args.samples)
     curves = [("tunnel", tunnel)]
     if args.include_chord:
         curves.append(("chord",
-                       chord_mod.chord_path(chord_mod.chord_from_separation(delta),
-                                            2 * args.samples - 1)))
+                       chord.chord_path(closed.chord_from_separation(delta),
+                                        2 * args.samples - 1)))
     columns = ["curve", "theta", "rho", "x", "y", "arc", "tau"]
     if scaling is not None:
         columns += ["arc_m", "tau_s"]
@@ -174,7 +177,9 @@ def cmd_path(args):
         else:
             rows = []
             for name, path in curves:
-                rows.extend(_curve_rows(name, path, scaling)[0])
+                rows.extend(_curve_rows(name, path,
+                                        timing.cumulative_path_times(path),
+                                        scaling))
             _emit_csv(out, header, columns, rows)
     finally:
         if close:
@@ -185,9 +190,9 @@ def cmd_path(args):
 def cmd_time(args):
     delta = _endpoint_separation(args)
     body, scaling = _resolve_scaling(args)
-    family = brach.family_from_separation(delta)
-    tunnel_tau = timing.total_transit_time(family).tau
-    chord_tau = chord_mod.chord_transit_time(chord_mod.chord_from_separation(delta))
+    family = closed.family_from_separation(delta)
+    tunnel_tau = closed.total_transit_time(family).tau
+    chord_tau = closed.chord_transit_time(closed.chord_from_separation(delta))
     items = [
         ("separation_rad", delta),
         ("separation_deg", math.degrees(delta)),
@@ -196,7 +201,7 @@ def cmd_time(args):
         ("tunnel_tau", tunnel_tau),
         ("chord_tau", chord_tau),
         ("tau_ratio", tunnel_tau / chord_tau),
-        ("tunnel_arc", brach.arc_length(family)),
+        ("tunnel_arc", closed.arc_length(family)),
         ("chord_length", 2.0 * math.sin(delta / 2.0)),
     ]
     if scaling is not None:
@@ -240,6 +245,40 @@ def _parse_range(text, angle=False):
     return lo, hi
 
 
+def _log10(x):
+    """log10(x) correctly rounded.
+
+    libm's log10 is an ulp off in about one call in five for x near 1,
+    and a log grid point moves by ln(10) |log10 x| times that.
+    """
+    from decimal import Context, Decimal
+    return float(Decimal(x).log10(Context(prec=40)))
+
+
+def _grid(lo, hi, count, spacing):
+    """count points from lo to hi, spaced as numpy's linspace/geomspace.
+
+    Linear points are linspace's bit for bit: i * step + lo, with the
+    last pinned to hi.  Log points are 10^x over the linear grid of the
+    log10 ends, with both ends pinned exactly, as geomspace computes
+    them; numpy's power (and, rarely, its log10) rounds differently, so
+    an interior point can differ from geomspace's in its last bit.
+    """
+    if spacing == "log":
+        logs = _grid(_log10(lo), _log10(hi), count, "linear")
+        return [lo, *(10.0 ** x for x in logs[1:-1]), hi] if count > 1 else [lo]
+    div = count - 1
+    if div == 0:
+        return [0.0 * (hi - lo) + lo]
+    step = (hi - lo) / div
+    if step == 0.0:         # subnormal range: numpy divides before scaling
+        points = [i / div * (hi - lo) + lo for i in range(count)]
+    else:
+        points = [i * step + lo for i in range(count)]
+    points[-1] = hi
+    return points
+
+
 def cmd_sweep(args):
     body, scaling = _resolve_scaling(args)
     if (args.k_range is None) == (args.sep_range is None):
@@ -254,27 +293,22 @@ def cmd_sweep(args):
         if args.spacing == "log":
             if lo <= 0.0:
                 raise _UsageError("log spacing needs a positive lower bound")
-            ks = np.geomspace(lo, hi, count)
-        else:
-            ks = np.linspace(lo, hi, count)
-        families = [brach.BrachFamily.from_momentum(k) for k in ks]
+        families = [closed.BrachFamily.from_momentum(k)
+                    for k in _grid(lo, hi, count, args.spacing)]
     else:
         lo, hi = _parse_range(args.sep_range, angle=True)
         if not (0.0 < lo and hi <= math.pi):
             raise _UsageError("separations must lie in (0, pi]")
-        if args.spacing == "log":
-            seps = np.geomspace(lo, hi, count)
-        else:
-            seps = np.linspace(lo, hi, count)
-        families = [brach.family_from_separation(s) for s in seps]
+        families = [closed.family_from_separation(s)
+                    for s in _grid(lo, hi, count, args.spacing)]
     columns = ["k", "rho_min", "separation_rad", "arc", "tau", "tau_over_chord"]
     if scaling is not None:
         columns.append("tau_s")
     rows = []
     for fam in families:
-        tau = timing.total_transit_time(fam).tau
+        tau = closed.total_transit_time(fam).tau
         row = [_fmt(fam.k), _fmt(fam.rho_min), _fmt(fam.separation_angle),
-               _fmt(brach.arc_length(fam)), _fmt(tau), _fmt(tau / math.pi)]
+               _fmt(closed.arc_length(fam)), _fmt(tau), _fmt(tau / math.pi)]
         if scaling is not None:
             row.append(_fmt(tau * scaling.time_unit_s))
         rows.append(row)
@@ -295,9 +329,10 @@ def cmd_sweep(args):
 
 
 def cmd_compare_cycloid(args):
+    from . import cycloid
     delta = _endpoint_separation(args)
     try:
-        report = cycloid_mod.compare_small_arc(delta)
+        report = cycloid.compare_small_arc(delta)
     except DomainError as exc:
         raise _UsageError(str(exc))
     items = [

@@ -1,0 +1,222 @@
+"""Closed forms of the tunnel family, the chord baseline and body units.
+
+Every answer the `time` and `sweep` commands print is a closed form:
+
+    rho_m = k / sqrt(k^2 + 1),           separation = pi (1 - rho_m),
+    T     = pi sqrt(1 - rho_m^2),        arc length  = 2 (1 - rho_m^2),
+
+for the minimum-time tunnel of momentum k (derivation in
+`brachistochrone`), and T = pi for every straight chord.  This module
+holds them, with the records they fill and the physical units, in plain
+`math`, so ``import gravitunnel`` and those two commands load no numpy.
+The numerical routes that check the same numbers live in `timing`,
+`oracle` and `checks`.
+"""
+
+import math
+from dataclasses import dataclass
+
+from .errors import DomainError
+
+
+def rho_min(k: float) -> float:
+    """Minimum radius k / sqrt(k^2 + 1) reached by the family member k."""
+    k = float(k)
+    if not (math.isfinite(k) and k >= 0.0):
+        raise DomainError(f"k must be a finite number >= 0; got {k!r}")
+    return k / math.hypot(k, 1.0)
+
+
+def separation_angle(k: float) -> float:
+    """Total angle pi (1 - rho_m) swept between the two surface endpoints.
+
+    Past rho_m = 1/2, 1 - rho_m is taken as 1 / (h (h + k)) with
+    h = hypot(k, 1): there 1 - k/h cancels, while below it the direct
+    difference is the more accurate (both within 3 ulp of 50-digit
+    values over k from 1e-300 to 1e12).
+    """
+    k = float(k)
+    rm = rho_min(k)
+    if rm <= 0.5:
+        return math.pi * (1.0 - rm)
+    h = math.hypot(k, 1.0)
+    return math.pi / (h * (h + k))
+
+
+@dataclass(frozen=True)
+class BrachFamily:
+    """One member of the minimum-time tunnel family.
+
+    k is the conserved momentum, rho_min the turnaround radius and
+    separation_angle the surface sweep; the three are locked together by
+    rho_min = k/sqrt(k^2+1) and separation_angle = pi (1 - rho_min).
+    """
+
+    k: float
+    rho_min: float
+    separation_angle: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.k) and self.k >= 0.0):
+            raise DomainError(f"k must be >= 0; got {self.k!r}")
+        if not (0.0 <= self.rho_min < 1.0):
+            raise DomainError(f"rho_min must lie in [0, 1); got {self.rho_min!r}")
+        if not (0.0 < self.separation_angle <= math.pi):
+            raise DomainError("separation_angle must lie in (0, pi]; got "
+                              f"{self.separation_angle!r}")
+        if (abs(self.rho_min - self.k / math.hypot(self.k, 1.0)) > 1e-9
+                or abs(self.separation_angle - math.pi * (1.0 - self.rho_min)) > 1e-9):
+            raise DomainError("inconsistent family fields; build with "
+                              "from_momentum or from_separation")
+
+    @classmethod
+    def from_momentum(cls, k: float) -> "BrachFamily":
+        """Family member k.  Raises DomainError naming k where rho_min
+        rounds to 1 (k above about 6.7e7), whose tunnel no float radius
+        can hold."""
+        k = float(k)
+        rm = rho_min(k)
+        if rm >= 1.0:
+            raise DomainError(f"k = {k!r} is too large: its minimum radius "
+                              "k/sqrt(k^2+1) rounds to 1")
+        return cls(k=k, rho_min=rm, separation_angle=separation_angle(k))
+
+    @classmethod
+    def from_separation(cls, delta_theta: float) -> "BrachFamily":
+        delta_theta = float(delta_theta)
+        if not (math.isfinite(delta_theta) and 0.0 < delta_theta <= math.pi):
+            raise DomainError("separation must lie in (0, pi]; got "
+                              f"{delta_theta!r}")
+        rm = 1.0 - delta_theta / math.pi
+        if rm <= 0.0:
+            return cls(k=0.0, rho_min=0.0, separation_angle=math.pi)
+        k = rm / math.sqrt((1.0 - rm) * (1.0 + rm))
+        return cls(k=k, rho_min=rm, separation_angle=delta_theta)
+
+
+def family_from_separation(delta_theta: float) -> BrachFamily:
+    """Family member whose surface endpoints are delta_theta apart."""
+    return BrachFamily.from_separation(delta_theta)
+
+
+def arc_length(family: BrachFamily) -> float:
+    """Tunnel length 2 * integral of sqrt(1 + rho^2 theta'^2) d rho.
+
+    Closed form 2 (1 - rho_min^2), written as 2 q (2 - q) for
+    q = separation_angle / pi so tiny separations keep full relative
+    precision: 2 for the k = 0 diameter and strictly longer than the
+    straight chord otherwise.  ``2 * timing.arc_integral(family,
+    "length")`` is the singular-quadrature route to the same number.
+    """
+    if not isinstance(family, BrachFamily):
+        raise DomainError("arc_length expects a BrachFamily")
+    q = family.separation_angle / math.pi
+    return 2.0 * q * (2.0 - q)
+
+
+@dataclass(frozen=True)
+class TransitResult:
+    """A transit time with its error estimate and evaluation count."""
+
+    tau: float
+    error_estimate: float
+    evaluations: int
+
+
+def total_transit_time(family: BrachFamily) -> TransitResult:
+    """Full surface-to-surface time, in closed form.
+
+    pi * sqrt(1 - rho_min^2), with 1 - rho_min^2 written as q (2 - q) for
+    q = separation_angle / pi, which keeps full relative precision at
+    tiny separations.  Nothing is integrated: the error estimate and the
+    evaluation count are 0.  ``2 * timing.half_transit_time(family).tau``
+    is the singular-quadrature route to the same number.
+    """
+    if not isinstance(family, BrachFamily):
+        raise DomainError("total_transit_time expects a BrachFamily")
+    q = family.separation_angle / math.pi
+    return TransitResult(tau=math.pi * math.sqrt(q * (2.0 - q)),
+                         error_estimate=0.0, evaluations=0)
+
+
+@dataclass(frozen=True)
+class ChordSpec:
+    """Geometry of one straight surface-to-surface chord.
+
+    half_chord = sin(separation_angle/2) is half the chord's length and
+    midpoint_radius = cos(separation_angle/2) its closest approach to the
+    center; the two are cosine/sine of the same angle, so their squares
+    sum to one.
+    """
+
+    separation_angle: float
+    half_chord: float
+    midpoint_radius: float
+
+    def __post_init__(self):
+        if not (0.0 < self.separation_angle <= math.pi):
+            raise DomainError("separation_angle must lie in (0, pi]; got "
+                              f"{self.separation_angle!r}")
+
+
+def chord_from_separation(delta_theta: float) -> ChordSpec:
+    """Chord between two surface points a central angle delta_theta apart."""
+    delta_theta = float(delta_theta)
+    if not (math.isfinite(delta_theta) and 0.0 < delta_theta <= math.pi):
+        raise DomainError("chord separation must lie in (0, pi]; got "
+                          f"{delta_theta!r}")
+    return ChordSpec(separation_angle=delta_theta,
+                     half_chord=math.sin(delta_theta / 2.0),
+                     midpoint_radius=math.cos(delta_theta / 2.0))
+
+
+def chord_transit_time(spec: ChordSpec) -> float:
+    """One-way transit time of any chord: pi, half the oscillation period.
+
+    Returned as the exact constant; the quadrature route that must agree
+    with it is exercised separately through `timing.path_transit_time`.
+    """
+    if not isinstance(spec, ChordSpec):
+        raise DomainError("chord_transit_time expects a ChordSpec")
+    return math.pi
+
+
+@dataclass(frozen=True)
+class PhysicalParams:
+    """Sphere radius (m) and surface gravity (m/s^2) of a physical body."""
+
+    radius_m: float
+    gravity_m_s2: float
+
+    def __post_init__(self):
+        for name, value in (("radius_m", self.radius_m),
+                            ("gravity_m_s2", self.gravity_m_s2)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise DomainError(f"{name} must be a positive finite number; "
+                                  f"got {value!r}")
+
+
+# Mean radius and standard gravity; `gravitunnel --body earth` uses these.
+EARTH = PhysicalParams(radius_m=6.371e6, gravity_m_s2=9.80665)
+
+
+@dataclass(frozen=True)
+class Scaling:
+    """Conversion factors between dimensionless and physical quantities."""
+
+    time_unit_s: float
+    speed_unit_m_s: float
+    length_unit_m: float
+
+
+def make_scaling(params: PhysicalParams) -> Scaling:
+    """Build the dimensionless-to-physical conversion for a body.
+
+    time unit = sqrt(R/g), speed unit = sqrt(g*R), length unit = R;
+    the product of the first two reproduces the third to round-off.
+    """
+    if not isinstance(params, PhysicalParams):
+        params = PhysicalParams(*params)
+    return Scaling(time_unit_s=math.sqrt(params.radius_m / params.gravity_m_s2),
+                   speed_unit_m_s=math.sqrt(params.gravity_m_s2 * params.radius_m),
+                   length_unit_m=params.radius_m)

@@ -11,7 +11,8 @@ wherever a frictionless tunnel takes it, because its total energy is
 exactly zero.
 
 Physical units enter only at the boundary of the library, through
-`make_scaling` and `dimensional_time`.
+`make_scaling` (defined with `PhysicalParams`, `EARTH` and `Scaling` in
+`closed`, re-exported here) and `dimensional_time`.
 """
 
 import math
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed import EARTH, PhysicalParams, Scaling, make_scaling  # noqa: F401
 from .errors import DomainError
 
 # Values this close to a domain boundary are clamped onto it instead of
@@ -35,34 +37,6 @@ def _unit_interval(value, name):
         raise DomainError(f"{name} must lie in [0, 1]; got {offender!r}")
     clipped = np.clip(arr, 0.0, 1.0)
     return float(clipped) if arr.ndim == 0 else clipped
-
-
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Sphere radius (m) and surface gravity (m/s^2) of a physical body."""
-
-    radius_m: float
-    gravity_m_s2: float
-
-    def __post_init__(self):
-        for name, value in (("radius_m", self.radius_m),
-                            ("gravity_m_s2", self.gravity_m_s2)):
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(f"{name} must be a positive finite number; "
-                                  f"got {value!r}")
-
-
-# Mean radius and standard gravity; `gravitunnel --body earth` uses these.
-EARTH = PhysicalParams(radius_m=6.371e6, gravity_m_s2=9.80665)
-
-
-@dataclass(frozen=True)
-class Scaling:
-    """Conversion factors between dimensionless and physical quantities."""
-
-    time_unit_s: float
-    speed_unit_m_s: float
-    length_unit_m: float
 
 
 @dataclass(frozen=True)
@@ -138,19 +112,6 @@ class DiscretePath:
         d = np.diff(self.rho)
         return bool(np.all(d[:self.min_index] <= tol)
                     and np.all(d[self.min_index:] >= -tol))
-
-
-def make_scaling(params: PhysicalParams) -> Scaling:
-    """Build the dimensionless-to-physical conversion for a body.
-
-    time unit = sqrt(R/g), speed unit = sqrt(g*R), length unit = R;
-    the product of the first two reproduces the third to round-off.
-    """
-    if not isinstance(params, PhysicalParams):
-        params = PhysicalParams(*params)
-    return Scaling(time_unit_s=math.sqrt(params.radius_m / params.gravity_m_s2),
-                   speed_unit_m_s=math.sqrt(params.gravity_m_s2 * params.radius_m),
-                   length_unit_m=params.radius_m)
 
 
 def speed_at_radius(rho):

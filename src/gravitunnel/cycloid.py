@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brachistochrone import BrachFamily, sample_path
+from .brachistochrone import sample_path
+from .closed import BrachFamily, total_transit_time
 from .errors import DomainError
-from .timing import total_transit_time
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ A family member's full transit time has the closed form
 
     T = pi * sqrt(1 - rho_m^2) = pi * sqrt(q (2 - q)),   q = separation / pi,
 
-which `total_transit_time` returns.  The singular quadrature below is
-kept as an independent route to the same number.  The half-tunnel time
-of a family member k is
+which `closed.total_transit_time` returns (re-exported here with
+`TransitResult`).  The singular quadrature below is kept as an
+independent route to the same number.  The half-tunnel time of a
+family member k is
 
     integral from rho_m to 1 of sqrt(1 + rho^2 theta'^2) / sqrt(1-rho^2),
 
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brachistochrone import BrachFamily
+from .closed import BrachFamily, TransitResult, total_transit_time  # noqa: F401
 from .core import DOMAIN_EPS, DiscretePath
 from .errors import (DegenerateSegmentError, DomainError, InfiniteTimeError,
                      QuadratureError)
@@ -51,7 +52,14 @@ _ZERO_LENGTH = 1e-15
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and subdivision budget for the adaptive quadrature."""
+    """Tolerances and subdivision budget for the adaptive quadrature.
+
+    A piece of integral I stops once its error estimate is within
+    max(abs_tol * min(1, |I|), rel_tol * |I|): abs_tol is the absolute
+    tolerance of an integral of size 1 or more and shrinks with a
+    smaller one, so a tiny integral is never accepted on an error
+    estimate as large as itself.
+    """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
@@ -62,15 +70,6 @@ class QuadratureConfig:
             raise DomainError("quadrature tolerances must be positive")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be at least 1")
-
-
-@dataclass(frozen=True)
-class TransitResult:
-    """A transit time with its error estimate and evaluation count."""
-
-    tau: float
-    error_estimate: float
-    evaluations: int
 
 
 # 15-point Kronrod extension of 7-point Gauss, positive abscissae.
@@ -127,6 +126,12 @@ def _gk15(f, a, b):
     return result, err
 
 
+def _tolerance(cfg, value):
+    """Error allowed on an integral of this value (see QuadratureConfig)."""
+    size = abs(value)
+    return max(cfg.abs_tol * min(1.0, size), cfg.rel_tol * size)
+
+
 def _adaptive(f, a, b, cfg, label):
     """Adaptive bisection over [a, b]; returns (value, error, evaluations)."""
     if a == b:
@@ -136,7 +141,7 @@ def _adaptive(f, a, b, cfg, label):
     heap = [(-err, a, b, val, err)]
     total_val, total_err = val, err
     for _ in range(cfg.max_subdivisions):
-        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
+        if total_err <= _tolerance(cfg, total_val):
             return total_val, total_err, evals
         neg_err, lo, hi, v, e = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
@@ -147,7 +152,7 @@ def _adaptive(f, a, b, cfg, label):
         total_err += e1 + e2 - e
         heapq.heappush(heap, (-e1, lo, mid, v1, e1))
         heapq.heappush(heap, (-e2, mid, hi, v2, e2))
-    if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
+    if total_err <= _tolerance(cfg, total_val):
         return total_val, total_err, evals
     worst = max(heap)                       # heap of negated errors
     raise QuadratureError(
@@ -229,22 +234,6 @@ def half_transit_time(family: BrachFamily, cfg=None) -> TransitResult:
     cfg = cfg or QuadratureConfig()
     value, err, evals = _integral(family, "time", cfg)
     return TransitResult(tau=value, error_estimate=err, evaluations=evals)
-
-
-def total_transit_time(family: BrachFamily) -> TransitResult:
-    """Full surface-to-surface time, in closed form.
-
-    pi * sqrt(1 - rho_min^2), with 1 - rho_min^2 written as q (2 - q) for
-    q = separation_angle / pi, which keeps full relative precision at
-    tiny separations.  Nothing is integrated: the error estimate and the
-    evaluation count are 0.  ``2 * half_transit_time(family).tau`` is the
-    singular-quadrature route to the same number.
-    """
-    if not isinstance(family, BrachFamily):
-        raise DomainError("total_transit_time expects a BrachFamily")
-    q = family.separation_angle / math.pi
-    return TransitResult(tau=math.pi * math.sqrt(q * (2.0 - q)),
-                         error_estimate=0.0, evaluations=0)
 
 
 def _segment_times(rho, theta):

@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -11,7 +12,7 @@ from conftest import bisect_root, fd4, quad_half_length, quad_slope_sweep
 from gravitunnel import (BrachFamily, DomainError, arc_length,
                          family_from_separation, rho_at_theta, rho_min,
                          sample_path, separation_angle, theta_of_rho,
-                         theta_prime)
+                         theta_prime, total_transit_time)
 from gravitunnel import brachistochrone
 from gravitunnel.brachistochrone import _bisect_bits, _theta_closed_form
 
@@ -151,6 +152,29 @@ class TestFamily:
     def test_inconsistent_fields_rejected(self):
         with pytest.raises(DomainError):
             BrachFamily(k=1.0, rho_min=0.3, separation_angle=1.0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.floats(-300.0, 12.0))
+    @example(3.0)
+    @example(5.0)
+    @example(math.log10(3e7))
+    @example(math.log10(6.7e7))
+    @example(8.0)
+    def test_from_momentum_within_4_ulp_or_names_k(self, log_k):
+        # 1 - rho_min = 1/(h (h + k)) with h = sqrt(k^2 + 1), and the
+        # transit time pi sqrt(1 - rho_min^2) is pi/h: both free of
+        # cancellation, so exact at 50 digits
+        k = 10.0 ** log_k
+        if k / math.hypot(k, 1.0) == 1.0:
+            with pytest.raises(DomainError, match=repr(k)):
+                BrachFamily.from_momentum(k)
+            return
+        fam = BrachFamily.from_momentum(k)
+        with mpmath.workdps(50):
+            h = mpmath.sqrt(mpmath.mpf(k) ** 2 + 1)
+            for value, exact in ((fam.separation_angle, mpmath.pi / (h * (h + k))),
+                                 (total_transit_time(fam).tau, mpmath.pi / h)):
+                assert abs(mpmath.mpf(value) - exact) <= 4 * math.ulp(float(exact))
 
 
 class TestSamplePath:

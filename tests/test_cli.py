@@ -10,7 +10,7 @@ import pytest
 
 import gravitunnel
 from gravitunnel import DiscretePath, QuadratureError, checks, path_transit_time
-from gravitunnel.cli import main
+from gravitunnel.cli import _grid, _log10, main
 
 
 def run_cli(capsys, *argv):
@@ -96,7 +96,7 @@ class TestUsageErrors:
 
         def boom(*args, **kwargs):
             raise QuadratureError("synthetic non-convergence")
-        monkeypatch.setattr(cli_mod.timing, "total_transit_time", boom)
+        monkeypatch.setattr(cli_mod.closed, "total_transit_time", boom)
         code, _, err = run_cli(capsys, "time", "--sep", "1.0")
         assert code == 2
         assert "numeric" in err
@@ -175,6 +175,39 @@ class TestSweepCommand:
         payload = json.loads(first)
         assert payload["kind"] == "sweep"
 
+    @pytest.mark.parametrize("spacing", ("linear", "log"))
+    def test_grid_matches_numpy(self, spacing):
+        # linear: numpy's linspace bit for bit; log: exact ends, and
+        # interior points within 1 ulp of geomspace wherever numpy's log10
+        # is correctly rounded on both ends (where it is not, its one-ulp
+        # error moves geomspace's points by up to ln(10) |log10| ulps)
+        rng = np.random.default_rng(7)
+        compared = 0
+        for _ in range(2000):
+            lo = 10.0 ** rng.uniform(-12, 1)
+            hi = min(lo * 10.0 ** rng.uniform(0, 12), math.pi)
+            lo = min(lo, hi)
+            count = int(rng.integers(1, 40))
+            got = np.array(_grid(lo, hi, count, spacing))
+            if spacing == "linear":
+                assert got.tobytes() == np.linspace(lo, hi, count).tobytes()
+                continue
+            want = np.geomspace(lo, hi, count)
+            assert got.size == count and got[0] == lo
+            assert got[-1] == (hi if count > 1 else lo)
+            if _log10(lo) == np.log10(lo) and _log10(hi) == np.log10(hi):
+                ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+                assert ulps.max() <= 1
+                compared += 1
+        assert spacing == "linear" or compared > 1950
+
+    def test_grid_edges(self):
+        assert _grid(2.0, 5.0, 1, "linear") == [2.0]
+        assert _grid(2.0, 5.0, 1, "log") == [2.0]
+        assert _grid(2.0, 5.0, 2, "log") == [2.0, 5.0]
+        tiny = (5e-324, 1e-323)
+        assert _grid(*tiny, 3, "linear") == np.linspace(*tiny, 3).tolist()
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, out, _ = run_cli(capsys, "sweep", "--k-range", "0.5:2",
@@ -182,6 +215,16 @@ class TestSweepCommand:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("# gravitunnel family sweep")
+
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "time", "--sep", "1", "--out",
+                                 str(target))
+        assert code == 1
+        assert out == ""
+        assert err == (f"gravitunnel: cannot write {target}: "
+                       "No such file or directory\n")
 
 
 class TestCompareCycloid:
@@ -213,25 +256,44 @@ def run_fresh(script):
 
 def test_table_commands_never_import_scipy():
     # A fresh interpreter, so modules imported by other tests do not count.
-    # The verification registry (gravitunnel.checks) must stay unloaded too.
+    # The verification registry (gravitunnel.checks) must stay unloaded
+    # too, and the closed-form commands `time` and `sweep` load no numpy.
     report = run_fresh("""
         import contextlib, io, json, sys
         import gravitunnel
-        from gravitunnel.cli import main
+        from gravitunnel.cli import _grid, _log10, main
+
+        def loaded(*names):
+            return sorted(m for m in sys.modules
+                          if m.split(".")[0] in names or m in names)
+
+        after_import = loaded("numpy")
         codes = []
         for argv in (["time", "--sep", "90deg"],
+                     ["time", "--sep", "1e-9", "--body", "earth",
+                      "--format", "structured"],
                      ["sweep", "--k-range", "0.1:5", "--count", "7"],
-                     ["path", "--sep", "2.0", "--samples", "41",
+                     ["sweep", "--k-range", "0:5", "--count", "4",
+                      "--spacing", "linear", "--format", "structured"],
+                     ["sweep", "--sep-range", "1e-6:3", "--count", "5",
+                      "--body", "earth"],
+                     ["sweep", "--sep-range", "0.1:90deg", "--count", "3",
+                      "--spacing", "linear", "--format", "structured"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(main(argv))
+        after_closed = loaded("numpy")
+        for argv in (["path", "--sep", "2.0", "--samples", "41",
                       "--include-chord"],
                      ["compare-cycloid", "--sep", "0.1"]):
             with contextlib.redirect_stdout(io.StringIO()):
                 codes.append(main(argv))
-        loaded = sorted(m for m in sys.modules
-                        if m == "scipy" or m.startswith("scipy.")
-                        or m == "gravitunnel.checks")
-        print(json.dumps({"codes": codes, "scipy": loaded}))
+        print(json.dumps({"codes": codes, "after_import": after_import,
+                          "after_closed": after_closed,
+                          "scipy": loaded("scipy", "gravitunnel.checks")}))
     """)
-    assert report["codes"] == [0, 0, 0, 0]
+    assert report["codes"] == [0] * 8
+    assert report["after_import"] == []
+    assert report["after_closed"] == []
     assert report["scipy"] == []
 
 

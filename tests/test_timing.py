@@ -126,6 +126,20 @@ class TestArcIntegral:
         with pytest.raises(DomainError):
             arc_integral(BrachFamily.from_momentum(1.0), "speed")
 
+    @pytest.mark.parametrize("delta", (1e-12, 1e-9, 1e-6))
+    @pytest.mark.parametrize("selector", ("length", "time"))
+    def test_tiny_separation_is_accurate_or_raises(self, delta, selector):
+        # the integrals are ~delta (length) and ~sqrt(delta) (time), far
+        # below the 1e-10 absolute tolerance: the stop test must scale
+        fam = family_from_separation(delta)
+        exact = (arc_length(fam) if selector == "length"
+                 else total_transit_time(fam).tau)
+        try:
+            value = 2 * arc_integral(fam, selector)
+        except QuadratureError:
+            return
+        assert abs(value - exact) <= 1e-9 * exact
+
 
 class TestPathTransit:
     def test_sampled_family_matches_quadrature(self):
