@@ -38,6 +38,10 @@ def chord_path(spec: ChordSpec, n: int) -> DiscretePath:
 
     Points are spaced uniformly along the chord from (1, 0) to
     (1, -separation_angle); both endpoints sit exactly on the surface.
+    The path carries each sample's depth below the surface, taken from
+    rho^2 = 1 - 4 t (1 - t) sin^2(separation/2) at chord fraction t, so
+    a chord too shallow for rho to resolve (separation below ~1e-5) is
+    still timed.
     """
     if not isinstance(spec, ChordSpec):
         raise DomainError("chord_path expects a ChordSpec")
@@ -54,4 +58,8 @@ def chord_path(spec: ChordSpec, n: int) -> DiscretePath:
     rho[-1] = 1.0
     theta[0] = 0.0
     theta[-1] = end
-    return DiscretePath.from_arrays(rho, theta)
+    # 1 - rho = (1 - rho^2) / (1 + rho), exactly 0 at both ends
+    depth = t * (1.0 - t)
+    depth *= 4.0 * math.sin(end / 2.0) ** 2
+    depth /= 1.0 + rho
+    return DiscretePath.from_arrays(rho, theta, depth)

@@ -59,14 +59,22 @@ class DiscretePath:
     ``min_index`` marks the deepest sample.  Paths produced by the library
     constructors dip monotonically to a single interior minimum and rise
     back; arbitrary point lists (e.g. perturbed paths) need not.
+
+    ``depth`` optionally holds 1 - rho per sample, computed without
+    cancellation by a constructor that knows the geometry (`chord_path`).
+    rho cannot resolve a depth much below 1e-16, and the timing kernel
+    counts a bare rho within DOMAIN_EPS of 1 as the zero-speed surface;
+    with ``depth`` only a depth of exactly 0 is on the surface.  It is
+    None for paths given by radii alone.
     """
 
     rho: np.ndarray
     theta: np.ndarray
     min_index: int
+    depth: np.ndarray | None = None
 
     @classmethod
-    def from_arrays(cls, rho, theta):
+    def from_arrays(cls, rho, theta, depth=None):
         rho = _unit_interval(np.atleast_1d(np.asarray(rho, dtype=float)), "rho")
         theta = np.array(theta, dtype=float).reshape(-1)
         if rho.shape != theta.shape:
@@ -79,7 +87,14 @@ class DiscretePath:
         theta = theta.copy()
         rho.setflags(write=False)
         theta.setflags(write=False)
-        return cls(rho=rho, theta=theta, min_index=int(np.argmin(rho)))
+        if depth is not None:
+            depth = _unit_interval(np.array(depth, dtype=float).reshape(-1),
+                                   "depth")
+            if depth.shape != rho.shape:
+                raise DomainError("depth and rho must have the same length")
+            depth.setflags(write=False)
+        return cls(rho=rho, theta=theta, min_index=int(np.argmin(rho)),
+                   depth=depth)
 
     @classmethod
     def from_points(cls, points):

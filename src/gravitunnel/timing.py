@@ -236,7 +236,7 @@ def half_transit_time(family: BrachFamily, cfg=None) -> TransitResult:
     return TransitResult(tau=value, error_estimate=err, evaluations=evals)
 
 
-def _segment_times(rho, theta):
+def _segment_times(rho, theta, depth=None):
     """Exact traversal times of each straight segment of a polar polyline.
 
     Works from the polar samples directly.  With s2 = sin(dtheta/2)^2, a
@@ -255,6 +255,11 @@ def _segment_times(rho, theta):
     place, a zero-length segment divided by 1 instead of 0, and the
     entries it must not use are overwritten afterwards.
 
+    Given ``depth`` (1 - rho, see `DiscretePath`), dr is taken as
+    d0 - d1, nu as sqrt(d (2 - d)) and only d == 0 is on the surface, so
+    samples too shallow for rho to resolve keep their speed.  Without it
+    a sample within DOMAIN_EPS of rho = 1 counts as on the surface.
+
     Raises DegenerateSegmentError for a zero-length segment with both
     ends on the surface and InfiniteTimeError for a positive-length
     segment with both ends on the surface (the evaluator has no basis to
@@ -268,7 +273,18 @@ def _segment_times(rho, theta):
     s2 *= 0.5
     np.sin(s2, out=s2)
     s2 *= s2
-    dr = np.diff(rho)
+    # dr, the ends on the surface, and nu^2 = 1 - rho^2
+    if depth is None:
+        dr = np.diff(rho)
+        on_surface = rho >= 1.0 - DOMAIN_EPS
+        nu = 1.0 - rho
+        nu *= 1.0 + rho
+    else:
+        depth = np.asarray(depth, dtype=float)
+        dr = depth[:-1] - depth[1:]
+        on_surface = depth == 0.0
+        nu = 2.0 - depth
+        nu *= depth
     # length = sqrt(dr^2 + 4 r0 r1 s2), with b as scratch
     length = r0 * r1
     length *= s2
@@ -276,7 +292,6 @@ def _segment_times(rho, theta):
     b = dr * dr
     length += b
     np.sqrt(length, out=length)
-    on_surface = rho >= 1.0 - DOMAIN_EPS
     start_surface = on_surface[:-1]
     end_surface = on_surface[1:]
     both_surface = start_surface & end_surface
@@ -297,16 +312,13 @@ def _segment_times(rho, theta):
     b += dr
     b *= r0
     b /= length
-    nu = 1.0 - rho
-    nu *= 1.0 + rho
     np.maximum(nu, 0.0, out=nu)
     np.sqrt(nu, out=nu)
     start = np.arctan2(b, nu[:-1])
     b += length
     times = np.arctan2(b, nu[1:], out=b)
-    # An end within DOMAIN_EPS of the surface counts as on it, with zero
-    # speed, so its angle is exactly -pi/2 (start) or pi/2 (end) whatever
-    # the round-off in b or nu there.
+    # An end on the surface has zero speed, so its angle is exactly
+    # -pi/2 (start) or pi/2 (end) whatever the round-off in b or nu there.
     start[start_surface] = -math.pi / 2.0
     times[end_surface] = math.pi / 2.0
     times -= start
@@ -395,15 +407,16 @@ def path_transit_time(path: DiscretePath) -> TransitResult:
     """
     if not isinstance(path, DiscretePath):
         path = DiscretePath.from_arrays(*path)
-    times = _segment_times(path.rho, path.theta)
+    times = _segment_times(path.rho, path.theta, path.depth)
     tau = float(np.sum(times))
     evaluations = times.size
     n = len(path)
     error = float(n * np.finfo(float).eps * max(abs(tau), 1.0))
     if n >= 5:
         try:
-            coarse = _segment_times(_every_other(path.rho),
-                                    _every_other(path.theta))
+            coarse = _segment_times(
+                _every_other(path.rho), _every_other(path.theta),
+                None if path.depth is None else _every_other(path.depth))
             error = abs(tau - float(np.sum(coarse)))
             evaluations += coarse.size
         except (DegenerateSegmentError, InfiniteTimeError):
@@ -415,4 +428,5 @@ def cumulative_path_times(path: DiscretePath) -> np.ndarray:
     """Running transit time at each sample of a path, starting at 0."""
     if not isinstance(path, DiscretePath):
         path = DiscretePath.from_arrays(*path)
-    return np.concatenate(([0.0], np.cumsum(_segment_times(path.rho, path.theta))))
+    times = _segment_times(path.rho, path.theta, path.depth)
+    return np.concatenate(([0.0], np.cumsum(times)))

@@ -82,7 +82,20 @@ def test_chord_path_endpoints_exact():
         assert path.theta[-1] == -delta
 
 
-@pytest.mark.parametrize("delta", [0.1, math.pi / 4, math.pi / 2, math.pi])
+def test_chord_path_depth():
+    for delta in (1e-9, 1.0, math.pi):
+        path = chord_path(chord_from_separation(delta), 101)
+        assert path.depth[0] == 0.0 and path.depth[-1] == 0.0
+        assert np.all(path.depth[1:-1] > 0.0)
+        assert np.max(np.abs(path.depth - (1.0 - path.rho))) <= 1e-15
+    # the midpoint sits at cos(delta/2), 1.25e-13 below the surface here
+    mid = chord_path(chord_from_separation(1e-6), 3).depth[1]
+    assert mid == pytest.approx(2.0 * math.sin(2.5e-7) ** 2, rel=1e-15)
+
+
+# 1e-9 to 1e-4 are too shallow for rho alone; the path's depth times them
+@pytest.mark.parametrize("delta", [1e-9, 1e-6, 1e-4, 0.1, math.pi / 4,
+                                   math.pi / 2, math.pi])
 def test_quadrature_reproduces_shm_half_period(delta):
     path = chord_path(chord_from_separation(delta), 10_000)
     result = path_transit_time(path)

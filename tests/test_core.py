@@ -143,6 +143,19 @@ class TestDiscretePath:
         with pytest.raises(DomainError):
             DiscretePath.from_arrays([1.0, 0.5], [0.0, math.inf])
 
+    def test_depth(self):
+        plain = DiscretePath.from_arrays([1.0, 0.5, 1.0], [0.0, -0.5, -1.0])
+        assert plain.depth is None
+        path = DiscretePath.from_arrays([1.0, 0.5, 1.0], [0.0, -0.5, -1.0],
+                                        [0.0, 0.5, 0.0])
+        assert path.depth.tolist() == [0.0, 0.5, 0.0]
+        with pytest.raises(ValueError):
+            path.depth[0] = 0.5
+        with pytest.raises(DomainError):
+            DiscretePath.from_arrays([1.0, 0.5], [0.0, -0.5], [0.0])
+        with pytest.raises(DomainError):
+            DiscretePath.from_arrays([1.0, 0.5], [0.0, -0.5], [0.0, 1.5])
+
     def test_xy_and_arclength(self):
         path = DiscretePath.from_arrays([1.0, 0.0, 1.0], [0.0, -0.1, -math.pi])
         x, y = path.xy()
