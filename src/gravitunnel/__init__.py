@@ -34,31 +34,19 @@ _LAZY = {
              "speed_at_radius"),
     "cycloid": ("CycloidSolution", "SmallArcComparison", "compare_small_arc",
                 "cycloid_between", "cycloid_time", "cycloid_xy"),
-    "oracle": ("OptimizationReport", "SimulationTrace", "StepControl",
-               "optimize_path", "perturbation_test", "simulate_bead"),
-    "timing": ("QuadratureConfig", "arc_integral", "cumulative_path_times",
-               "half_transit_time", "path_transit_time"),
+    "oracle": ("OptimizationReport", "SimulationTrace", "optimize_path",
+               "perturbation_test", "simulate_bead"),
+    "timing": ("arc_integral", "cumulative_path_times", "half_transit_time",
+               "path_transit_time"),
 }
 _SOURCE = {name: module for module, names in _LAZY.items() for name in names}
 _SUBMODULES = frozenset(_LAZY) | {"checks", "cli"}
 
-__all__ = [
-    "BrachFamily", "ChordSpec", "CycloidSolution", "DiscretePath",
-    "DegenerateSegmentError", "DomainError", "DOMAIN_EPS",
-    "InfiniteTimeError", "OptimizationReport", "PathError",
-    "PhysicalParams", "PolarPoint", "QuadratureConfig", "QuadratureError",
-    "Scaling", "SimulationTrace", "SmallArcComparison",
-    "StalledTrajectoryError", "StepControl", "TransitResult", "TunnelError",
-    "arc_integral", "arc_length", "chord_from_separation", "chord_path",
-    "chord_position", "chord_transit_time", "compare_small_arc",
-    "cumulative_path_times", "cycloid_between", "cycloid_time", "cycloid_xy",
-    "dimensional_time", "family_from_separation", "half_transit_time",
-    "latitude_to_polar", "make_scaling", "optimize_path", "path_transit_time",
-    "perturbation_test", "potential_per_mass", "radial_acceleration",
-    "rho_at_theta", "rho_min", "sample_path", "separation_angle",
-    "simulate_bead", "speed_at_radius", "theta_of_rho", "theta_prime",
-    "total_transit_time",
-]
+# Every public name, each listed once: the eager imports above and the
+# lazy names.
+__all__ = [name for name, value in globals().items()
+           if getattr(value, "__module__", None)
+           in (f"{__name__}.closed", f"{__name__}.errors")] + list(_SOURCE)
 
 
 def __getattr__(name):

@@ -148,6 +148,10 @@ def sample_path(family: BrachFamily, n: int) -> DiscretePath:
         rho_half[-1] = rm
         theta_half = np.asarray(theta_of_rho(rho_half, k), dtype=float)
         theta_half[0] = 0.0
+        # The mirror axis is k's own turnaround angle.  rm can lie an ulp
+        # above k's rho_min, where theta's vertical slope in rho would
+        # move the axis by ~1e-10 and cut the polyline short.
+        theta_half[-1] = theta_of_rho(rho_min(k), k)
     theta_mid = theta_half[-1]
     rho = np.concatenate((rho_half, rho_half[-2::-1]))
     theta = np.concatenate((theta_half, 2.0 * theta_mid - theta_half[-2::-1]))

@@ -87,10 +87,13 @@ class BrachFamily:
         if not (math.isfinite(delta_theta) and 0.0 < delta_theta <= math.pi):
             raise DomainError("separation must lie in (0, pi]; got "
                               f"{delta_theta!r}")
-        rm = 1.0 - delta_theta / math.pi
+        # k = rho_min / sqrt(1 - rho_min^2) in x = 1 - rho_min, which the
+        # rounded rho_min no longer holds at tiny separations
+        x = delta_theta / math.pi
+        rm = 1.0 - x
         if rm <= 0.0:
             return cls(k=0.0, rho_min=0.0, separation_angle=math.pi)
-        k = rm / math.sqrt((1.0 - rm) * (1.0 + rm))
+        k = rm / math.sqrt(x * (2.0 - x))
         return cls(k=k, rho_min=rm, separation_angle=delta_theta)
 
 

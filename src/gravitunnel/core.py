@@ -61,11 +61,12 @@ class DiscretePath:
     back; arbitrary point lists (e.g. perturbed paths) need not.
 
     ``depth`` optionally holds 1 - rho per sample, computed without
-    cancellation by a constructor that knows the geometry (`chord_path`).
-    rho cannot resolve a depth much below 1e-16, and the timing kernel
-    counts a bare rho within DOMAIN_EPS of 1 as the zero-speed surface;
-    with ``depth`` only a depth of exactly 0 is on the surface.  It is
-    None for paths given by radii alone.
+    cancellation by a constructor that knows the geometry (`chord_path`),
+    since rho cannot resolve a depth much below 1e-16.  It must agree
+    with 1 - rho to within DOMAIN_EPS.  It is None for paths given by
+    radii alone, whose depth is then taken as 1 - rho.  The timing
+    kernel puts a sample on the zero-speed surface exactly when its
+    depth is 0.
     """
 
     rho: np.ndarray
@@ -92,6 +93,12 @@ class DiscretePath:
                                    "depth")
             if depth.shape != rho.shape:
                 raise DomainError("depth and rho must have the same length")
+            off = np.abs(depth - (1.0 - rho)) > DOMAIN_EPS
+            if np.any(off):
+                i = int(np.flatnonzero(off)[0])
+                raise DomainError(f"depth[{i}] = {float(depth[i])!r} "
+                                  f"contradicts rho[{i}] = {float(rho[i])!r}:"
+                                  " depth must be 1 - rho")
             depth.setflags(write=False)
         return cls(rho=rho, theta=theta, min_index=int(np.argmin(rho)),
                    depth=depth)

@@ -35,6 +35,8 @@ _BOUND_MARGIN = 1e-9
 _RESIDUAL_THRESHOLD = 1e-6
 _NEWTON_STEPS = 100
 _HALVINGS = 40
+# sampling of the tunnel that perturbation_test bumps
+_SAMPLES_PER_HALF = 2001
 
 
 def _tridiagonal_solve(diag, off, rhs):
@@ -159,15 +161,15 @@ def optimize_path(delta_theta: float, interior_points: int,
                               first_order_residual=residual)
 
 
-def perturbation_test(family: BrachFamily, amplitude: float, mode: int,
-                      samples_per_half: int = 2001) -> float:
+def perturbation_test(family: BrachFamily, amplitude: float,
+                      mode: int) -> float:
     """Transit-time change from a sinusoidal radial bump on a tunnel.
 
     The bump amplitude * sin(mode * pi * s / s_total) is applied to the
-    radii of a densely sampled family member, with s the cumulative
-    arclength, so it vanishes at both endpoints.  At a minimizer the
-    returned delta is non-negative up to discretization noise and scales
-    quadratically in the amplitude.
+    radii of the family member sampled at 2001 points per half, with s
+    the cumulative arclength, so it vanishes at both endpoints.  At a
+    minimizer the returned delta is non-negative up to discretization
+    noise and scales quadratically in the amplitude.
     """
     if not isinstance(family, BrachFamily):
         raise DomainError("perturbation_test expects a BrachFamily")
@@ -178,7 +180,7 @@ def perturbation_test(family: BrachFamily, amplitude: float, mode: int,
     mode = int(mode)
     if mode < 1:
         raise DomainError(f"mode must be a positive integer; got {mode}")
-    path = sample_path(family, samples_per_half)
+    path = sample_path(family, _SAMPLES_PER_HALF)
     s = path.cumulative_arclength()
     bump = amplitude * np.sin(mode * math.pi * s / s[-1])
     bump[0] = 0.0
@@ -192,21 +194,14 @@ def perturbation_test(family: BrachFamily, amplitude: float, mode: int,
     return moved - base
 
 
-@dataclass(frozen=True)
-class StepControl:
-    """Integrator settings for the bead simulation.
-
-    Defaults leave the energy drift near 1e-10, two orders under the
-    acceptance bar.
-    """
-
-    rtol: float = 1e-13
-    atol: float = 1e-13
-    method: str = "DOP853"
-
-    def __post_init__(self):
-        if not (self.rtol > 0.0 and self.atol > 0.0):
-            raise DomainError("step control tolerances must be positive")
+# Bead integrator: DOP853 at these tolerances leaves the energy drift
+# near 1e-10, two orders under the acceptance bar.  A bead that has not
+# arrived by _MAX_TAU (four chord transits) has stalled, and the trace
+# is reported at _TRACE_SAMPLES even times plus the accepted steps.
+_RTOL = 1e-13
+_ATOL = 1e-13
+_MAX_TAU = 8.0 * math.pi
+_TRACE_SAMPLES = 2001
 
 
 @dataclass(frozen=True)
@@ -250,9 +245,7 @@ def _end_slope(sigma, values, at_start):
             + f2 * (2 * at - s0 - s1) / ((s2 - s0) * (s2 - s1)))
 
 
-def simulate_bead(path: DiscretePath, step_control: StepControl | None = None,
-                  max_tau: float = 8.0 * math.pi,
-                  trace_samples: int = 2001) -> SimulationTrace:
+def simulate_bead(path: DiscretePath) -> SimulationTrace:
     """Integrate a bead sliding from rest along an interpolated tunnel.
 
     The path is interpolated as a clamped cubic (x, y) spline against its
@@ -260,14 +253,13 @@ def simulate_bead(path: DiscretePath, step_control: StepControl | None = None,
     in that parameter, which conserves the continuum energy identically;
     the reported drift max |nu^2/2 - (1 - rho^2)/2| therefore isolates
     integrator error.  Raises StalledTrajectoryError, carrying the
-    turning point, if the bead fails to reach the far end by ``max_tau``.
+    turning point, if the bead fails to reach the far end by tau = 8 pi.
     """
     from scipy.integrate import cumulative_trapezoid, solve_ivp
     from scipy.interpolate import CubicSpline
 
     if not isinstance(path, DiscretePath):
         raise DomainError("simulate_bead expects a DiscretePath")
-    ctrl = step_control or StepControl()
     x, y = path.xy()
     seg = np.hypot(np.diff(x), np.diff(y))
     keep = np.concatenate(([True], seg > 0.0))
@@ -306,8 +298,8 @@ def simulate_bead(path: DiscretePath, step_control: StepControl | None = None,
     escaped_back.terminal = True
     escaped_back.direction = -1.0
 
-    sol = solve_ivp(rhs, (0.0, float(max_tau)), (0.0, 0.0), method=ctrl.method,
-                    rtol=ctrl.rtol, atol=ctrl.atol, dense_output=True,
+    sol = solve_ivp(rhs, (0.0, _MAX_TAU), (0.0, 0.0), method="DOP853",
+                    rtol=_RTOL, atol=_ATOL, dense_output=True,
                     events=(reach_end, turnaround, escaped_back))
     end_gap = 0.0
     if sol.t_events[0].size:
@@ -337,15 +329,15 @@ def simulate_bead(path: DiscretePath, step_control: StepControl | None = None,
         i = int(np.argmax(s_probe))
         p_turn = spline(s_probe[i])
         raise StalledTrajectoryError(
-            "bead failed to reach the far end within max_tau = "
-            f"{float(max_tau):.6g}; deepest progress at tau = {probe[i]:.6g}, "
+            "bead failed to reach the far end within tau = "
+            f"{_MAX_TAU:.6g}; deepest progress at tau = {probe[i]:.6g}, "
             f"sigma = {s_probe[i]:.6g}, rho = {float(np.hypot(*p_turn)):.6g} "
             f"(residual speed parameter {w_probe[i]:.2e})",
             tau=float(probe[i]),
             arclength=float(s_probe[i]),
             rho=float(np.hypot(*p_turn)))
 
-    taus = np.unique(np.concatenate((np.linspace(0.0, t_end, trace_samples),
+    taus = np.unique(np.concatenate((np.linspace(0.0, t_end, _TRACE_SAMPLES),
                                      sol.t[sol.t <= t_end])))
     s_tau, w_tau = sol.sol(taus)
     s_tau = np.clip(s_tau, 0.0, sigma_end)

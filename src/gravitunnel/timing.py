@@ -26,50 +26,37 @@ traversal time of a segment is elementary.  Written from its polar ends
 s2 = sin((theta1 - theta0)/2)^2,
 
     L  = sqrt(dr^2 + 4 r0 r1 s2),        b0 = r0 (dr - 2 r1 s2) / L,
-    t  = atan2(b0 + L, nu1) - atan2(b0, nu0),   nu = sqrt(1 - rho^2),
+    t  = atan2(b0 + L, nu1) - atan2(b0, nu0),   nu = sqrt(d (2 - d)),
 
 where L is the segment length, b0 the start point's projection on the
-segment direction and nu the speed at each end.  Segment times are
-therefore exact for the polyline itself; the only error left in a
-discrete transit time is the polyline's geometric deviation from the
-curve it samples, which vanishes quadratically under refinement.  At a
-surface endpoint nu is 0 and the angle is +-pi/2.
+segment direction, d = 1 - rho each end's depth below the surface and
+nu = sqrt(1 - rho^2) its speed.  Segment times are therefore exact for
+the polyline itself; the only error left in a discrete transit time is
+the polyline's geometric deviation from the curve it samples, which
+vanishes quadratically under refinement.  The surface, where a
+released particle has zero speed, is depth 0 exactly: there nu is 0
+and the angle is +-pi/2.
 """
 
 import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .closed import BrachFamily, TransitResult, total_transit_time  # noqa: F401
-from .core import DOMAIN_EPS, DiscretePath
+from .core import DiscretePath
 from .errors import (DegenerateSegmentError, DomainError, InfiniteTimeError,
                      QuadratureError)
 
-_ZERO_LENGTH = 1e-15
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and subdivision budget for the adaptive quadrature.
-
-    A piece of integral I stops once its error estimate is within
-    max(abs_tol * min(1, |I|), rel_tol * |I|): abs_tol is the absolute
-    tolerance of an integral of size 1 or more and shrinks with a
-    smaller one, so a tiny integral is never accepted on an error
-    estimate as large as itself.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 60
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise DomainError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be at least 1")
+# Adaptive quadrature: a piece of integral I stops once its error
+# estimate is within max(_ABS_TOL * min(1, |I|), _REL_TOL * |I|).  The
+# absolute tolerance belongs to an integral of size 1 or more and shrinks
+# with a smaller one, so a tiny integral is never accepted on an error
+# estimate as large as itself.
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-10
+_MAX_SUBDIVISIONS = 60
 
 
 # 15-point Kronrod extension of 7-point Gauss, positive abscissae.
@@ -126,13 +113,16 @@ def _gk15(f, a, b):
     return result, err
 
 
-def _tolerance(cfg, value):
-    """Error allowed on an integral of this value (see QuadratureConfig)."""
+def _tolerance(value):
+    """Error allowed on one of the two pieces of an integral of this value.
+
+    Each piece gets half the absolute tolerance, so the two sum to it.
+    """
     size = abs(value)
-    return max(cfg.abs_tol * min(1.0, size), cfg.rel_tol * size)
+    return max(0.5 * _ABS_TOL * min(1.0, size), _REL_TOL * size)
 
 
-def _adaptive(f, a, b, cfg, label):
+def _adaptive(f, a, b, label):
     """Adaptive bisection over [a, b]; returns (value, error, evaluations)."""
     if a == b:
         return 0.0, 0.0, 0
@@ -140,8 +130,8 @@ def _adaptive(f, a, b, cfg, label):
     evals = 15
     heap = [(-err, a, b, val, err)]
     total_val, total_err = val, err
-    for _ in range(cfg.max_subdivisions):
-        if total_err <= _tolerance(cfg, total_val):
+    for _ in range(_MAX_SUBDIVISIONS):
+        if total_err <= _tolerance(total_val):
             return total_val, total_err, evals
         neg_err, lo, hi, v, e = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
@@ -152,11 +142,11 @@ def _adaptive(f, a, b, cfg, label):
         total_err += e1 + e2 - e
         heapq.heappush(heap, (-e1, lo, mid, v1, e1))
         heapq.heappush(heap, (-e2, mid, hi, v2, e2))
-    if total_err <= _tolerance(cfg, total_val):
+    if total_err <= _tolerance(total_val):
         return total_val, total_err, evals
     worst = max(heap)                       # heap of negated errors
     raise QuadratureError(
-        f"{label}: no convergence within {cfg.max_subdivisions} subdivisions "
+        f"{label}: no convergence within {_MAX_SUBDIVISIONS} subdivisions "
         f"(error estimate {total_err:.3e}, worst subinterval "
         f"[{worst[1]:.6g}, {worst[2]:.6g}] with error {worst[4]:.3e})",
         worst_interval=(worst[1], worst[2], worst[4]),
@@ -174,15 +164,12 @@ def _smooth_factor(rho, k, rm):
     return rho / np.sqrt((k * k + 1.0) * (rho - rm) * (rho + rm))
 
 
-def _integral(family, selector, cfg):
+def _integral(family, selector):
     """Half-tunnel integral of the chosen integrand, with substitutions."""
     k, rm = family.k, family.rho_min
     rho_c = 0.5 * (1.0 + rm)
     alpha_c = math.asin(rho_c)
     u_max = math.sqrt(rho_c - rm)
-    piece_cfg = QuadratureConfig(abs_tol=cfg.abs_tol / 2.0,
-                                 rel_tol=cfg.rel_tol,
-                                 max_subdivisions=cfg.max_subdivisions)
 
     if selector == "time":
         def upper(alpha):
@@ -200,14 +187,14 @@ def _integral(family, selector, cfg):
             rho = rm + u * u
             return 2.0 * rho / np.sqrt((k * k + 1.0) * (rho + rm))
 
-    v1, e1, n1 = _adaptive(upper, alpha_c, math.pi / 2.0, piece_cfg,
+    v1, e1, n1 = _adaptive(upper, alpha_c, math.pi / 2.0,
                            f"{selector} integral, surface piece")
-    v2, e2, n2 = _adaptive(lower, 0.0, u_max, piece_cfg,
+    v2, e2, n2 = _adaptive(lower, 0.0, u_max,
                            f"{selector} integral, turnaround piece")
     return v1 + v2, e1 + e2, n1 + n2
 
 
-def arc_integral(family: BrachFamily, selector: str, cfg=None) -> float:
+def arc_integral(family: BrachFamily, selector: str) -> float:
     """Half-tunnel integral for one family member.
 
     selector "time" gives the half transit time, "length" the half arc
@@ -220,19 +207,17 @@ def arc_integral(family: BrachFamily, selector: str, cfg=None) -> float:
         raise DomainError("arc_integral expects a BrachFamily")
     if family.k == 0.0:
         return math.pi / 2.0 if selector == "time" else 1.0
-    cfg = cfg or QuadratureConfig()
-    value, _, _ = _integral(family, selector, cfg)
+    value, _, _ = _integral(family, selector)
     return value
 
 
-def half_transit_time(family: BrachFamily, cfg=None) -> TransitResult:
+def half_transit_time(family: BrachFamily) -> TransitResult:
     """Time from the surface to the minimum radius, by singular quadrature."""
     if not isinstance(family, BrachFamily):
         raise DomainError("half_transit_time expects a BrachFamily")
     if family.k == 0.0:
         return TransitResult(tau=math.pi / 2.0, error_estimate=0.0, evaluations=0)
-    cfg = cfg or QuadratureConfig()
-    value, err, evals = _integral(family, "time", cfg)
+    value, err, evals = _integral(family, "time")
     return TransitResult(tau=value, error_estimate=err, evaluations=evals)
 
 
@@ -249,22 +234,25 @@ def _segment_times(rho, theta, depth=None):
     Since nu^2 + s^2 is constant along the segment, each arcsine of the
     SHM solution is an arctangent of the point's own speed,
 
-        t = atan2(b0 + L, nu1) - atan2(b0, nu0),   nu = sqrt((1-rho)(1+rho)),
+        t = atan2(b0 + L, nu1) - atan2(b0, nu0),   nu = sqrt(1 - rho^2),
 
     which needs no clip.  The whole array runs the same vector math in
     place, a zero-length segment divided by 1 instead of 0, and the
     entries it must not use are overwritten afterwards.
 
-    Given ``depth`` (1 - rho, see `DiscretePath`), dr is taken as
-    d0 - d1, nu as sqrt(d (2 - d)) and only d == 0 is on the surface, so
-    samples too shallow for rho to resolve keep their speed.  Without it
-    a sample within DOMAIN_EPS of rho = 1 counts as on the surface.
+    Everything radial comes from the depth d = 1 - rho: dr = d0 - d1,
+    nu = sqrt(d (2 - d)), and an end is on the surface exactly when
+    d == 0.  ``depth`` supplies it (see `DiscretePath`); without it d is
+    computed as 1 - rho, which is exact for rho >= 1/2 (Sterbenz), so a
+    sample 1e-16 below the surface keeps its speed.
 
     Raises DegenerateSegmentError for a zero-length segment with both
     ends on the surface and InfiniteTimeError for a positive-length
     segment with both ends on the surface (the evaluator has no basis to
     assume such a segment dips below zero speed).  Other zero-length
-    segments contribute exactly zero time.
+    segments (a repeated sample) contribute exactly zero time; a segment
+    of any positive length is timed, since one that leaves the surface
+    takes ~sqrt(2 L) however short it is.
     """
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -273,18 +261,12 @@ def _segment_times(rho, theta, depth=None):
     s2 *= 0.5
     np.sin(s2, out=s2)
     s2 *= s2
-    # dr, the ends on the surface, and nu^2 = 1 - rho^2
-    if depth is None:
-        dr = np.diff(rho)
-        on_surface = rho >= 1.0 - DOMAIN_EPS
-        nu = 1.0 - rho
-        nu *= 1.0 + rho
-    else:
-        depth = np.asarray(depth, dtype=float)
-        dr = depth[:-1] - depth[1:]
-        on_surface = depth == 0.0
-        nu = 2.0 - depth
-        nu *= depth
+    # dr, the ends on the surface, and nu^2 = 1 - rho^2 = d (2 - d)
+    depth = 1.0 - rho if depth is None else np.asarray(depth, dtype=float)
+    dr = depth[:-1] - depth[1:]
+    on_surface = depth == 0.0
+    nu = 2.0 - depth
+    nu *= depth
     # length = sqrt(dr^2 + 4 r0 r1 s2), with b as scratch
     length = r0 * r1
     length *= s2
@@ -295,7 +277,7 @@ def _segment_times(rho, theta, depth=None):
     start_surface = on_surface[:-1]
     end_surface = on_surface[1:]
     both_surface = start_surface & end_surface
-    zero = length <= _ZERO_LENGTH
+    zero = length == 0.0
     if np.any(zero & both_surface):
         i = int(np.flatnonzero(zero & both_surface)[0])
         raise DegenerateSegmentError(

@@ -143,6 +143,15 @@ class TestFamily:
             fam = family_from_separation(float(delta))
             assert separation_angle(fam.k) == pytest.approx(float(delta),
                                                             abs=1e-12)
+        # k from x = delta/pi, not from the rounded rho_min = 1 - x, which
+        # holds only ~16 - log10(1/x) of x's digits
+        for delta in (1e-12, 1e-9, 1e-6):
+            fam = family_from_separation(delta)
+            assert separation_angle(fam.k) == pytest.approx(delta, rel=1e-14)
+            with mpmath.workdps(50):
+                x = mpmath.mpf(delta) / mpmath.pi
+                k = (1 - x) / mpmath.sqrt(x * (2 - x))
+            assert fam.k == pytest.approx(float(k), rel=1e-15)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.pi + 1e-6, math.nan])
     def test_domain(self, bad):

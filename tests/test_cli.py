@@ -123,12 +123,16 @@ class TestPathCommand:
         assert path_transit_time(path).tau == pytest.approx(emitted_tau,
                                                             abs=1e-6)
 
-    def test_tiny_separation_with_chord(self, capsys):
-        code, out, _ = run_cli(capsys, "path", "--sep", "1e-6",
-                               "--include-chord", "--format", "structured")
+    @pytest.mark.parametrize("sep, samples", [("1e-6", "201"),
+                                              ("0.003", "100000")])
+    def test_tiny_separation_with_chord(self, capsys, sep, samples):
+        code, out, _ = run_cli(capsys, "path", "--sep", sep, "--samples",
+                               samples, "--include-chord", "--format",
+                               "structured")
         assert code == 0
         curves = json.loads(out)["curves"]
-        closed_tau = math.pi * math.sqrt(2e-6 / math.pi - (1e-6 / math.pi) ** 2)
+        q = float(sep) / math.pi
+        closed_tau = math.pi * math.sqrt(q * (2 - q))
         assert curves["tunnel"]["tau"][-1] == pytest.approx(closed_tau, rel=1e-4)
         assert curves["chord"]["tau"][-1] == pytest.approx(math.pi, rel=1e-12)
 

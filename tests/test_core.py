@@ -155,6 +155,14 @@ class TestDiscretePath:
             DiscretePath.from_arrays([1.0, 0.5], [0.0, -0.5], [0.0])
         with pytest.raises(DomainError):
             DiscretePath.from_arrays([1.0, 0.5], [0.0, -0.5], [0.0, 1.5])
+        # a depth that contradicts rho would decide the surface wrongly
+        with pytest.raises(DomainError,
+                           match=r"depth\[0\] = 0\.5.*rho\[0\] = 1\.0"):
+            DiscretePath.from_arrays([1.0, 0.5, 1.0], [0.0, -0.5, -1.0],
+                                     [0.5, 0.5, 0.5])
+        near = DiscretePath.from_arrays([1.0, 0.5], [0.0, -0.5],
+                                        [1e-13, 0.5])
+        assert near.depth[0] == 1e-13
 
     def test_xy_and_arclength(self):
         path = DiscretePath.from_arrays([1.0, 0.0, 1.0], [0.0, -0.1, -math.pi])

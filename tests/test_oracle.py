@@ -5,7 +5,7 @@ import pytest
 
 from gravitunnel import oracle
 from gravitunnel import (BrachFamily, DiscretePath, DomainError,
-                         StalledTrajectoryError, StepControl,
+                         StalledTrajectoryError,
                          chord_from_separation, chord_path,
                          family_from_separation, optimize_path,
                          path_transit_time, perturbation_test, rho_at_theta,
@@ -194,13 +194,9 @@ class TestSimulateBead:
         path = DiscretePath.from_arrays([0.8, 0.82, 0.95],
                                         [0.0, -0.3, -0.6])
         with pytest.raises(StalledTrajectoryError) as err:
-            simulate_bead(path, max_tau=20.0)
+            simulate_bead(path)
         assert err.value.rho is not None
         assert err.value.arclength is not None
         assert err.value.tau is not None
         # the bead can never climb above its release radius
         assert err.value.rho <= 0.8 + 1e-6
-
-    def test_step_control_validation(self):
-        with pytest.raises(DomainError):
-            StepControl(rtol=0.0)

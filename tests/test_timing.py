@@ -9,22 +9,15 @@ from hypothesis import strategies as st
 
 from conftest import quad_half_time
 from gravitunnel import (BrachFamily, DegenerateSegmentError, DiscretePath,
-                         DomainError, InfiniteTimeError, QuadratureConfig,
-                         QuadratureError, arc_integral, arc_length,
+                         DomainError, InfiniteTimeError, QuadratureError,
+                         TunnelError, arc_integral, arc_length,
                          chord_from_separation, chord_path,
                          cumulative_path_times, family_from_separation,
                          half_transit_time, path_transit_time, sample_path,
-                         total_transit_time)
+                         timing, total_transit_time)
 from gravitunnel.timing import _segment_time_partials, _segment_times
 
 K_SWEEP = np.geomspace(0.05, 20.0, 20)
-
-
-def test_quadrature_config_validation():
-    with pytest.raises(DomainError):
-        QuadratureConfig(abs_tol=0.0)
-    with pytest.raises(DomainError):
-        QuadratureConfig(max_subdivisions=0)
 
 
 class TestHalfTransit:
@@ -49,10 +42,12 @@ class TestHalfTransit:
     def test_vanishing_tunnel(self):
         assert 2 * half_transit_time(BrachFamily.from_momentum(100.0)).tau < 0.05
 
-    def test_nonconvergence_reports_worst_interval(self):
-        cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30, max_subdivisions=2)
+    def test_nonconvergence_reports_worst_interval(self, monkeypatch):
+        monkeypatch.setattr(timing, "_ABS_TOL", 1e-30)
+        monkeypatch.setattr(timing, "_REL_TOL", 1e-30)
+        monkeypatch.setattr(timing, "_MAX_SUBDIVISIONS", 2)
         with pytest.raises(QuadratureError) as err:
-            half_transit_time(BrachFamily.from_momentum(1.0), cfg)
+            half_transit_time(BrachFamily.from_momentum(1.0))
         assert err.value.worst_interval is not None
         assert err.value.evaluations > 0
         assert err.value.error_estimate > 0
@@ -157,6 +152,26 @@ class TestPathTransit:
         result = path_transit_time(sample_path(fam, 10_000))
         assert abs(result.tau - reference) / reference < 1e-3
 
+    # The first sample below the surface lies ~delta/(pi n^2) deep, as
+    # little as a few ulps of 1: a depth of 1 - rho keeps these samples
+    # off the surface, and their segments, however short, are timed.  At
+    # 1e-12 the first samples round to rho = 1 and the path cannot be
+    # timed.
+    @pytest.mark.parametrize("delta, n", [(1e-6, 10_000), (1e-4, 10_000),
+                                          (3e-4, 10_000), (1e-3, 100_000),
+                                          (3e-3, 100_000), (1e-6, 30_000),
+                                          (1e-8, 3_000), (1e-12, 10_000)])
+    def test_shallow_sampled_tunnels(self, delta, n):
+        fam = family_from_separation(delta)
+        path = sample_path(fam, n)
+        if delta < 1e-9:
+            with pytest.raises(TunnelError):
+                path_transit_time(path)
+            return
+        reference = total_transit_time(fam).tau
+        assert path_transit_time(path).tau == pytest.approx(reference,
+                                                            rel=1e-6)
+
     def test_convergence_order_on_curved_paths(self):
         fam = BrachFamily.from_momentum(1.0)
         reference = total_transit_time(fam).tau
@@ -203,7 +218,7 @@ def reference_segment_time(r0, t0, r1, t1):
         x0, y0 = r0 * mpmath.cos(t0), r0 * mpmath.sin(t0)
         dx, dy = r1 * mpmath.cos(t1) - x0, r1 * mpmath.sin(t1) - y0
         length = mpmath.sqrt(dx * dx + dy * dy)
-        if length <= 1e-15:
+        if length == 0:
             return 0.0
         b = (x0 * dx + y0 * dy) / length
         c = mpmath.sqrt((1 - r0) * (1 + r0) + b * b)
@@ -214,9 +229,12 @@ def reference_segment_time(r0, t0, r1, t1):
 
 @st.composite
 def polar_polyline(draw):
-    """Interior points, a surface point at either end or both, repeats."""
+    """Interior points, some 1e-16 to 1e-12 below the surface, a surface
+    point at either end or both, repeats."""
     n = draw(st.integers(2, 12))
-    rho = draw(st.lists(st.floats(0.0, 0.99), min_size=n, max_size=n))
+    radius = st.one_of(st.floats(0.0, 0.99),
+                       st.floats(1e-16, 1e-12).map(lambda d: 1.0 - d))
+    rho = draw(st.lists(radius, min_size=n, max_size=n))
     theta = np.cumsum(draw(st.lists(st.floats(-0.8, 0.8), min_size=n,
                                     max_size=n)))
     ends = draw(st.sampled_from(((), (0,), (-1,), (0, -1))))
