@@ -47,7 +47,8 @@ import math
 import numpy as np
 
 from .closed import (BrachFamily, arc_length, family_from_separation,  # noqa: F401
-                     rho_min, separation_angle)
+                     rho_min, separation_angle, tunnel_point, tunnel_step,
+                     tunnel_turnaround)
 from .core import DOMAIN_EPS, DiscretePath
 from .errors import DomainError
 
@@ -125,37 +126,38 @@ def _theta_closed_form(rho, k, rm):
 def sample_path(family: BrachFamily, n: int) -> DiscretePath:
     """Sample one full tunnel as 2n-1 polar points.
 
-    The first half descends from (1, 0) to the minimum radius along the
-    closed form; the second half is its mirror image about the bisector,
-    ending at (1, -separation_angle).  Samples are uniform in the angle
-    alpha with rho = sin(alpha), which clusters points quadratically near
-    the zero-speed release and keeps discrete time estimates accurate.
+    The first half descends from (1, 0) to the turnaround at angles
+    beta uniform on [0, acos(rho_min)], with rho = cos(beta), which
+    clusters points quadratically near the zero-speed release and keeps
+    discrete time estimates accurate.  Each sample's depth and angle
+    come from the hypocycloid `closed.tunnel_point`, so the path carries
+    its depth (`DiscretePath.depth`) and tunnels too shallow for rho to
+    resolve are still timed.  The turnaround sample is exact: depth
+    separation/pi and angle -separation/2.  The second half is the
+    first's mirror image about that angle, ending at
+    (1, -separation_angle).
     """
-    n = int(n)
-    if n < 2:
-        raise DomainError(f"sample_path needs n >= 2 samples per half; got {n}")
-    if not isinstance(family, BrachFamily):
-        raise DomainError("sample_path expects a BrachFamily")
-    k, rm = family.k, family.rho_min
-    if k == 0.0:
-        rho_half = np.linspace(1.0, 0.0, n)
-        theta_half = np.zeros(n)
-        theta_half[-1] = -math.pi / 2.0
-    else:
-        alphas = np.linspace(math.pi / 2.0, math.asin(rm), n)
-        rho_half = np.sin(alphas)
-        rho_half[0] = 1.0
-        rho_half[-1] = rm
-        theta_half = np.asarray(theta_of_rho(rho_half, k), dtype=float)
-        theta_half[0] = 0.0
-        # The mirror axis is k's own turnaround angle.  rm can lie an ulp
-        # above k's rho_min, where theta's vertical slope in rho would
-        # move the axis by ~1e-10 and cut the polyline short.
-        theta_half[-1] = theta_of_rho(rho_min(k), k)
-    theta_mid = theta_half[-1]
-    rho = np.concatenate((rho_half, rho_half[-2::-1]))
-    theta = np.concatenate((theta_half, 2.0 * theta_mid - theta_half[-2::-1]))
-    return DiscretePath.from_arrays(rho, theta)
+    step = tunnel_step(family, n)
+    half_depth, half_theta, _, _ = tunnel_point(
+        family, np.arange(n - 1) * step, np.sin, np.sqrt, np.arctan2)
+    depth_mid, theta_mid, _, _ = tunnel_turnaround(family)
+    # Built directly: the closed form already meets every condition
+    # `DiscretePath.from_arrays` checks, and the checks' full-length
+    # copies cost more than the formula.  One block holds the three
+    # arrays; three separate ones page-faulted more in the timing calls
+    # that follow (glibc returns freed heap tops to the system).
+    rho, theta, depth = np.empty((3, 2 * n - 1))
+    depth[:n - 1] = half_depth
+    depth[n - 1] = depth_mid
+    depth[n:] = half_depth[::-1]
+    theta[:n - 1] = half_theta
+    theta[n - 1] = theta_mid
+    np.subtract(2.0 * theta_mid, half_theta[::-1], out=theta[n:])
+    np.subtract(1.0, depth, out=rho)
+    rho[n - 1] = family.rho_min
+    for values in (rho, theta, depth):
+        values.setflags(write=False)
+    return DiscretePath(rho=rho, theta=theta, min_index=n - 1, depth=depth)
 
 
 def rho_at_theta(family: BrachFamily, theta):

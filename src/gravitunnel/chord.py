@@ -14,11 +14,10 @@ to the same integrators and plotted on the same axes.  `ChordSpec`,
 live in `closed`; this module samples and positions along a chord.
 """
 
-import math
-
 import numpy as np
 
-from .closed import ChordSpec, chord_from_separation, chord_transit_time  # noqa: F401
+from .closed import (ChordSpec, chord_from_separation, chord_point,  # noqa: F401
+                     chord_transit_time)
 from .core import DiscretePath
 from .errors import DomainError
 
@@ -38,28 +37,19 @@ def chord_path(spec: ChordSpec, n: int) -> DiscretePath:
 
     Points are spaced uniformly along the chord from (1, 0) to
     (1, -separation_angle); both endpoints sit exactly on the surface.
-    The path carries each sample's depth below the surface, taken from
-    rho^2 = 1 - 4 t (1 - t) sin^2(separation/2) at chord fraction t, so
-    a chord too shallow for rho to resolve (separation below ~1e-5) is
-    still timed.
+    The path carries each sample's depth below the surface
+    (`closed.chord_point`), so a chord too shallow for rho to resolve
+    (separation below ~1e-5) is still timed.
     """
     if not isinstance(spec, ChordSpec):
         raise DomainError("chord_path expects a ChordSpec")
     n = int(n)
     if n < 2:
         raise DomainError(f"chord_path needs n >= 2 samples; got {n}")
-    end = -spec.separation_angle
     t = np.linspace(0.0, 1.0, n)
-    x = (1.0 - t) * 1.0 + t * math.cos(end)
-    y = t * math.sin(end)
-    rho = np.hypot(x, y)
-    theta = np.arctan2(y, x)
+    rho, theta, depth = chord_point(spec, t, np.hypot, np.arctan2)
     rho[0] = 1.0
     rho[-1] = 1.0
     theta[0] = 0.0
-    theta[-1] = end
-    # 1 - rho = (1 - rho^2) / (1 + rho), exactly 0 at both ends
-    depth = t * (1.0 - t)
-    depth *= 4.0 * math.sin(end / 2.0) ** 2
-    depth /= 1.0 + rho
+    theta[-1] = -spec.separation_angle
     return DiscretePath.from_arrays(rho, theta, depth)

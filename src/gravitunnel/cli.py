@@ -5,9 +5,11 @@ Structured output is JSON; csv output carries a ``#``-prefixed header
 block describing the columns.  Exit codes: 0 success, 1 usage error,
 2 numeric failure, 3 verification failure.
 
-`time` and `sweep` print closed forms only and run on `closed` alone;
-the commands (and the ``--lat`` endpoint option) that need arrays
-import the numpy modules inside, so those two never load numpy.
+Every command but `verify` runs on `closed` alone: `time` and `sweep`
+print its closed forms, and `path` and `compare-cycloid` evaluate its
+hypocycloid and chord points in plain `math`.  So none of them loads
+numpy; `verify` (the oracles) and the ``--lat`` endpoint option import
+the numpy modules inside.
 """
 
 import argparse
@@ -125,31 +127,57 @@ def _body_payload(body, scaling):
             "speed_unit_m_s": scaling.speed_unit_m_s}
 
 
-def _curve_rows(name, path, tau, scaling):
-    x, y = path.xy()
-    arc = path.cumulative_arclength()
+def _tunnel_samples(family, n):
+    """(theta, rho, arc, tau) at the tunnel's 2n-1 samples, from `closed`.
+
+    The samples are `sample_path`'s; arc and tau are exact along the
+    tunnel, the second half's taken from the totals by symmetry.
+    """
+    half = [(theta, 1.0 - depth, arc, tau)
+            for depth, theta, tau, arc in closed.tunnel_half(family, n)]
+    end = -family.separation_angle
+    total_arc = closed.arc_length(family)
+    total_tau = closed.total_transit_time(family).tau
+    return half + [(end - theta, rho, total_arc - arc, total_tau - tau)
+                   for theta, rho, arc, tau in reversed(half[:-1])]
+
+
+def _chord_samples(delta, m):
+    """(theta, rho, arc, tau) at m points uniform along the chord.
+
+    The points are `chord_path`'s; the bead's time to chord fraction t
+    is the SHM time 2 asin(sqrt(t)).
+    """
+    spec = closed.chord_from_separation(delta)
+    ts = _grid(0.0, 1.0, m, "linear")
+    samples = [(0.0, 1.0, 0.0, 0.0)]
+    for t in ts[1:-1]:
+        rho, theta, _ = closed.chord_point(spec, t)
+        samples.append((theta, rho, 2.0 * t * spec.half_chord,
+                        2.0 * math.asin(math.sqrt(t))))
+    samples.append((-delta, 1.0, 2.0 * spec.half_chord, math.pi))
+    return samples
+
+
+def _curve_rows(name, samples, scaling):
     rows = []
-    for i in range(len(path)):
-        row = [name, _fmt(path.theta[i]), _fmt(path.rho[i]), _fmt(x[i]),
-               _fmt(y[i]), _fmt(arc[i]), _fmt(tau[i])]
+    for theta, rho, arc, tau in samples:
+        row = [name, _fmt(theta), _fmt(rho), _fmt(rho * math.cos(theta)),
+               _fmt(rho * math.sin(theta)), _fmt(arc), _fmt(tau)]
         if scaling is not None:
-            row += [_fmt(arc[i] * scaling.length_unit_m),
-                    _fmt(tau[i] * scaling.time_unit_s)]
+            row += [_fmt(arc * scaling.length_unit_m),
+                    _fmt(tau * scaling.time_unit_s)]
         rows.append(row)
     return rows
 
 
 def cmd_path(args):
-    from . import brachistochrone, chord, timing
     delta = _endpoint_separation(args)
     body, scaling = _resolve_scaling(args)
     family = closed.family_from_separation(delta)
-    tunnel = brachistochrone.sample_path(family, args.samples)
-    curves = [("tunnel", tunnel)]
+    curves = [("tunnel", _tunnel_samples(family, args.samples))]
     if args.include_chord:
-        curves.append(("chord",
-                       chord.chord_path(closed.chord_from_separation(delta),
-                                        2 * args.samples - 1)))
+        curves.append(("chord", _chord_samples(delta, 2 * args.samples - 1)))
     columns = ["curve", "theta", "rho", "x", "y", "arc", "tau"]
     if scaling is not None:
         columns += ["arc_m", "tau_s"]
@@ -167,19 +195,15 @@ def cmd_path(args):
             payload = {"kind": "path", "separation_rad": delta,
                        "k": family.k, "rho_min": family.rho_min,
                        "body": _body_payload(body, scaling), "curves": {}}
-            for name, path in curves:
-                arc = path.cumulative_arclength()
-                tau = timing.cumulative_path_times(path)
-                payload["curves"][name] = {
-                    "theta": path.theta.tolist(), "rho": path.rho.tolist(),
-                    "arc": arc.tolist(), "tau": tau.tolist()}
+            for name, samples in curves:
+                theta, rho, arc, tau = (list(c) for c in zip(*samples))
+                payload["curves"][name] = {"theta": theta, "rho": rho,
+                                           "arc": arc, "tau": tau}
             _emit_structured(out, payload)
         else:
             rows = []
-            for name, path in curves:
-                rows.extend(_curve_rows(name, path,
-                                        timing.cumulative_path_times(path),
-                                        scaling))
+            for name, samples in curves:
+                rows.extend(_curve_rows(name, samples, scaling))
             _emit_csv(out, header, columns, rows)
     finally:
         if close:

@@ -6,11 +6,15 @@ Every answer the `time` and `sweep` commands print is a closed form:
     T     = pi sqrt(1 - rho_m^2),        arc length  = 2 (1 - rho_m^2),
 
 for the minimum-time tunnel of momentum k (derivation in
-`brachistochrone`), and T = pi for every straight chord.  This module
-holds them, with the records they fill and the physical units, in plain
-`math`, so ``import gravitunnel`` and those two commands load no numpy.
-The numerical routes that check the same numbers live in `timing`,
-`oracle` and `checks`.
+`brachistochrone`), and T = pi for every straight chord.  The tunnel
+itself is a hypocycloid, so each of its points, with the time and arc
+length to reach it, is a closed form too (`tunnel_point`), and so is
+each point of a chord (`chord_point`).  This module holds them, with
+the records they fill and the physical units, in plain `math`, so
+``import gravitunnel`` and every command but `verify` load no numpy.
+The same point formulas run on numpy arrays for `sample_path` and
+`chord_path`.  The numerical routes that check the same numbers live
+in `timing`, `oracle` and `checks`.
 """
 
 import math
@@ -117,6 +121,78 @@ def arc_length(family: BrachFamily) -> float:
     return 2.0 * q * (2.0 - q)
 
 
+def tunnel_point(family: BrachFamily, beta, sin=math.sin, sqrt=math.sqrt,
+                 atan2=math.atan2):
+    """Depth, angle, time and arc length of the tunnel at radius cos(beta).
+
+    The tunnel is a hypocycloid: a circle of radius b = q/2, with
+    q = separation/pi, rolls inside the unit circle (Venezian 1966;
+    Cooper 1966).  At depth d = 2 sin^2(beta/2) its rolling angle phi
+    has, with q (2 - q) = 1 - rho_min^2,
+
+        s = sin(phi/2) = sqrt(d (2 - d) / (q (2 - q))),
+        c = cos(phi/2) = sqrt((q - d) (2 - q - d) / (q (2 - q))),
+        theta = atan2(2b s c, (1 - 2b) + 2b c^2) - b phi,
+        tau   = phi sqrt(b (1 - b)),     arc = 4b (1 - b) s^2 / (1 + c).
+
+    Taken from the depth, s, c, tau and arc keep full relative
+    precision at any separation and next to the turnaround.  theta's
+    two terms cancel near the surface, which costs a few ulps of the
+    separation; its denominator (1 - 2b s^2 as a sum of non-negative
+    terms) stays accurate near the diameter, where b = 1/2 gives
+    theta = 0.  The expression has no branch, so beta may be a float
+    (with the `math` functions, the default) or an array (pass numpy's
+    sin, sqrt and arctan2).  Valid for beta in [0, acos(rho_min));
+    `tunnel_turnaround` gives the turnaround exactly.
+    """
+    q = family.separation_angle / math.pi
+    half = sin(0.5 * beta)
+    depth = 2.0 * half * half
+    width = q * (2.0 - q)
+    s = sqrt(depth * (2.0 - depth) / width)
+    c = sqrt((q - depth) * ((2.0 - q) - depth) / width)
+    half_phi = atan2(s, c)
+    return (depth,
+            atan2(q * s * c, (1.0 - q) + q * c * c) - q * half_phi,
+            half_phi * sqrt(width),
+            width * s * s / (1.0 + c))
+
+
+def tunnel_turnaround(family: BrachFamily):
+    """`tunnel_point`'s values at the turnaround, exactly: depth q,
+    angle -separation/2, half the transit time and half the arc length."""
+    return (family.separation_angle / math.pi, -0.5 * family.separation_angle,
+            0.5 * total_transit_time(family).tau, 0.5 * arc_length(family))
+
+
+def tunnel_step(family: BrachFamily, n: int) -> float:
+    """Angle step acos(rho_min) / (n - 1) of n samples per tunnel half.
+
+    Sample i lies at beta = i * step, numpy's ``linspace`` from 0 to the
+    turnaround bit for bit.  acos(rho_min) is taken as 2 asin(sqrt(q/2)),
+    which keeps its relative precision at tiny separations.  Raises
+    DomainError for n < 2.
+    """
+    if not isinstance(family, BrachFamily):
+        raise DomainError("a tunnel sample needs a BrachFamily")
+    n = int(n)
+    if n < 2:
+        raise DomainError(f"a tunnel half needs n >= 2 samples; got {n}")
+    q = family.separation_angle / math.pi
+    return 2.0 * math.asin(math.sqrt(0.5 * q)) / (n - 1)
+
+
+def tunnel_half(family: BrachFamily, n: int):
+    """`tunnel_point` at the n samples of one half, surface to turnaround.
+
+    The second half is the mirror image about theta = -separation/2.
+    """
+    step = tunnel_step(family, n)
+    points = [tunnel_point(family, i * step) for i in range(n - 1)]
+    points.append(tunnel_turnaround(family))
+    return points
+
+
 @dataclass(frozen=True)
 class TransitResult:
     """A transit time with its error estimate and evaluation count."""
@@ -171,6 +247,23 @@ def chord_from_separation(delta_theta: float) -> ChordSpec:
     return ChordSpec(separation_angle=delta_theta,
                      half_chord=math.sin(delta_theta / 2.0),
                      midpoint_radius=math.cos(delta_theta / 2.0))
+
+
+def chord_point(spec: ChordSpec, t, hypot=math.hypot, atan2=math.atan2):
+    """Radius, angle and depth at fraction t of the way along a chord.
+
+    The chord runs from (1, 0) to (1, -separation_angle).  The depth
+    1 - rho is taken from rho^2 = 1 - 4 t (1 - t) sin^2(separation/2),
+    so it stays exact where rho cannot resolve it.  Like `tunnel_point`
+    this runs on a float t with the `math` defaults or on an array with
+    numpy's hypot and arctan2.
+    """
+    end = -spec.separation_angle
+    x = (1.0 - t) + t * math.cos(end)
+    y = t * math.sin(end)
+    rho = hypot(x, y)
+    return (rho, atan2(y, x),
+            t * (1.0 - t) * (4.0 * math.sin(end / 2.0) ** 2) / (1.0 + rho))
 
 
 def chord_transit_time(spec: ChordSpec) -> float:

@@ -61,12 +61,12 @@ class DiscretePath:
     back; arbitrary point lists (e.g. perturbed paths) need not.
 
     ``depth`` optionally holds 1 - rho per sample, computed without
-    cancellation by a constructor that knows the geometry (`chord_path`),
-    since rho cannot resolve a depth much below 1e-16.  It must agree
-    with 1 - rho to within DOMAIN_EPS.  It is None for paths given by
-    radii alone, whose depth is then taken as 1 - rho.  The timing
-    kernel puts a sample on the zero-speed surface exactly when its
-    depth is 0.
+    cancellation by a constructor that knows the geometry (`sample_path`,
+    `chord_path`), since rho cannot resolve a depth much below 1e-16.
+    It must agree with 1 - rho to within DOMAIN_EPS.  It is None for
+    paths given by radii alone, whose depth is then taken as 1 - rho.
+    The timing kernel puts a sample on the zero-speed surface exactly
+    when its depth is 0.
     """
 
     rho: np.ndarray

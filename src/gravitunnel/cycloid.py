@@ -17,10 +17,7 @@ phi * sqrt(a / g).
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .brachistochrone import sample_path
-from .closed import BrachFamily, total_transit_time
+from .closed import BrachFamily, total_transit_time, tunnel_half
 from .errors import DomainError
 
 # samples per half of the spherical tunnel in compare_small_arc
@@ -63,11 +60,11 @@ def cycloid_time(sol: CycloidSolution, field_strength: float = 1.0) -> float:
     return sol.end_angle * math.sqrt(sol.rolling_radius / g)
 
 
-def cycloid_xy(sol: CycloidSolution, phi):
-    """Cycloid coordinates at rolling angle(s) phi; depth positive downward."""
-    phi = np.asarray(phi, dtype=float)
+def cycloid_xy(sol: CycloidSolution, phi: float):
+    """Cycloid coordinates at rolling angle phi; depth positive downward."""
+    phi = float(phi)
     a = sol.rolling_radius
-    return a * (phi - np.sin(phi)), a * (1.0 - np.cos(phi))
+    return a * (phi - math.sin(phi)), a * (1.0 - math.cos(phi))
 
 
 @dataclass(frozen=True)
@@ -92,6 +89,10 @@ def compare_small_arc(delta_theta: float) -> SmallArcComparison:
     linearly as the separation shrinks.  The cycloid is sampled eight
     times as densely as the tunnel.
 
+    The tunnel's stations come from the hypocycloid in closed form
+    (`closed.tunnel_half`, 2001 per half), with their depth free of
+    cancellation, and the cycloid is interpolated linearly onto them.
+
     Separations above 0.2 rad are outside the small-arc regime; use the
     family and timing tools directly to compare large tunnels.
     """
@@ -100,15 +101,17 @@ def compare_small_arc(delta_theta: float) -> SmallArcComparison:
         raise DomainError("compare_small_arc covers separations in (0, 0.2] "
                           f"rad; got {delta_theta!r}")
     family = BrachFamily.from_separation(delta_theta)
-    path = sample_path(family, _SAMPLES_PER_HALF)
-    x_sphere = -path.theta
-    y_sphere = 1.0 - path.rho
+    # (x, y) = (-theta, depth) along the tunnel, the second half mirrored
+    half = [(-theta, depth) for depth, theta, _, _ in
+            tunnel_half(family, _SAMPLES_PER_HALF)]
+    stations = half + [(delta_theta - x, y) for x, y in reversed(half[:-1])]
 
     flat = cycloid_between(delta_theta)
-    phis = np.linspace(0.0, flat.end_angle, 8 * _SAMPLES_PER_HALF)
-    x_cyc, y_cyc = cycloid_xy(flat, phis)
-    y_on_stations = np.interp(x_sphere, x_cyc, y_cyc)
-    deviation = float(np.max(np.abs(y_sphere - y_on_stations))) / delta_theta
+    count = 8 * _SAMPLES_PER_HALF
+    step = flat.end_angle / (count - 1)
+    curve = [cycloid_xy(flat, i * step) for i in range(count)]
+    deviation = max(abs(y - y_on) for (_, y), y_on in
+                    zip(stations, _interpolate(curve, stations))) / delta_theta
 
     t_sphere = total_transit_time(family).tau
     t_cyc = cycloid_time(flat, 1.0)
@@ -117,3 +120,16 @@ def compare_small_arc(delta_theta: float) -> SmallArcComparison:
                               sphere_time=t_sphere,
                               cycloid_time=t_cyc,
                               relative_time_difference=abs(t_sphere - t_cyc) / t_cyc)
+
+
+def _interpolate(curve, stations):
+    """curve's y, linear in x, at each station's x (as numpy's interp).
+
+    Both lists are sorted by x, so one forward walk serves every station.
+    """
+    j, last = 0, len(curve) - 1
+    for x, _ in stations:
+        while j < last and curve[j + 1][0] <= x:
+            j += 1
+        (x0, y0), (x1, y1) = curve[j], curve[min(j + 1, last)]
+        yield y0 if x1 == x0 else y0 + (y1 - y0) / (x1 - x0) * (x - x0)

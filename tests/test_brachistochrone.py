@@ -10,11 +10,12 @@ from scipy.optimize import brentq
 
 from conftest import bisect_root, fd4, quad_half_length, quad_slope_sweep
 from gravitunnel import (BrachFamily, DomainError, arc_length,
-                         family_from_separation, rho_at_theta, rho_min,
-                         sample_path, separation_angle, theta_of_rho,
-                         theta_prime, total_transit_time)
+                         family_from_separation, path_transit_time,
+                         rho_at_theta, rho_min, sample_path, separation_angle,
+                         theta_of_rho, theta_prime, total_transit_time)
 from gravitunnel import brachistochrone
 from gravitunnel.brachistochrone import _bisect_bits, _theta_closed_form
+from gravitunnel.closed import tunnel_step
 
 K_GRID = (0.1, 0.5, 1.0, 2.0, 10.0)
 
@@ -194,13 +195,23 @@ class TestSamplePath:
         assert path.theta[0] == 0.0
         assert path.theta[-1] == pytest.approx(-math.pi, rel=1e-15)
 
-    @pytest.mark.parametrize("k", (0.3, 1.0, 5.0))
-    def test_midpoint_is_turnaround(self, k):
-        fam = BrachFamily.from_momentum(k)
+    # The 1e-4 family's rho_min lies an ulp above the rho_min(k) that
+    # theta_of_rho recomputes, where theta's vertical slope would move the
+    # axis by 1.2e-10; the sample's axis comes from the separation alone.
+    @pytest.mark.parametrize("fam", [
+        *(pytest.param(BrachFamily.from_momentum(k), id=str(k))
+          for k in (0.3, 1.0, 5.0)),
+        pytest.param(family_from_separation(1e-4), id="sep1e-4")])
+    def test_midpoint_is_turnaround(self, fam):
         path = sample_path(fam, 50)
         assert len(path) == 99
         assert path.min_index == 49
         assert path.rho[49] == fam.rho_min
+        assert path.theta[49] == -fam.separation_angle / 2
+        assert path.depth[49] == fam.separation_angle / math.pi
+        reference = total_transit_time(fam).tau
+        tau = path_transit_time(sample_path(fam, 10_000)).tau
+        assert 0.0 <= tau - reference <= 1e-6 * reference
 
     def test_mirror_congruence(self):
         path = sample_path(BrachFamily.from_momentum(1.0), 100)
@@ -221,6 +232,49 @@ class TestSamplePath:
     def test_needs_two_samples(self):
         with pytest.raises(DomainError):
             sample_path(BrachFamily.from_momentum(1.0), 1)
+
+
+class TestHypocycloid:
+    """sample_path's angles against 50 digits and against theta_of_rho."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(math.log(1e-12), math.log(math.pi)),
+           st.integers(2, 2000))
+    @example(math.log(math.pi), 2000)
+    @example(math.log(3.1), 2000)
+    @example(math.log(1e-12), 2000)
+    def test_theta_against_references(self, log_sep, n):
+        sep = min(math.exp(log_sep), math.pi)
+        fam = family_from_separation(sep)
+        path = sample_path(fam, n)
+        assert path.theta[n - 1] == -sep / 2
+        assert path.depth[n - 1] == sep / math.pi
+        step = tunnel_step(fam, n)
+        # the hypocycloid at the samples' own angles beta = i * step:
+        # s = sin(phi/2) = sin(beta) / sqrt(1 - rho_min^2)
+        picks = sorted({*range(0, n - 1, max(1, n // 16)),
+                        *range(max(0, n - 4), n - 1)})
+        with mpmath.workdps(50):
+            q = mpmath.mpf(sep) / mpmath.pi
+            for i in picks:
+                s = mpmath.sin(mpmath.mpf(i * step)) / mpmath.sqrt(q * (2 - q))
+                c = mpmath.sqrt(1 - s * s)
+                exact = (mpmath.atan2(q * s * c, 1 - q * s * s)
+                         - q * mpmath.atan2(s, c))
+                assert abs(path.theta[i] - exact) <= 1e-13 * sep
+        if 1e-3 <= sep <= 3.1:
+            betas = np.arange(n - 1) * step
+            paper = theta_of_rho(np.cos(betas), fam.k)
+            assert np.max(np.abs(path.theta[:n - 1] - paper)) <= 1e-12
+
+    def test_diameter(self):
+        # b = 1/2: the straight diameter, theta 0 down to the center
+        fam = BrachFamily.from_momentum(0.0)
+        path = sample_path(fam, 1000)
+        assert np.max(np.abs(path.theta[:999])) <= 1e-15
+        assert path.theta[999] == -math.pi / 2
+        assert path_transit_time(path).tau == pytest.approx(math.pi,
+                                                            rel=1e-14)
 
 
 class TestArcLength:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,9 +9,13 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gravitunnel
-from gravitunnel import DiscretePath, QuadratureError, checks, path_transit_time
+from gravitunnel import (DiscretePath, QuadratureError, arc_length, checks,
+                         family_from_separation, path_transit_time,
+                         total_transit_time)
 from gravitunnel.cli import _grid, _log10, main
 
 
@@ -112,6 +118,8 @@ class TestPathCommand:
         assert np.max(np.abs(rho - rho[::-1])) < 1e-12
 
     def test_round_trip_time(self, capsys):
+        # tau is the time along the tunnel itself; the polyline through
+        # the printed points times to it within its own error estimate
         code, out, _ = run_cli(capsys, "path", "--sep", "2.0",
                                "--samples", "301")
         assert code == 0
@@ -119,12 +127,29 @@ class TestPathCommand:
         itheta, irho = header.index("theta"), header.index("rho")
         path = DiscretePath.from_arrays([float(r[irho]) for r in rows],
                                         [float(r[itheta]) for r in rows])
-        emitted_tau = float(rows[-1][header.index("tau")])
-        assert path_transit_time(path).tau == pytest.approx(emitted_tau,
-                                                            abs=1e-6)
+        emitted_tau = rows[-1][header.index("tau")]
+        closed_tau = total_transit_time(family_from_separation(2.0)).tau
+        assert emitted_tau == format(closed_tau, ".12g")
+        result = path_transit_time(path)
+        assert abs(result.tau - float(emitted_tau)) <= 10 * result.error_estimate
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(math.log(1e-12), math.log(math.pi)))
+    def test_tunnel_ends_on_closed_forms(self, log_sep):
+        sep = min(math.exp(log_sep), math.pi)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["path", "--sep", repr(sep), "--samples", "50",
+                         "--format", "structured"])
+        assert code == 0
+        tunnel = json.loads(out.getvalue())["curves"]["tunnel"]
+        fam = family_from_separation(sep)
+        assert tunnel["tau"][-1] == total_transit_time(fam).tau
+        assert tunnel["arc"][-1] == arc_length(fam)
 
     @pytest.mark.parametrize("sep, samples", [("1e-6", "201"),
-                                              ("0.003", "100000")])
+                                              ("0.003", "100000"),
+                                              ("1e-12", "201")])
     def test_tiny_separation_with_chord(self, capsys, sep, samples):
         code, out, _ = run_cli(capsys, "path", "--sep", sep, "--samples",
                                samples, "--include-chord", "--format",
@@ -270,7 +295,7 @@ def run_fresh(script):
 def test_table_commands_never_import_scipy():
     # A fresh interpreter, so modules imported by other tests do not count.
     # The verification registry (gravitunnel.checks) must stay unloaded
-    # too, and the closed-form commands `time` and `sweep` load no numpy.
+    # too, and every command but `verify` loads no numpy.
     report = run_fresh("""
         import contextlib, io, json, sys
         import gravitunnel
@@ -291,20 +316,24 @@ def test_table_commands_never_import_scipy():
                      ["sweep", "--sep-range", "1e-6:3", "--count", "5",
                       "--body", "earth"],
                      ["sweep", "--sep-range", "0.1:90deg", "--count", "3",
-                      "--spacing", "linear", "--format", "structured"]):
+                      "--spacing", "linear", "--format", "structured"],
+                     ["path", "--sep", "2.0", "--samples", "41",
+                      "--include-chord"],
+                     ["path", "--sep", "1e-9", "--samples", "2",
+                      "--include-chord", "--body", "earth",
+                      "--format", "structured"],
+                     ["path", "--sep", "180deg", "--body", "earth"],
+                     ["compare-cycloid", "--sep", "0.1"],
+                     ["compare-cycloid", "--sep", "1e-6",
+                      "--format", "structured"]):
             with contextlib.redirect_stdout(io.StringIO()):
                 codes.append(main(argv))
         after_closed = loaded("numpy")
-        for argv in (["path", "--sep", "2.0", "--samples", "41",
-                      "--include-chord"],
-                     ["compare-cycloid", "--sep", "0.1"]):
-            with contextlib.redirect_stdout(io.StringIO()):
-                codes.append(main(argv))
         print(json.dumps({"codes": codes, "after_import": after_import,
                           "after_closed": after_closed,
                           "scipy": loaded("scipy", "gravitunnel.checks")}))
     """)
-    assert report["codes"] == [0] * 8
+    assert report["codes"] == [0] * 11
     assert report["after_import"] == []
     assert report["after_closed"] == []
     assert report["scipy"] == []

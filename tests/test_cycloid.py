@@ -53,10 +53,10 @@ class TestCycloidTime:
 
     def test_xy_endpoints(self):
         sol = cycloid_between(1.0)
-        x, y = cycloid_xy(sol, np.array([0.0, sol.end_angle]))
-        assert x[0] == 0.0 and y[0] == 0.0
-        assert x[1] == pytest.approx(1.0, rel=1e-12)
-        assert y[1] == pytest.approx(0.0, abs=1e-12)
+        assert cycloid_xy(sol, 0.0) == (0.0, 0.0)
+        x, y = cycloid_xy(sol, sol.end_angle)
+        assert x == pytest.approx(1.0, rel=1e-12)
+        assert y == pytest.approx(0.0, abs=1e-12)
 
 
 class TestSmallArc:
