@@ -29,7 +29,7 @@ _LAZY = {
     "brachistochrone": ("rho_at_theta", "sample_path", "theta_of_rho",
                         "theta_prime"),
     "chord": ("chord_path", "chord_position"),
-    "core": ("DOMAIN_EPS", "DiscretePath", "PolarPoint", "dimensional_time",
+    "core": ("DOMAIN_EPS", "DiscretePath", "dimensional_time",
              "latitude_to_polar", "potential_per_mass", "radial_acceleration",
              "speed_at_radius"),
     "cycloid": ("CycloidSolution", "SmallArcComparison", "compare_small_arc",

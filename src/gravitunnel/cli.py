@@ -8,12 +8,12 @@ block describing the columns.  Exit codes: 0 success, 1 usage error,
 Every command but `verify` runs on `closed` alone: `time` and `sweep`
 print its closed forms, and `path` and `compare-cycloid` evaluate its
 hypocycloid and chord points in plain `math`.  So none of them loads
-numpy; `verify` (the oracles) and the ``--lat`` endpoint option import
-the numpy modules inside.
+numpy or `dataclasses` (the records are named tuples), and only
+structured output imports `json`; `verify` (the oracles) and the
+``--lat`` endpoint option import the numpy modules inside.
 """
 
 import argparse
-import json
 import math
 import sys
 
@@ -99,14 +99,16 @@ def _open_out(spec):
 
 
 def _emit_csv(stream, header_lines, columns, rows):
-    for line in header_lines:
-        stream.write(f"# {line}\n")
-    stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join(row) + "\n")
+    """Write the header block, the column names and rows, each row one
+    line of already formatted, comma-separated cells."""
+    lines = [f"# {line}" for line in header_lines]
+    lines.append(",".join(columns))
+    lines.extend(rows)
+    stream.write("\n".join(lines) + "\n")
 
 
 def _emit_structured(stream, payload):
+    import json     # csv output never needs it
     stream.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -160,15 +162,17 @@ def _chord_samples(delta, m):
 
 
 def _curve_rows(name, samples, scaling):
-    rows = []
-    for theta, rho, arc, tau in samples:
-        row = [name, _fmt(theta), _fmt(rho), _fmt(rho * math.cos(theta)),
-               _fmt(rho * math.sin(theta)), _fmt(arc), _fmt(tau)]
-        if scaling is not None:
-            row += [_fmt(arc * scaling.length_unit_m),
-                    _fmt(tau * scaling.time_unit_s)]
-        rows.append(row)
-    return rows
+    """One csv line per sample: each cell as `_fmt` formats it."""
+    cos, sin = math.cos, math.sin
+    if scaling is None:
+        return [f"{name},{theta:.12g},{rho:.12g},{rho * cos(theta):.12g},"
+                f"{rho * sin(theta):.12g},{arc:.12g},{tau:.12g}"
+                for theta, rho, arc, tau in samples]
+    length, time = scaling.length_unit_m, scaling.time_unit_s
+    return [f"{name},{theta:.12g},{rho:.12g},{rho * cos(theta):.12g},"
+            f"{rho * sin(theta):.12g},{arc:.12g},{tau:.12g},"
+            f"{arc * length:.12g},{tau * time:.12g}"
+            for theta, rho, arc, tau in samples]
 
 
 def cmd_path(args):
@@ -246,7 +250,7 @@ def cmd_time(args):
             _emit_csv(out, ["gravitunnel time summary",
                             *_body_header(body, scaling)],
                       ["key", "value"],
-                      [[k, _fmt(v)] for k, v in items])
+                      [f"{k},{_fmt(v)}" for k, v in items])
     finally:
         if close:
             out.close()
@@ -345,7 +349,8 @@ def cmd_sweep(args):
             _emit_structured(out, payload)
         else:
             _emit_csv(out, ["gravitunnel family sweep",
-                            *_body_header(body, scaling)], columns, rows)
+                            *_body_header(body, scaling)], columns,
+                      [",".join(row) for row in rows])
     finally:
         if close:
             out.close()
@@ -374,7 +379,7 @@ def cmd_compare_cycloid(args):
             _emit_structured(out, payload)
         else:
             _emit_csv(out, ["gravitunnel small-arc comparison"],
-                      ["key", "value"], [[k, _fmt(v)] for k, v in items])
+                      ["key", "value"], [f"{k},{_fmt(v)}" for k, v in items])
     finally:
         if close:
             out.close()
@@ -394,8 +399,9 @@ def cmd_verify(args):
             _emit_structured(out, {"kind": "verify", "tol_scale": scale,
                                    "all_passed": all_passed, "checks": results})
         else:
-            rows = [[r["name"], "pass" if r["passed"] else "FAIL",
-                     _fmt(r["measure"]), _fmt(r["threshold"]), r["detail"]]
+            rows = [",".join([r["name"], "pass" if r["passed"] else "FAIL",
+                              _fmt(r["measure"]), _fmt(r["threshold"]),
+                              r["detail"]])
                     for r in results]
             _emit_csv(out, [f"gravitunnel verification (tol scale {_fmt(scale)})"],
                       ["check", "status", "measure", "threshold", "detail"], rows)

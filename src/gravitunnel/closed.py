@@ -12,13 +12,17 @@ length to reach it, is a closed form too (`tunnel_point`), and so is
 each point of a chord (`chord_point`).  This module holds them, with
 the records they fill and the physical units, in plain `math`, so
 ``import gravitunnel`` and every command but `verify` load no numpy.
-The same point formulas run on numpy arrays for `sample_path` and
-`chord_path`.  The numerical routes that check the same numbers live
-in `timing`, `oracle` and `checks`.
+The records are immutable named tuples that check their fields on
+construction, not dataclasses: `collections` is loaded by `argparse`
+anyway, while `dataclasses` pulls in `inspect` and would cost a fresh
+CLI process more than the rest of the package.  The same point
+formulas run on numpy arrays for `sample_path` and `chord_path`.  The
+numerical routes that check the same numbers live in `timing`,
+`oracle` and `checks`.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 
@@ -47,8 +51,7 @@ def separation_angle(k: float) -> float:
     return math.pi / (h * (h + k))
 
 
-@dataclass(frozen=True)
-class BrachFamily:
+class BrachFamily(namedtuple("BrachFamily", "k rho_min separation_angle")):
     """One member of the minimum-time tunnel family.
 
     k is the conserved momentum, rho_min the turnaround radius and
@@ -56,22 +59,21 @@ class BrachFamily:
     rho_min = k/sqrt(k^2+1) and separation_angle = pi (1 - rho_min).
     """
 
-    k: float
-    rho_min: float
-    separation_angle: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.k) and self.k >= 0.0):
-            raise DomainError(f"k must be >= 0; got {self.k!r}")
-        if not (0.0 <= self.rho_min < 1.0):
-            raise DomainError(f"rho_min must lie in [0, 1); got {self.rho_min!r}")
-        if not (0.0 < self.separation_angle <= math.pi):
+    def __new__(cls, k, rho_min, separation_angle):
+        if not (math.isfinite(k) and k >= 0.0):
+            raise DomainError(f"k must be >= 0; got {k!r}")
+        if not (0.0 <= rho_min < 1.0):
+            raise DomainError(f"rho_min must lie in [0, 1); got {rho_min!r}")
+        if not (0.0 < separation_angle <= math.pi):
             raise DomainError("separation_angle must lie in (0, pi]; got "
-                              f"{self.separation_angle!r}")
-        if (abs(self.rho_min - self.k / math.hypot(self.k, 1.0)) > 1e-9
-                or abs(self.separation_angle - math.pi * (1.0 - self.rho_min)) > 1e-9):
+                              f"{separation_angle!r}")
+        if (abs(rho_min - k / math.hypot(k, 1.0)) > 1e-9
+                or abs(separation_angle - math.pi * (1.0 - rho_min)) > 1e-9):
             raise DomainError("inconsistent family fields; build with "
                               "from_momentum or from_separation")
+        return super().__new__(cls, k, rho_min, separation_angle)
 
     @classmethod
     def from_momentum(cls, k: float) -> "BrachFamily":
@@ -193,13 +195,11 @@ def tunnel_half(family: BrachFamily, n: int):
     return points
 
 
-@dataclass(frozen=True)
-class TransitResult:
+class TransitResult(namedtuple("TransitResult",
+                               "tau error_estimate evaluations")):
     """A transit time with its error estimate and evaluation count."""
 
-    tau: float
-    error_estimate: float
-    evaluations: int
+    __slots__ = ()
 
 
 def total_transit_time(family: BrachFamily) -> TransitResult:
@@ -218,8 +218,8 @@ def total_transit_time(family: BrachFamily) -> TransitResult:
                          error_estimate=0.0, evaluations=0)
 
 
-@dataclass(frozen=True)
-class ChordSpec:
+class ChordSpec(namedtuple("ChordSpec",
+                           "separation_angle half_chord midpoint_radius")):
     """Geometry of one straight surface-to-surface chord.
 
     half_chord = sin(separation_angle/2) is half the chord's length and
@@ -228,14 +228,14 @@ class ChordSpec:
     sum to one.
     """
 
-    separation_angle: float
-    half_chord: float
-    midpoint_radius: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 < self.separation_angle <= math.pi):
+    def __new__(cls, separation_angle, half_chord, midpoint_radius):
+        if not (0.0 < separation_angle <= math.pi):
             raise DomainError("separation_angle must lie in (0, pi]; got "
-                              f"{self.separation_angle!r}")
+                              f"{separation_angle!r}")
+        return super().__new__(cls, separation_angle, half_chord,
+                               midpoint_radius)
 
 
 def chord_from_separation(delta_theta: float) -> ChordSpec:
@@ -277,32 +277,29 @@ def chord_transit_time(spec: ChordSpec) -> float:
     return math.pi
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
+class PhysicalParams(namedtuple("PhysicalParams", "radius_m gravity_m_s2")):
     """Sphere radius (m) and surface gravity (m/s^2) of a physical body."""
 
-    radius_m: float
-    gravity_m_s2: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, value in (("radius_m", self.radius_m),
-                            ("gravity_m_s2", self.gravity_m_s2)):
+    def __new__(cls, radius_m, gravity_m_s2):
+        for name, value in (("radius_m", radius_m),
+                            ("gravity_m_s2", gravity_m_s2)):
             if not (math.isfinite(value) and value > 0.0):
                 raise DomainError(f"{name} must be a positive finite number; "
                                   f"got {value!r}")
+        return super().__new__(cls, radius_m, gravity_m_s2)
 
 
 # Mean radius and standard gravity; `gravitunnel --body earth` uses these.
 EARTH = PhysicalParams(radius_m=6.371e6, gravity_m_s2=9.80665)
 
 
-@dataclass(frozen=True)
-class Scaling:
+class Scaling(namedtuple("Scaling",
+                         "time_unit_s speed_unit_m_s length_unit_m")):
     """Conversion factors between dimensionless and physical quantities."""
 
-    time_unit_s: float
-    speed_unit_m_s: float
-    length_unit_m: float
+    __slots__ = ()
 
 
 def make_scaling(params: PhysicalParams) -> Scaling:

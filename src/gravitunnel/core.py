@@ -40,25 +40,15 @@ def _unit_interval(value, name):
 
 
 @dataclass(frozen=True)
-class PolarPoint:
-    """A point of the tunnel plane: dimensionless radius and polar angle."""
-
-    rho: float
-    theta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho", _unit_interval(self.rho, "rho"))
-        object.__setattr__(self, "theta", float(self.theta))
-
-
-@dataclass(frozen=True)
 class DiscretePath:
     """Ordered polar samples of a tunnel, normally surface to surface.
 
     ``rho`` and ``theta`` are equal-length float arrays (read-only) and
-    ``min_index`` marks the deepest sample.  Paths produced by the library
-    constructors dip monotonically to a single interior minimum and rise
-    back; arbitrary point lists (e.g. perturbed paths) need not.
+    ``min_index`` marks the deepest sample, by its depth where the path
+    carries one (rho cannot tell the samples of a very shallow path
+    apart).  Paths produced by the library constructors dip
+    monotonically to a single interior minimum and rise back; arbitrary
+    point lists (e.g. perturbed paths) need not.
 
     ``depth`` optionally holds 1 - rho per sample, computed without
     cancellation by a constructor that knows the geometry (`sample_path`,
@@ -100,17 +90,10 @@ class DiscretePath:
                                   f"contradicts rho[{i}] = {float(rho[i])!r}:"
                                   " depth must be 1 - rho")
             depth.setflags(write=False)
-        return cls(rho=rho, theta=theta, min_index=int(np.argmin(rho)),
-                   depth=depth)
-
-    @classmethod
-    def from_points(cls, points):
-        pts = list(points)
-        return cls.from_arrays([p.rho for p in pts], [p.theta for p in pts])
-
-    @property
-    def points(self):
-        return [PolarPoint(r, t) for r, t in zip(self.rho, self.theta)]
+            deepest = int(np.argmax(depth))
+        else:
+            deepest = int(np.argmin(rho))
+        return cls(rho=rho, theta=theta, min_index=deepest, depth=depth)
 
     def __len__(self):
         return self.rho.size

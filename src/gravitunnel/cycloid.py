@@ -15,7 +15,7 @@ phi * sqrt(a / g).
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .closed import BrachFamily, total_transit_time, tunnel_half
 from .errors import DomainError
@@ -24,19 +24,18 @@ from .errors import DomainError
 _SAMPLES_PER_HALF = 2001
 
 
-@dataclass(frozen=True)
-class CycloidSolution:
+class CycloidSolution(namedtuple("CycloidSolution",
+                                 "rolling_radius end_angle horizontal_span")):
     """A cycloid arc through two prescribed points."""
 
-    rolling_radius: float
-    end_angle: float
-    horizontal_span: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.rolling_radius > 0.0):
+    def __new__(cls, rolling_radius, end_angle, horizontal_span):
+        if not (rolling_radius > 0.0):
             raise DomainError("rolling_radius must be positive")
-        if not (0.0 < self.end_angle <= 2.0 * math.pi):
+        if not (0.0 < end_angle <= 2.0 * math.pi):
             raise DomainError("end_angle must lie in (0, 2*pi]")
+        return super().__new__(cls, rolling_radius, end_angle, horizontal_span)
 
 
 def cycloid_between(horizontal_span: float) -> CycloidSolution:
@@ -67,15 +66,15 @@ def cycloid_xy(sol: CycloidSolution, phi: float):
     return a * (phi - math.sin(phi)), a * (1.0 - math.cos(phi))
 
 
-@dataclass(frozen=True)
-class SmallArcComparison:
-    """Spherical tunnel vs uniform-field cycloid over the same endpoints."""
+class SmallArcComparison(namedtuple(
+        "SmallArcComparison", "delta_theta max_geometry_deviation sphere_time "
+        "cycloid_time relative_time_difference")):
+    """Spherical tunnel vs uniform-field cycloid over the same endpoints.
 
-    delta_theta: float
-    max_geometry_deviation: float     # max depth mismatch per unit span
-    sphere_time: float
-    cycloid_time: float
-    relative_time_difference: float
+    max_geometry_deviation is the largest depth mismatch per unit span.
+    """
+
+    __slots__ = ()
 
 
 def compare_small_arc(delta_theta: float) -> SmallArcComparison:
@@ -109,7 +108,10 @@ def compare_small_arc(delta_theta: float) -> SmallArcComparison:
     flat = cycloid_between(delta_theta)
     count = 8 * _SAMPLES_PER_HALF
     step = flat.end_angle / (count - 1)
-    curve = [cycloid_xy(flat, i * step) for i in range(count)]
+    # cycloid_xy's points at i * step, bit for bit, without a call per point
+    a, sin, cos = flat.rolling_radius, math.sin, math.cos
+    curve = [(a * (p - sin(p)), a * (1.0 - cos(p)))
+             for i in range(count) for p in [i * step]]
     deviation = max(abs(y - y_on) for (_, y), y_on in
                     zip(stations, _interpolate(curve, stations))) / delta_theta
 

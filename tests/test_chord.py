@@ -93,6 +93,13 @@ def test_chord_path_depth():
     assert mid == pytest.approx(2.0 * math.sin(2.5e-7) ** 2, rel=1e-15)
 
 
+# rho cannot order these samples (at 1e-12 every one rounds to 1.0); the
+# depth marks the midpoint as the deepest
+@pytest.mark.parametrize("delta", [1e-12, 1e-6, 0.1, math.pi])
+def test_chord_path_min_index_is_midpoint(delta):
+    assert chord_path(chord_from_separation(delta), 201).min_index == 100
+
+
 # 1e-9 to 1e-4 are too shallow for rho alone; the path's depth times them
 @pytest.mark.parametrize("delta", [1e-9, 1e-6, 1e-4, 0.1, math.pi / 4,
                                    math.pi / 2, math.pi])

@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gravitunnel
-from gravitunnel import (DiscretePath, QuadratureError, arc_length, checks,
-                         family_from_separation, path_transit_time,
-                         total_transit_time)
-from gravitunnel.cli import _grid, _log10, main
+from gravitunnel import (DiscretePath, PhysicalParams, QuadratureError,
+                         arc_length, checks, family_from_separation,
+                         make_scaling, path_transit_time, total_transit_time)
+from gravitunnel.cli import _curve_rows, _fmt, _grid, _log10, main
+from gravitunnel.closed import EARTH
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +162,25 @@ class TestPathCommand:
         assert curves["tunnel"]["tau"][-1] == pytest.approx(closed_tau, rel=1e-4)
         assert curves["chord"]["tau"][-1] == pytest.approx(math.pi, rel=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(allow_nan=False,
+                                          allow_infinity=False)] * 4),
+                    max_size=8),
+           st.one_of(st.none(), st.just(EARTH),
+                     st.builds(PhysicalParams,
+                               st.floats(1e-3, 1e12), st.floats(1e-3, 1e3))))
+    def test_curve_rows_format_each_cell_as_fmt(self, samples, params):
+        scaling = None if params is None else make_scaling(params)
+        expected = []
+        for theta, rho, arc, tau in samples:
+            cells = ["tunnel", theta, rho, rho * math.cos(theta),
+                     rho * math.sin(theta), arc, tau]
+            if scaling is not None:
+                cells += [arc * scaling.length_unit_m,
+                          tau * scaling.time_unit_s]
+            expected.append(",".join([cells[0], *map(_fmt, cells[1:])]))
+        assert _curve_rows("tunnel", samples, scaling) == expected
+
     def test_include_chord_and_earth_columns(self, capsys):
         code, out, _ = run_cli(capsys, "path", "--sep", "90deg", "--body",
                                "earth", "--samples", "11", "--include-chord")
@@ -280,16 +300,57 @@ class TestCompareCycloid:
         assert "0.2" in err
 
 
-def run_fresh(script):
-    """Run a script in a fresh interpreter; its last stdout line is JSON."""
+def run_python(*argv):
+    """Run a fresh interpreter on argv with this package importable."""
     src_dir = os.path.dirname(os.path.dirname(gravitunnel.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src_dir, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def run_fresh(script):
+    """Run a script in a fresh interpreter; its last stdout line is JSON."""
+    proc = run_python("-c", textwrap.dedent(script))
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def imported_modules(*argv):
+    """Every module a fresh interpreter on argv imports, as `-X importtime`
+    reports it on stderr, so the probe itself imports nothing."""
+    stderr = run_python("-X", "importtime", *argv).stderr
+    return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
+            if line.startswith("import time:")} - {"imported package"}
+
+
+@pytest.fixture(scope="module")
+def startup_modules():
+    # what the interpreter and its site hooks load on this host anyway
+    return imported_modules("-c", "pass")
+
+
+@pytest.mark.parametrize("argv", [
+    ["time", "--sep", "1.0", "--body", "earth"],
+    ["time", "--sep", "1e-6", "--format", "structured"],
+    ["sweep", "--sep-range", "0.1:3", "--count", "5"],
+    ["sweep", "--k-range", "0:5", "--count", "4", "--spacing", "linear",
+     "--format", "structured"],
+    ["path", "--sep", "1.0", "--samples", "21", "--include-chord",
+     "--body", "earth"],
+    ["path", "--sep", "1.0", "--samples", "21", "--include-chord",
+     "--format", "structured"],
+    ["compare-cycloid", "--sep", "0.1"],
+    ["compare-cycloid", "--sep", "0.1", "--format", "structured"],
+], ids=lambda argv: f"{argv[0]}-{argv[-1] if '--format' in argv else 'csv'}")
+def test_cli_process_loads_no_heavy_module(argv, startup_modules):
+    loaded = imported_modules("-m", "gravitunnel.cli", *argv) - startup_modules
+    assert "gravitunnel.closed" in loaded       # the probe sees the package
+    assert not loaded & {"dataclasses", "inspect", "typing", "numpy"}
+    if "structured" not in argv:
+        assert "json" not in loaded
 
 
 def test_table_commands_never_import_scipy():

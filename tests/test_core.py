@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from gravitunnel import (DiscretePath, DomainError, PhysicalParams,
-                         PolarPoint, dimensional_time, latitude_to_polar,
-                         make_scaling, potential_per_mass,
-                         radial_acceleration, speed_at_radius)
+                         dimensional_time, latitude_to_polar, make_scaling,
+                         potential_per_mass, radial_acceleration,
+                         speed_at_radius)
 
 EARTH = PhysicalParams(radius_m=6.371e6, gravity_m_s2=9.80665)
 
@@ -113,13 +113,6 @@ def test_dimensional_time():
     assert dimensional_time(1.0, make_scaling(PhysicalParams(1, 1))) == 1.0
 
 
-def test_polar_point_validation():
-    p = PolarPoint(1.0 + 1e-13, 0.3)
-    assert p.rho == 1.0
-    with pytest.raises(DomainError):
-        PolarPoint(1.5, 0.0)
-
-
 class TestDiscretePath:
     def test_from_arrays_basics(self):
         path = DiscretePath.from_arrays([1.0, 0.5, 1.0], [0.0, -0.5, -1.0])
@@ -176,12 +169,6 @@ class TestDiscretePath:
         path = DiscretePath.from_arrays([1.0, 0.4, 0.6, 0.3, 1.0],
                                         [0.0, -0.2, -0.4, -0.6, -0.8])
         assert not path.is_monotone_dip()
-
-    def test_points_property_roundtrip(self):
-        path = DiscretePath.from_arrays([1.0, 0.5, 1.0], [0.0, -0.5, -1.0])
-        again = DiscretePath.from_points(path.points)
-        assert np.array_equal(again.rho, path.rho)
-        assert np.array_equal(again.theta, path.theta)
 
 
 def test_pure_functions_are_thread_safe():

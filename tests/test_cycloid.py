@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gravitunnel import (CycloidSolution, DomainError, compare_small_arc,
-                         cycloid_between, cycloid_time, cycloid_xy,
-                         family_from_separation)
+from gravitunnel import (CycloidSolution, DomainError, closed,
+                         compare_small_arc, cycloid, cycloid_between,
+                         cycloid_time, cycloid_xy, family_from_separation)
 
 
 class TestCycloidBetween:
@@ -85,6 +87,24 @@ class TestSmallArc:
         for series in (times, devs):
             slope = np.polyfit(np.log(deltas), np.log(series), 1)[0]
             assert slope >= 1.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(math.log10(1e-12), math.log10(0.2)))
+    @example(math.log10(0.2))
+    def test_geometry_deviation_bit_for_bit(self, log_delta):
+        # the reference takes each cycloid point from cycloid_xy
+        delta = min(10.0 ** log_delta, 0.2)
+        n = cycloid._SAMPLES_PER_HALF
+        half = [(-theta, depth) for depth, theta, _, _ in
+                closed.tunnel_half(family_from_separation(delta), n)]
+        stations = half + [(delta - x, y) for x, y in reversed(half[:-1])]
+        flat = cycloid_between(delta)
+        step = flat.end_angle / (8 * n - 1)
+        curve = [cycloid_xy(flat, i * step) for i in range(8 * n)]
+        on_curve = cycloid._interpolate(curve, stations)
+        expected = max(abs(y - y_on) for (_, y), y_on
+                       in zip(stations, on_curve)) / delta
+        assert compare_small_arc(delta).max_geometry_deviation == expected
 
     def test_depth_to_span_ratio_is_exactly_one_over_pi(self):
         for delta in np.linspace(0.01, math.pi, 40):

@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
 import gravitunnel
-from gravitunnel import brachistochrone, chord, closed, core, timing
+from gravitunnel import (DomainError, brachistochrone, chord, closed, core,
+                         cycloid, timing)
 
 MOVED = {
     brachistochrone: ("rho_min", "separation_angle", "BrachFamily",
@@ -40,3 +43,57 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         gravitunnel.no_such_name
     assert not hasattr(gravitunnel, "numpy")
+
+
+# each record with valid fields, and field sets its construction rejects
+RECORDS = {
+    closed.BrachFamily: dict(k=0.0, rho_min=0.0, separation_angle=math.pi),
+    closed.TransitResult: dict(tau=math.pi, error_estimate=0.0,
+                               evaluations=0),
+    closed.ChordSpec: dict(separation_angle=math.pi / 3, half_chord=0.5,
+                           midpoint_radius=math.sqrt(0.75)),
+    closed.PhysicalParams: dict(radius_m=6.371e6, gravity_m_s2=9.80665),
+    closed.Scaling: dict(time_unit_s=2.0, speed_unit_m_s=3.0,
+                         length_unit_m=6.0),
+    cycloid.CycloidSolution: dict(rolling_radius=0.5, end_angle=math.pi,
+                                  horizontal_span=1.0),
+    cycloid.SmallArcComparison: dict(delta_theta=0.1,
+                                     max_geometry_deviation=1e-3,
+                                     sphere_time=0.7, cycloid_time=0.71,
+                                     relative_time_difference=0.014),
+}
+BAD_FIELDS = [
+    (closed.BrachFamily, dict(k=-1.0), "k must be >= 0"),
+    (closed.BrachFamily, dict(rho_min=1.0), "rho_min must lie"),
+    (closed.BrachFamily, dict(separation_angle=4.0), "separation_angle must"),
+    (closed.BrachFamily, dict(k=1.0), "inconsistent family fields"),
+    (closed.ChordSpec, dict(separation_angle=0.0), "separation_angle must"),
+    (closed.PhysicalParams, dict(radius_m=0.0), "radius_m must"),
+    (closed.PhysicalParams, dict(gravity_m_s2=math.nan), "gravity_m_s2 must"),
+    (cycloid.CycloidSolution, dict(rolling_radius=0.0), "rolling_radius"),
+    (cycloid.CycloidSolution, dict(end_angle=7.0), "end_angle"),
+]
+
+
+@pytest.mark.parametrize("record", list(RECORDS), ids=lambda r: r.__name__)
+def test_record_fields(record):
+    fields = RECORDS[record]
+    value = record(**fields)
+    assert value == record(*fields.values())
+    assert {name: getattr(value, name) for name in fields} == fields
+    assert repr(value) == (f"{record.__name__}("
+                           + ", ".join(f"{k}={v!r}" for k, v in fields.items())
+                           + ")")
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1.0)
+    with pytest.raises(AttributeError):
+        value.extra = 1.0
+
+
+@pytest.mark.parametrize("record, change, message", BAD_FIELDS,
+                         ids=[f"{r.__name__}-{k}={v}" for r, c, _ in BAD_FIELDS
+                              for k, v in c.items()])
+def test_record_rejects_bad_fields(record, change, message):
+    with pytest.raises(DomainError, match=message):
+        record(**{**RECORDS[record], **change})
