@@ -18,9 +18,8 @@ from .closed import (BrachFamily, ChordSpec, PhysicalParams, Scaling,
                      TransitResult, arc_length, chord_from_separation,
                      chord_transit_time, family_from_separation, make_scaling,
                      rho_min, separation_angle, total_transit_time)
-from .errors import (DegenerateSegmentError, DomainError, InfiniteTimeError,
-                     PathError, QuadratureError, StalledTrajectoryError,
-                     TunnelError)
+from .errors import (DegenerateSegmentError, DomainError, PathError,
+                     QuadratureError, StalledTrajectoryError, TunnelError)
 
 __version__ = "0.1.0"
 
@@ -30,8 +29,7 @@ _LAZY = {
                         "theta_prime"),
     "chord": ("chord_path", "chord_position"),
     "core": ("DOMAIN_EPS", "DiscretePath", "dimensional_time",
-             "latitude_to_polar", "potential_per_mass", "radial_acceleration",
-             "speed_at_radius"),
+             "latitude_to_polar", "speed_at_radius"),
     "cycloid": ("CycloidSolution", "SmallArcComparison", "compare_small_arc",
                 "cycloid_between", "cycloid_time", "cycloid_xy"),
     "oracle": ("OptimizationReport", "SimulationTrace", "optimize_path",

@@ -157,7 +157,7 @@ def sample_path(family: BrachFamily, n: int) -> DiscretePath:
     rho[n - 1] = family.rho_min
     for values in (rho, theta, depth):
         values.setflags(write=False)
-    return DiscretePath(rho=rho, theta=theta, min_index=n - 1, depth=depth)
+    return DiscretePath(rho=rho, theta=theta, depth=depth)
 
 
 def rho_at_theta(family: BrachFamily, theta):

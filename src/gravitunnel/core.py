@@ -43,12 +43,10 @@ def _unit_interval(value, name):
 class DiscretePath:
     """Ordered polar samples of a tunnel, normally surface to surface.
 
-    ``rho`` and ``theta`` are equal-length float arrays (read-only) and
-    ``min_index`` marks the deepest sample, by its depth where the path
-    carries one (rho cannot tell the samples of a very shallow path
-    apart).  Paths produced by the library constructors dip
-    monotonically to a single interior minimum and rise back; arbitrary
-    point lists (e.g. perturbed paths) need not.
+    ``rho`` and ``theta`` are equal-length float arrays (read-only).
+    Paths produced by the library constructors dip monotonically to a
+    single interior minimum and rise back; arbitrary point lists (e.g.
+    perturbed paths) need not.
 
     ``depth`` optionally holds 1 - rho per sample, computed without
     cancellation by a constructor that knows the geometry (`sample_path`,
@@ -61,7 +59,6 @@ class DiscretePath:
 
     rho: np.ndarray
     theta: np.ndarray
-    min_index: int
     depth: np.ndarray | None = None
 
     @classmethod
@@ -90,10 +87,7 @@ class DiscretePath:
                                   f"contradicts rho[{i}] = {float(rho[i])!r}:"
                                   " depth must be 1 - rho")
             depth.setflags(write=False)
-            deepest = int(np.argmax(depth))
-        else:
-            deepest = int(np.argmin(rho))
-        return cls(rho=rho, theta=theta, min_index=deepest, depth=depth)
+        return cls(rho=rho, theta=theta, depth=depth)
 
     def __len__(self):
         return self.rho.size
@@ -112,12 +106,6 @@ class DiscretePath:
     def endpoint_separation(self):
         return abs(float(self.theta[-1] - self.theta[0]))
 
-    def is_monotone_dip(self, tol=1e-12):
-        """True if rho falls monotonically to min_index and rises after."""
-        d = np.diff(self.rho)
-        return bool(np.all(d[:self.min_index] <= tol)
-                    and np.all(d[self.min_index:] >= -tol))
-
 
 def speed_at_radius(rho):
     """Dimensionless speed sqrt(1 - rho^2) of a surface-released particle.
@@ -126,18 +114,6 @@ def speed_at_radius(rho):
     """
     rho = _unit_interval(rho, "rho")
     return np.sqrt((1.0 - rho) * (1.0 + rho))
-
-
-def potential_per_mass(rho):
-    """Interior potential per unit mass, -(1 - rho^2)/2, zero at the surface."""
-    rho = _unit_interval(rho, "rho")
-    return -0.5 * (1.0 - rho) * (1.0 + rho)
-
-
-def radial_acceleration(rho):
-    """Radial acceleration -rho: inward, linear in radius, -1 at the surface."""
-    rho = _unit_interval(rho, "rho")
-    return -rho
 
 
 def latitude_to_polar(lat):

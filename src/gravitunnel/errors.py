@@ -17,10 +17,6 @@ class DegenerateSegmentError(PathError):
     """A zero-length segment sits on the surface, where the speed is zero."""
 
 
-class InfiniteTimeError(PathError):
-    """A positive-length segment has both endpoints on the surface."""
-
-
 class QuadratureError(TunnelError, ArithmeticError):
     """Adaptive quadrature failed to reach the requested tolerance.
 

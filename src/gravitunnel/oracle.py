@@ -187,7 +187,10 @@ def perturbation_test(family: BrachFamily, amplitude: float,
     bump[-1] = 0.0
     perturbed = path.rho + bump
     if np.any(perturbed > 1.0 + DOMAIN_EPS) or np.any(perturbed < -DOMAIN_EPS):
-        raise DomainError("perturbation pushes the path outside rho in [0, 1]")
+        raise DomainError(
+            f"perturbation of amplitude {amplitude!r} in mode {mode} pushes "
+            "the path outside rho in [0, 1]: the tunnel is only "
+            f"{family.separation_angle / math.pi!r} deep (separation/pi)")
     perturbed = np.clip(perturbed, 0.0, 1.0)
     base = float(np.sum(_segment_times(path.rho, path.theta)))
     moved = float(np.sum(_segment_times(perturbed, path.theta)))
@@ -224,11 +227,6 @@ class SimulationTrace:
     rhs_evaluations: int
     steps: int
     end_gap: float
-
-    @property
-    def samples(self):
-        """(tau, arclength, rho, speed) tuples in time order."""
-        return list(zip(self.tau, self.arclength, self.rho, self.speed))
 
 
 def _end_slope(sigma, values, at_start):

@@ -22,20 +22,23 @@ turnaround end.  The smooth remainders go to an adaptive Gauss-Kronrod
 Discrete paths are timed segment by segment.  Along any straight segment
 the motion is simple harmonic (the field is linear in position), so the
 traversal time of a segment is elementary.  Written from its polar ends
-(r0, theta0) and (r1, theta1), with dr = r1 - r0 and
-s2 = sin((theta1 - theta0)/2)^2,
+(r0, theta0) and (r1, theta1), with depth d = 1 - rho at each end,
+s2 = sin((theta1 - theta0)/2)^2 and nu = sqrt(d (2 - d)) the speed,
 
-    L  = sqrt(dr^2 + 4 r0 r1 s2),        b0 = r0 (dr - 2 r1 s2) / L,
-    t  = atan2(b0 + L, nu1) - atan2(b0, nu0),   nu = sqrt(d (2 - d)),
+    L  = sqrt((d0 - d1)^2 + 4 r0 r1 s2),   s0 = r0 (d0 - d1 - 2 r1 s2) / L,
+    s1 = s0 + L,   nu0 - nu1 = (d0 - d1)(r0 + r1) / (nu0 + nu1),
+    t  = atan2(L nu0 + s0 (nu0 - nu1), nu0 nu1 + s0 s1),
 
-where L is the segment length, b0 the start point's projection on the
-segment direction, d = 1 - rho each end's depth below the surface and
-nu = sqrt(1 - rho^2) its speed.  Segment times are therefore exact for
-the polyline itself; the only error left in a discrete transit time is
-the polyline's geometric deviation from the curve it samples, which
-vanishes quadratically under refinement.  The surface, where a
-released particle has zero speed, is depth 0 exactly: there nu is 0
-and the angle is +-pi/2.
+where L is the segment length and s0, s1 the ends' positions along it.
+This is the difference of the two ends' phases atan2(s, nu), written as
+one arctangent with no cancellation left, so segment times are exact
+for the polyline itself to a few ulps; the only error left in a
+discrete transit time is the polyline's geometric deviation from the
+curve it samples, which vanishes under refinement.  The surface, where
+a released particle has zero speed, is depth 0 exactly and needs no
+special case: a segment between two surface points takes pi, the
+gravity train.  The same geometry feeds the closed-form partials of a
+segment time in its end radii, which the transcription optimizer uses.
 """
 
 import heapq
@@ -45,8 +48,7 @@ import numpy as np
 
 from .closed import BrachFamily, TransitResult, total_transit_time  # noqa: F401
 from .core import DiscretePath
-from .errors import (DegenerateSegmentError, DomainError, InfiniteTimeError,
-                     QuadratureError)
+from .errors import DegenerateSegmentError, DomainError, QuadratureError
 
 
 # Adaptive quadrature: a piece of integral I stops once its error
@@ -221,101 +223,111 @@ def half_transit_time(family: BrachFamily) -> TransitResult:
     return TransitResult(tau=value, error_estimate=err, evaluations=evals)
 
 
-def _segment_times(rho, theta, depth=None):
-    """Exact traversal times of each straight segment of a polar polyline.
+# Floor of a divisor that is 0 only where its dividend is 0 too: a
+# positive segment length or nu0 + nu1 is a square root of at least the
+# least subnormal, >= ~2e-162, far above it.
+_DIVISOR_FLOOR = 1e-300
 
-    Works from the polar samples directly.  With s2 = sin(dtheta/2)^2, a
-    segment from (r0, theta0) to (r1, theta1) has length and entry
-    projection
 
-        L = sqrt(dr^2 + 4 r0 r1 s2),   b0 = r0 (dr - 2 r1 s2) / L,
+def _segment_geometry(rho, theta, depth=None):
+    """Length, end projections and speeds of each segment of a polyline.
 
-    both free of the cancellation in a Cartesian difference x1 - x0.
-    Since nu^2 + s^2 is constant along the segment, each arcsine of the
-    SHM solution is an arctangent of the point's own speed,
+    With s2 = sin(dtheta/2)^2 and every radial difference taken from the
+    depth d = 1 - rho, a segment from (r0, theta0) to (r1, theta1) has
 
-        t = atan2(b0 + L, nu1) - atan2(b0, nu0),   nu = sqrt(1 - rho^2),
+        L  = sqrt((d0 - d1)^2 + 4 r0 r1 s2),
+        s0 = r0 (d0 - d1 - 2 r1 s2) / L,     s1 = s0 + L,
+        nu = sqrt(d (2 - d)),
+        nu0 - nu1 = (nu0^2 - nu1^2) / (nu0 + nu1)
+                  = (d0 - d1)(r0 + r1) / (nu0 + nu1),
 
-    which needs no clip.  The whole array runs the same vector math in
-    place, a zero-length segment divided by 1 instead of 0, and the
-    entries it must not use are overwritten afterwards.
-
-    Everything radial comes from the depth d = 1 - rho: dr = d0 - d1,
-    nu = sqrt(d (2 - d)), and an end is on the surface exactly when
-    d == 0.  ``depth`` supplies it (see `DiscretePath`); without it d is
-    computed as 1 - rho, which is exact for rho >= 1/2 (Sterbenz), so a
-    sample 1e-16 below the surface keeps its speed.
-
-    Raises DegenerateSegmentError for a zero-length segment with both
-    ends on the surface and InfiniteTimeError for a positive-length
-    segment with both ends on the surface (the evaluator has no basis to
-    assume such a segment dips below zero speed).  Other zero-length
-    segments (a repeated sample) contribute exactly zero time; a segment
-    of any positive length is timed, since one that leaves the surface
-    takes ~sqrt(2 L) however short it is.
+    the length, the ends' positions along the segment measured from the
+    foot of the perpendicular from the centre, the speed at each sample
+    and the speed drop along the segment, all free of cancellation.
+    ``depth`` supplies d (see `DiscretePath`); without it d is 1 - rho,
+    which is exact for rho >= 1/2 (Sterbenz).  A zero length divides as
+    _DIVISOR_FLOOR, where s0's dividend is 0, and so does nu0 + nu1 = 0,
+    which needs d0 = d1 = 0.  Returns fresh arrays (L, s0, s1, nu, drop),
+    nu per sample and the rest per segment.
     """
     rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
+    depth = 1.0 - rho if depth is None else np.asarray(depth, dtype=float)
     r0, r1 = rho[:-1], rho[1:]
-    s2 = np.diff(theta)
+    d0, d1 = depth[:-1], depth[1:]
+    s2 = np.diff(np.asarray(theta, dtype=float))
     s2 *= 0.5
     np.sin(s2, out=s2)
     s2 *= s2
-    # dr, the ends on the surface, and nu^2 = 1 - rho^2 = d (2 - d)
-    depth = 1.0 - rho if depth is None else np.asarray(depth, dtype=float)
-    dr = depth[:-1] - depth[1:]
-    on_surface = depth == 0.0
+    dr = d0 - d1                                        # r1 - r0
+    s0 = r1 * s2
+    length = r0 * s0
+    length *= 4.0
+    s1 = dr * dr
+    length += s1
+    np.sqrt(length, out=length)
+    s0 *= -2.0
+    s0 += dr
+    s0 *= r0
+    np.maximum(length, _DIVISOR_FLOOR, out=s1)
+    s0 /= s1
+    np.add(s0, length, out=s1)
     nu = 2.0 - depth
     nu *= depth
-    # length = sqrt(dr^2 + 4 r0 r1 s2), with b as scratch
-    length = r0 * r1
-    length *= s2
-    length *= 4.0
-    b = dr * dr
-    length += b
-    np.sqrt(length, out=length)
-    start_surface = on_surface[:-1]
-    end_surface = on_surface[1:]
-    both_surface = start_surface & end_surface
-    zero = length == 0.0
-    if np.any(zero & both_surface):
-        i = int(np.flatnonzero(zero & both_surface)[0])
-        raise DegenerateSegmentError(
-            f"segment {i} has zero length at the surface, where speed is zero")
-    if np.any(~zero & both_surface):
-        i = int(np.flatnonzero(~zero & both_surface)[0])
-        raise InfiniteTimeError(
-            f"segment {i} of positive length has both endpoints at rho = 1; "
-            "its traversal time is unbounded for this evaluator")
-    length[zero] = 1.0
-    # b = b0 = r0 (dr - 2 r1 s2) / length, then b0 + length
-    np.multiply(r1, s2, out=b)
-    b *= -2.0
-    b += dr
-    b *= r0
-    b /= length
-    np.maximum(nu, 0.0, out=nu)
     np.sqrt(nu, out=nu)
-    start = np.arctan2(b, nu[:-1])
-    b += length
-    times = np.arctan2(b, nu[1:], out=b)
-    # An end on the surface has zero speed, so its angle is exactly
-    # -pi/2 (start) or pi/2 (end) whatever the round-off in b or nu there.
-    start[start_surface] = -math.pi / 2.0
-    times[end_surface] = math.pi / 2.0
-    times -= start
-    times[zero] = 0.0
-    return times
+    drop = np.add(r0, r1, out=s2)
+    drop *= dr
+    np.add(nu[:-1], nu[1:], out=dr)
+    np.maximum(dr, _DIVISOR_FLOOR, out=dr)
+    drop /= dr
+    return length, s0, s1, nu, drop
 
 
-def _segment_time_partials(rho, theta):
+def _segment_times(rho, theta, depth=None):
+    """Exact traversal times of each straight segment of a polar polyline.
+
+    Along a straight segment the motion is simple harmonic, and
+    nu^2 + s^2 is constant, so each end's phase is atan2(s, nu) and the
+    segment time is their difference, taken as one arctangent of the
+    angle-difference identity in `_segment_geometry`'s terms:
+
+        t = atan2(L nu0 + s0 (nu0 - nu1), nu0 nu1 + s0 s1).
+
+    Both arguments are free of cancellation where it matters, so t is
+    accurate to a few ulps relative on any segment, however short or
+    shallow.  An end on the surface needs no special case: it has
+    nu = 0, and a segment with both ends there (s0 < 0 < s1) takes
+    atan2(+0, s0 s1) = pi, the gravity train.  A repeated sample has
+    L = s0 = nu0 - nu1 = 0 and takes exactly zero time.
+
+    Raises DegenerateSegmentError for a zero-length segment on the
+    surface, where the speed is zero and no time is defined.
+    """
+    length, s0, s1, nu, drop = _segment_geometry(rho, theta, depth)
+    nu0, nu1 = nu[:-1], nu[1:]
+    if not length.all():
+        stuck = np.flatnonzero((length == 0.0) & (nu0 == 0.0))
+        if stuck.size:
+            raise DegenerateSegmentError(
+                f"segment {int(stuck[0])} has zero length at the surface, "
+                "where speed is zero")
+    # numerator L nu0 + s0 drop in length, denominator nu0 nu1 + s0 s1 in s1
+    length *= nu0
+    drop *= s0
+    length += drop
+    s1 *= s0
+    np.multiply(nu0, nu1, out=s0)
+    s1 += s0
+    return np.arctan2(length, s1, out=length)
+
+
+def _segment_time_partials(rho, theta, depth=None):
     """First and second partials of each segment time in its end radii.
 
     With the angles held fixed a segment time depends only on its end
-    radii r0 and r1.  In the notation of `_segment_times`, s0 = b0,
-    s1 = b0 + L, c2 = 4 s2 (1 - s2) (r0 r1 / L)^2 is the squared distance
-    from the centre to the chord line and A2 = 1 - c2 = nu^2 + s^2 (taken
-    as nu0^2 + s0^2, free of cancellation).  Then
+    radii r0 and r1.  In `_segment_geometry`'s terms (L, s0, s1, nu and
+    nu1 - nu0 = -(nu0 - nu1)), c2 = (r0 - s0)(r0 + s0) is the squared
+    distance from the centre to the segment's line and
+    A2 = 1 - c2 = nu0^2 + s0^2.  Then
 
         dt/dr1 = ( s1/(r1 nu1) + c2 (nu1 - nu0)/(r1 L)) / A2
         dt/dr0 = (-s0/(r0 nu0) - c2 (nu1 - nu0)/(r0 L)) / A2
@@ -327,21 +339,18 @@ def _segment_time_partials(rho, theta):
         d/dr0:  ds0 = s0/r0 - c2/(r0 L),  ds1 = -c2/(r0 L),  dL = -s0/r0,
                 dc2 = 2 c2 s1/(r0 L),  dnu0 = -r0/nu0.
 
-    Returns per-segment arrays (dt/dr0, dt/dr1, d2t/dr0^2, d2t/dr0dr1,
-    d2t/dr1^2).  A partial in the radius of an end on the surface, where
-    the speed is zero, is not finite and comes back as inf or nan.
+    ``depth`` is as in `_segment_times`.  Returns per-segment arrays
+    (dt/dr0, dt/dr1, d2t/dr0^2, d2t/dr0dr1, d2t/dr1^2).  A partial in
+    the radius of an end on the surface, where the speed is zero, is not
+    finite and comes back as inf or nan.
     """
     rho = np.asarray(rho, dtype=float)
     r0, r1 = rho[:-1], rho[1:]
-    s2 = np.sin(0.5 * np.diff(np.asarray(theta, dtype=float))) ** 2
-    length = np.sqrt((r1 - r0) ** 2 + 4.0 * r0 * r1 * s2)
-    s0 = r0 * (r1 - r0 - 2.0 * r1 * s2) / length
-    s1 = s0 + length
-    c2 = 4.0 * s2 * (1.0 - s2) * (r0 * r1 / length) ** 2
-    nu = np.sqrt((1.0 - rho) * (1.0 + rho))
+    length, s0, s1, nu, drop = _segment_geometry(rho, theta, depth)
     nu0, nu1 = nu[:-1], nu[1:]
+    nu_diff = -drop                                     # nu1 - nu0
+    c2 = (r0 - s0) * (r0 + s0)
     a2 = nu0 * nu0 + s0 * s0
-    nu_diff = (r0 - r1) * (r0 + r1) / (nu0 + nu1)      # nu1 - nu0
 
     def g(r, s, nu_end):
         # dt/dr1 is g at end 1 and dt/dr0 is -g at end 0
@@ -384,7 +393,7 @@ def path_transit_time(path: DiscretePath) -> TransitResult:
     same path through samples 0, 2, 4, ... and the last one, so it
     reflects how converged the path's geometry is, not floating-point
     noise.  Paths under 5 samples, and paths whose coarse subsample
-    cannot be timed (a segment between two surface samples), report only
+    cannot be timed (a zero-length segment on the surface), report only
     a round-off bound.
     """
     if not isinstance(path, DiscretePath):
@@ -401,7 +410,7 @@ def path_transit_time(path: DiscretePath) -> TransitResult:
                 None if path.depth is None else _every_other(path.depth))
             error = abs(tau - float(np.sum(coarse)))
             evaluations += coarse.size
-        except (DegenerateSegmentError, InfiniteTimeError):
+        except DegenerateSegmentError:
             pass
     return TransitResult(tau=tau, error_estimate=error, evaluations=evaluations)
 

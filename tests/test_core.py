@@ -6,7 +6,6 @@ import pytest
 
 from gravitunnel import (DiscretePath, DomainError, PhysicalParams,
                          dimensional_time, latitude_to_polar, make_scaling,
-                         potential_per_mass, radial_acceleration,
                          speed_at_radius)
 
 EARTH = PhysicalParams(radius_m=6.371e6, gravity_m_s2=9.80665)
@@ -60,29 +59,11 @@ def test_speed_clamps_and_rejects():
             speed_at_radius(bad)
 
 
-def test_potential_values():
-    assert potential_per_mass(1.0) == 0.0
-    assert potential_per_mass(0.0) == -0.5
-    assert potential_per_mass(0.6) == pytest.approx(-0.32, abs=1e-15)
-
-
-def test_radial_acceleration_values():
-    assert radial_acceleration(0.0) == 0.0
-    assert radial_acceleration(1.0) == -1.0
-    assert radial_acceleration(0.5) == -0.5
-
-
 def test_energy_identity_on_grid():
+    # kinetic plus potential energy -(1 - rho^2)/2 is zero everywhere
     rho = np.linspace(0.0, 1.0, 1001)
-    total = 0.5 * speed_at_radius(rho) ** 2 + potential_per_mass(rho)
+    total = 0.5 * speed_at_radius(rho) ** 2 - 0.5 * (1.0 - rho ** 2)
     assert np.max(np.abs(total)) < 1e-12
-
-
-def test_acceleration_is_negative_potential_gradient():
-    rho = np.linspace(1e-3, 1.0 - 1e-3, 1000)
-    h = 1e-6
-    grad = (potential_per_mass(rho + h) - potential_per_mass(rho - h)) / (2 * h)
-    assert np.max(np.abs(-grad - radial_acceleration(rho))) < 1e-6
 
 
 def test_latitude_to_polar():
@@ -117,9 +98,7 @@ class TestDiscretePath:
     def test_from_arrays_basics(self):
         path = DiscretePath.from_arrays([1.0, 0.5, 1.0], [0.0, -0.5, -1.0])
         assert len(path) == 3
-        assert path.min_index == 1
         assert path.endpoint_separation() == 1.0
-        assert path.is_monotone_dip()
 
     def test_arrays_are_read_only(self):
         path = DiscretePath.from_arrays([1.0, 0.5, 1.0], [0.0, -0.5, -1.0])
@@ -164,11 +143,6 @@ class TestDiscretePath:
         s = path.cumulative_arclength()
         assert s[0] == 0.0
         assert s[-1] == pytest.approx(2.0, rel=1e-15)
-
-    def test_not_monotone_dip(self):
-        path = DiscretePath.from_arrays([1.0, 0.4, 0.6, 0.3, 1.0],
-                                        [0.0, -0.2, -0.4, -0.6, -0.8])
-        assert not path.is_monotone_dip()
 
 
 def test_pure_functions_are_thread_safe():

@@ -140,6 +140,12 @@ class TestPerturbation:
         with pytest.raises(DomainError):
             perturbation_test(BrachFamily.from_momentum(0.0), -1e-2, 1)
 
+    def test_bump_above_shallow_tunnel_names_its_inputs(self):
+        # a 1e-3 bump lifts a tunnel 3.2e-4 deep out of the sphere
+        with pytest.raises(DomainError, match=r"amplitude 0\.001 in mode 1 .*"
+                           r"0\.000318309886\d* deep \(separation/pi\)"):
+            perturbation_test(family_from_separation(1e-3), 1e-3, 1)
+
 
 class TestSimulateBead:
     def test_diameter_chord_is_shm(self):
@@ -160,8 +166,8 @@ class TestSimulateBead:
         assert np.all(np.diff(trace.tau) > 0)
         assert trace.arclength[0] == 0.0
         assert trace.transit_time > 0
-        first = trace.samples[0]
-        assert first[0] == 0.0 and first[3] == pytest.approx(0.0, abs=1e-12)
+        assert trace.tau[0] == 0.0
+        assert trace.speed[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_run_counters_and_end_correction(self):
         # the diameter ends on the surface, where the bead arrives at zero

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +39,20 @@ def test_submodules_resolve_as_attributes():
     for name in ("brachistochrone", "checks", "chord", "closed", "cli",
                  "core", "cycloid", "errors", "oracle", "timing"):
         assert getattr(gravitunnel, name).__name__ == f"gravitunnel.{name}"
+
+
+def test_every_error_type_is_raised():
+    # an error type that no module raises is a dead export
+    raised = set()
+    for source in Path(gravitunnel.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = getattr(node.exc, "func", node.exc)     # X(...) or X
+                raised.add(getattr(exc, "attr", getattr(exc, "id", None)))
+    errors = {name for name, value in vars(gravitunnel.errors).items()
+              if isinstance(value, type) and issubclass(value, Exception)
+              and value.__module__ == "gravitunnel.errors"}
+    assert sorted(errors - {"TunnelError", "PathError"} - raised) == []
 
 
 def test_unknown_name_raises_attribute_error():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import quad_half_time
 from gravitunnel import (BrachFamily, DegenerateSegmentError, DiscretePath,
-                         DomainError, InfiniteTimeError, QuadratureError,
+                         DomainError, QuadratureError,
                          arc_integral, arc_length,
                          chord_from_separation, chord_path,
                          cumulative_path_times, family_from_separation,
@@ -156,13 +156,15 @@ class TestPathTransit:
     # little as 3e-21 at (1e-12, 10^4): rho cannot hold it, but the path
     # carries each sample's depth, so every segment is timed.  The
     # polyline's own error is 2.97e-6 at 10^3 per half below 1e-3 rad
-    # (order 1.5 in n), so those inputs are held to 1e-5.
+    # (order 1.5 in n), so those inputs are held to 1e-5.  At pi the
+    # tunnel is the diameter, timed to pi, which round-off must not undercut.
     @pytest.mark.parametrize("delta, n", [(1e-6, 10_000), (1e-4, 10_000),
                                           (3e-4, 10_000), (1e-3, 100_000),
                                           (3e-3, 100_000), (1e-6, 30_000),
                                           (1e-8, 3_000), (1e-12, 10_000),
                                           (1e-9, 1_000), (1e-9, 10_000),
-                                          (1e-12, 1_000)])
+                                          (1e-12, 1_000), (math.pi, 1_000),
+                                          (math.pi, 10_000)])
     def test_shallow_sampled_tunnels(self, delta, n):
         fam = family_from_separation(delta)
         reference = total_transit_time(fam).tau
@@ -192,10 +194,11 @@ class TestPathTransit:
         with pytest.raises(DegenerateSegmentError):
             path_transit_time(path)
 
-    def test_surface_to_surface_segment_is_infinite(self):
-        path = chord_path(chord_from_separation(1.0), 2)
-        with pytest.raises(InfiniteTimeError):
-            path_transit_time(path)
+    @pytest.mark.parametrize("delta", (1e-12, 1e-9, 1e-6, 1e-3, 1.0, math.pi))
+    def test_two_point_chord_takes_pi(self, delta):
+        # one segment between two surface points: the gravity train
+        tau = path_transit_time(chord_path(chord_from_separation(delta), 2)).tau
+        assert abs(tau - math.pi) <= math.ulp(math.pi)
 
     def test_zero_length_interior_segment_is_skipped(self):
         base = DiscretePath.from_arrays([1.0, 0.5, 1.0], [0.0, -0.5, -1.0])
@@ -206,50 +209,59 @@ class TestPathTransit:
 
 
 def reference_segment_time(r0, t0, r1, t1):
-    """One segment's SHM traversal time, in 40-digit mpmath.
+    """One segment's SHM traversal time, as a 50-digit mpmath number.
 
-    The polar ends are taken as exact and the Cartesian arcsine form
-    t = asin((L + b)/c) - asin(b/c) is evaluated with no float round-off.
+    The polar ends (floats, or mpmath radii) are taken as exact and the
+    Cartesian arcsine form t = asin((L + b)/c) - asin(b/c) is evaluated
+    with no float round-off.
     """
-    with mpmath.workdps(40):
-        r0, t0, r1, t1 = (mpmath.mpf(float(v)) for v in (r0, t0, r1, t1))
+    with mpmath.workdps(50):
+        r0, t0, r1, t1 = (mpmath.mpf(v) for v in (r0, t0, r1, t1))
         x0, y0 = r0 * mpmath.cos(t0), r0 * mpmath.sin(t0)
         dx, dy = r1 * mpmath.cos(t1) - x0, r1 * mpmath.sin(t1) - y0
         length = mpmath.sqrt(dx * dx + dy * dy)
         if length == 0:
-            return 0.0
+            return mpmath.mpf(0)
         b = (x0 * dx + y0 * dy) / length
         c = mpmath.sqrt((1 - r0) * (1 + r0) + b * b)
         start = -mpmath.pi / 2 if r0 == 1 else mpmath.asin(b / c)
         end = mpmath.pi / 2 if r1 == 1 else mpmath.asin((length + b) / c)
-        return float(end - start)
+        return end - start
 
 
 @st.composite
 def polar_polyline(draw):
-    """Interior points, some 1e-16 to 1e-12 below the surface, a surface
-    point at either end or both, repeats."""
+    """Points inside, some 1e-16 to 1e-12 below the surface, and on it
+    (forced at either end or both, adjacent ones too, down to a 2-point
+    chord), with repeats below the surface."""
     n = draw(st.integers(2, 12))
     radius = st.one_of(st.floats(0.0, 0.99),
-                       st.floats(1e-16, 1e-12).map(lambda d: 1.0 - d))
+                       st.floats(1e-16, 1e-12).map(lambda d: 1.0 - d),
+                       st.just(1.0))
     rho = draw(st.lists(radius, min_size=n, max_size=n))
-    theta = np.cumsum(draw(st.lists(st.floats(-0.8, 0.8), min_size=n,
-                                    max_size=n)))
-    ends = draw(st.sampled_from(((), (0,), (-1,), (0, -1))))
-    for i in ends if n > 2 else ends[:1]:
+    for i in draw(st.sampled_from(((), (0,), (-1,), (0, -1)))):
         rho[i] = 1.0
+    steps = draw(st.lists(st.floats(-0.8, 0.8), min_size=n, max_size=n))
+    for i in range(1, n):
+        # two surface samples at one angle have no time
+        if rho[i - 1] == rho[i] == 1.0:
+            steps[i] = draw(st.floats(1e-6, 0.8))
+    theta = np.cumsum(steps)
     # repeat some interior points, giving zero-length segments
     repeats = draw(st.lists(st.integers(1, max(n - 2, 1)), max_size=3))
-    idx = sorted(list(range(n)) + [i for i in repeats if 0 < i < n - 1])
+    idx = sorted(list(range(n)) + [i for i in repeats
+                                   if 0 < i < n - 1 and rho[i] < 1.0])
     return np.asarray(rho)[idx], theta[idx]
 
 
 @settings(max_examples=300, deadline=None)
 @given(polar_polyline())
+@example((np.array([1.0, 1.0]), np.array([0.0, -1.0])))
 def test_segment_times_match_scalar_reference(case):
     rho, theta = case
     times = _segment_times(rho, theta)
-    ref = [reference_segment_time(rho[i], theta[i], rho[i + 1], theta[i + 1])
+    ref = [float(reference_segment_time(rho[i], theta[i], rho[i + 1],
+                                        theta[i + 1]))
            for i in range(rho.size - 1)]
     assert times == pytest.approx(ref, rel=1e-12, abs=1e-12)
     repeated = (rho[1:] == rho[:-1]) & (theta[1:] == theta[:-1])
@@ -291,16 +303,23 @@ def test_segment_time_partials_match_central_differences(r0, r1, dtheta):
         assert abs(got - want) <= 1e-3 * size + floor
 
 
-def test_segment_times_match_mpmath_on_a_short_tunnel():
-    # ~5e-7-long segments, where a Cartesian difference x1 - x0 cancels
-    # about six digits
-    path = sample_path(family_from_separation(0.01), 10_000)
-    times = _segment_times(path.rho, path.theta)
-    interior = np.flatnonzero((path.rho[:-1] < 1.0) & (path.rho[1:] < 1.0))
-    ref = np.array([reference_segment_time(path.rho[i], path.theta[i],
-                                           path.rho[i + 1], path.theta[i + 1])
-                    for i in interior])
-    assert np.max(np.abs(times[interior] - ref) / ref) < 1e-10
+# Segments 3e-16 (at 1e-12) to 3e-4 (at 1.0) long, where a Cartesian
+# difference x1 - x0 cancels up to all of its digits, and the surface-end
+# ones; each radius is 1 - depth, exactly as the path defines it.
+@pytest.mark.parametrize("delta", (1e-12, 1e-9, 1e-6, 1e-3, 0.01, 1.0))
+def test_segment_times_match_mpmath_on_a_short_tunnel(delta):
+    path = sample_path(family_from_separation(delta), 2_000)
+    times = _segment_times(path.rho, path.theta, path.depth)
+    with mpmath.workdps(50):
+        radii = [1 - mpmath.mpf(d) for d in path.depth]
+    ref = [reference_segment_time(radii[i], path.theta[i], radii[i + 1],
+                                  path.theta[i + 1])
+           for i in range(len(path) - 1)]
+    nearest = np.array(ref, dtype=float)
+    assert np.max(np.abs(times - nearest) / nearest) < 1e-10
+    with mpmath.workdps(50):
+        polyline = mpmath.fsum(ref)
+        assert abs(path_transit_time(path).tau - polyline) <= 1e-14 * polyline
 
 
 @pytest.mark.parametrize("n", (79, 78))
