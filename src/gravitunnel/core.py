@@ -97,8 +97,13 @@ class DiscretePath:
         return self.rho * np.cos(self.theta), self.rho * np.sin(self.theta)
 
     def chord_lengths(self):
-        x, y = self.xy()
-        return np.hypot(np.diff(x), np.diff(y))
+        """Length of each segment, sqrt((d1 - d0)^2 + 4 r0 r1 s2) with
+        s2 = sin(dtheta/2)^2, which keeps the digits of a segment far
+        shorter than an ulp of rho that Cartesian differences lose."""
+        depth = 1.0 - self.rho if self.depth is None else self.depth
+        across = np.sin(0.5 * np.diff(self.theta))
+        across *= 2.0 * np.sqrt(self.rho[:-1] * self.rho[1:])
+        return np.hypot(np.diff(depth), across)
 
     def cumulative_arclength(self):
         return np.concatenate(([0.0], np.cumsum(self.chord_lengths())))

@@ -169,7 +169,9 @@ def perturbation_test(family: BrachFamily, amplitude: float,
     radii of the family member sampled at 2001 points per half, with s
     the cumulative arclength, so it vanishes at both endpoints.  At a
     minimizer the returned delta is non-negative up to discretization
-    noise and scales quadratically in the amplitude.
+    noise and scales quadratically in the amplitude.  A bump that moves
+    an interior sample onto or above the surface, or through the
+    centre, raises DomainError.
     """
     if not isinstance(family, BrachFamily):
         raise DomainError("perturbation_test expects a BrachFamily")
@@ -185,15 +187,24 @@ def perturbation_test(family: BrachFamily, amplitude: float,
     bump = amplitude * np.sin(mode * math.pi * s / s[-1])
     bump[0] = 0.0
     bump[-1] = 0.0
-    perturbed = path.rho + bump
-    if np.any(perturbed > 1.0 + DOMAIN_EPS) or np.any(perturbed < -DOMAIN_EPS):
+    # Both paths are timed from their depth, which rho cannot resolve on
+    # a shallow tunnel.  A sample lifted onto the surface is refused, not
+    # clipped: clipping would time another path, with pi for each
+    # segment between two surface samples.
+    rho = path.rho + bump
+    depth = path.depth - bump
+    above = bool(np.any(depth[1:-1] <= 0.0))
+    if above or np.any(rho < -DOMAIN_EPS):
+        where = ("onto or above the surface (rho >= 1)" if above
+                 else "through the centre (rho < 0)")
         raise DomainError(
             f"perturbation of amplitude {amplitude!r} in mode {mode} pushes "
-            "the path outside rho in [0, 1]: the tunnel is only "
+            f"the path {where}; the tunnel is "
             f"{family.separation_angle / math.pi!r} deep (separation/pi)")
-    perturbed = np.clip(perturbed, 0.0, 1.0)
-    base = float(np.sum(_segment_times(path.rho, path.theta)))
-    moved = float(np.sum(_segment_times(perturbed, path.theta)))
+    np.clip(rho, 0.0, 1.0, out=rho)
+    np.clip(depth, 0.0, 1.0, out=depth)
+    base = float(np.sum(_segment_times(path.rho, path.theta, path.depth)))
+    moved = float(np.sum(_segment_times(rho, path.theta, depth)))
     return moved - base
 
 

@@ -320,7 +320,7 @@ def _segment_times(rho, theta, depth=None):
     return np.arctan2(length, s1, out=length)
 
 
-def _segment_time_partials(rho, theta, depth=None):
+def _segment_time_partials(rho, theta):
     """First and second partials of each segment time in its end radii.
 
     With the angles held fixed a segment time depends only on its end
@@ -339,14 +339,13 @@ def _segment_time_partials(rho, theta, depth=None):
         d/dr0:  ds0 = s0/r0 - c2/(r0 L),  ds1 = -c2/(r0 L),  dL = -s0/r0,
                 dc2 = 2 c2 s1/(r0 L),  dnu0 = -r0/nu0.
 
-    ``depth`` is as in `_segment_times`.  Returns per-segment arrays
-    (dt/dr0, dt/dr1, d2t/dr0^2, d2t/dr0dr1, d2t/dr1^2).  A partial in
-    the radius of an end on the surface, where the speed is zero, is not
-    finite and comes back as inf or nan.
+    Returns per-segment arrays (dt/dr0, dt/dr1, d2t/dr0^2, d2t/dr0dr1,
+    d2t/dr1^2).  A partial in the radius of an end on the surface, where
+    the speed is zero, is not finite and comes back as inf or nan.
     """
     rho = np.asarray(rho, dtype=float)
     r0, r1 = rho[:-1], rho[1:]
-    length, s0, s1, nu, drop = _segment_geometry(rho, theta, depth)
+    length, s0, s1, nu, drop = _segment_geometry(rho, theta)
     nu0, nu1 = nu[:-1], nu[1:]
     nu_diff = -drop                                     # nu1 - nu0
     c2 = (r0 - s0) * (r0 + s0)

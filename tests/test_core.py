@@ -1,11 +1,13 @@
 import math
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 
 from gravitunnel import (DiscretePath, DomainError, PhysicalParams,
-                         dimensional_time, latitude_to_polar, make_scaling,
+                         dimensional_time, family_from_separation,
+                         latitude_to_polar, make_scaling, sample_path,
                          speed_at_radius)
 
 EARTH = PhysicalParams(radius_m=6.371e6, gravity_m_s2=9.80665)
@@ -143,6 +145,18 @@ class TestDiscretePath:
         s = path.cumulative_arclength()
         assert s[0] == 0.0
         assert s[-1] == pytest.approx(2.0, rel=1e-15)
+
+    def test_chord_lengths_below_an_ulp_of_rho(self):
+        # the first segments of a 1e-12 tunnel are ~1e-20 long
+        path = sample_path(family_from_separation(1e-12), 100)
+        with mpmath.workdps(50):
+            r = [1 - mpmath.mpf(d) for d in path.depth]
+            t = [mpmath.mpf(a) for a in path.theta]
+            ref = np.array([mpmath.sqrt((r[i + 1] - r[i]) ** 2
+                                        + 4 * r[i] * r[i + 1]
+                                        * mpmath.sin((t[i + 1] - t[i]) / 2) ** 2)
+                            for i in range(len(path) - 1)], dtype=float)
+        assert np.max(np.abs(path.chord_lengths() - ref) / ref) < 1e-14
 
 
 def test_pure_functions_are_thread_safe():

@@ -137,14 +137,30 @@ class TestPerturbation:
 
     def test_bump_outside_sphere_rejected(self):
         # pushing the center of the diameter below rho = 0
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"through the centre \(rho < 0\)"
+                           r".* 1\.0 deep"):
             perturbation_test(BrachFamily.from_momentum(0.0), -1e-2, 1)
 
     def test_bump_above_shallow_tunnel_names_its_inputs(self):
         # a 1e-3 bump lifts a tunnel 3.2e-4 deep out of the sphere
         with pytest.raises(DomainError, match=r"amplitude 0\.001 in mode 1 .*"
+                           r"above the surface .*"
                            r"0\.000318309886\d* deep \(separation/pi\)"):
             perturbation_test(family_from_separation(1e-3), 1e-3, 1)
+
+    @pytest.mark.parametrize("sign", (1.0, -1.0))
+    def test_bump_on_a_tunnel_too_shallow_for_rho(self, sign):
+        # Near their ends the samples of a 1e-12 tunnel round to rho = 1,
+        # so both paths are timed from their depth.  Shallow tunnels are
+        # self-similar: the bump of a third of the depth costs the same
+        # share of the transit time as at 1e-6, to O(separation).
+        def share(delta):
+            fam = family_from_separation(delta)
+            bump = sign * delta / (3.0 * math.pi)
+            return perturbation_test(fam, bump, 1) / total_transit_time(fam).tau
+        shallow = share(1e-12)
+        assert 0.0 < shallow < 0.05
+        assert shallow == pytest.approx(share(1e-6), rel=1e-5)
 
 
 class TestSimulateBead:

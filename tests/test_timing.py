@@ -322,6 +322,17 @@ def test_segment_times_match_mpmath_on_a_short_tunnel(delta):
         assert abs(path_transit_time(path).tau - polyline) <= 1e-14 * polyline
 
 
+def test_rho_only_segment_times_match_mpmath_on_a_short_tunnel():
+    # ~5e-7-long segments given by radii alone, the form the optimizer
+    # times, where the depth 1 - rho is taken inside the kernel
+    path = sample_path(family_from_separation(0.01), 10_000)
+    times = _segment_times(path.rho, path.theta)
+    ref = np.array([reference_segment_time(path.rho[i], path.theta[i],
+                                           path.rho[i + 1], path.theta[i + 1])
+                    for i in range(len(path) - 1)], dtype=float)
+    assert np.max(np.abs(times - ref) / ref) < 1e-10
+
+
 @pytest.mark.parametrize("n", (79, 78))
 def test_error_estimate_is_the_every_other_sample_gap(n):
     # sample_path(family, 40) has 79 samples; dropping the second leaves 78
