@@ -38,8 +38,10 @@ separations up to and including pi.
 
 The closed forms that need no array (`rho_min`, `separation_angle`,
 `BrachFamily`, `family_from_separation`, `arc_length`) live in `closed`
-and are re-exported here; this module adds the curve itself: its slope,
-its angle at a radius, its radius at an angle and its samples.
+and are re-exported here; a `BrachFamily` stores k alone and derives
+rho_m, the depth 1 - rho_m and the separation by those formulas.  This
+module adds the curve itself: its slope, its angle at a radius, its
+radius at an angle and its samples.
 """
 
 import math
@@ -137,10 +139,11 @@ def sample_path(family: BrachFamily, n: int) -> DiscretePath:
     first's mirror image about that angle, ending at
     (1, -separation_angle).
     """
-    step = tunnel_step(family, n)
+    q = family.depth
+    step = tunnel_step(q, n)
     half_depth, half_theta, _, _ = tunnel_point(
-        family, np.arange(n - 1) * step, np.sin, np.sqrt, np.arctan2)
-    depth_mid, theta_mid, _, _ = tunnel_turnaround(family)
+        q, np.arange(n - 1) * step, np.sin, np.sqrt, np.arctan2)
+    depth_mid, theta_mid, _, _ = tunnel_turnaround(q)
     # Built directly: the closed form already meets every condition
     # `DiscretePath.from_arrays` checks, and the checks' full-length
     # copies cost more than the formula.  One block holds the three

@@ -16,6 +16,7 @@ structured output imports `json`; `verify` (the oracles) and the
 import argparse
 import math
 import sys
+from itertools import chain
 
 from . import closed
 from .errors import DomainError, TunnelError
@@ -58,12 +59,8 @@ def _endpoint_separation(args):
         delta = _parse_angle(args.sep)
     elif args.lat1 is not None and args.lat2 is not None:
         from .core import latitude_to_polar
-        try:
-            t1 = latitude_to_polar(_parse_angle(args.lat1))
-            t2 = latitude_to_polar(_parse_angle(args.lat2))
-        except DomainError as exc:
-            raise _UsageError(str(exc))
-        delta = abs(t1 - t2)
+        delta = abs(latitude_to_polar(_parse_angle(args.lat1))
+                    - latitude_to_polar(_parse_angle(args.lat2)))
     else:
         raise _UsageError("an endpoint spec is required: --sep, or both "
                           "--lat1 and --lat2")
@@ -81,12 +78,8 @@ def _resolve_scaling(args):
         return "earth", closed.make_scaling(closed.EARTH)
     if args.radius is None or args.gravity is None:
         raise _UsageError("--body custom needs --radius and --gravity")
-    try:
-        params = closed.PhysicalParams(radius_m=args.radius,
-                                       gravity_m_s2=args.gravity)
-    except DomainError as exc:
-        raise _UsageError(str(exc))
-    return "custom", closed.make_scaling(params)
+    return "custom", closed.make_scaling(closed.PhysicalParams(
+        radius_m=args.radius, gravity_m_s2=args.gravity))
 
 
 def _open_out(spec):
@@ -98,18 +91,24 @@ def _open_out(spec):
         raise _UsageError(f"cannot write {spec}: {exc.strerror or exc}")
 
 
-def _emit_csv(stream, header_lines, columns, rows):
-    """Write the header block, the column names and rows, each row one
-    line of already formatted, comma-separated cells."""
-    lines = [f"# {line}" for line in header_lines]
-    lines.append(",".join(columns))
-    lines.extend(rows)
-    stream.write("\n".join(lines) + "\n")
-
-
-def _emit_structured(stream, payload):
-    import json     # csv output never needs it
-    stream.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _emit(args, payload, header_lines, columns, rows):
+    """Write a command's output to --out: the JSON of ``payload()`` in
+    the structured format, else the csv header block, the column names
+    and rows, each row one line of already formatted, comma-separated
+    cells.  rows may be a generator: each line is written as it is
+    formatted."""
+    out, close = _open_out(args.out)
+    try:
+        if args.format == "structured":
+            import json     # csv output never needs it
+            out.write(json.dumps(payload(), sort_keys=True, indent=2) + "\n")
+        else:
+            out.writelines(f"# {line}\n" for line in header_lines)
+            out.write(",".join(columns) + "\n")
+            out.writelines(f"{row}\n" for row in rows)
+    finally:
+        if close:
+            out.close()
 
 
 def _body_header(body, scaling):
@@ -133,46 +132,45 @@ def _tunnel_samples(family, n):
     """(theta, rho, arc, tau) at the tunnel's 2n-1 samples, from `closed`.
 
     The samples are `sample_path`'s; arc and tau are exact along the
-    tunnel, the second half's taken from the totals by symmetry.
+    tunnel, the second half's taken from the totals by symmetry, lazily.
     """
     half = [(theta, 1.0 - depth, arc, tau)
-            for depth, theta, tau, arc in closed.tunnel_half(family, n)]
+            for depth, theta, tau, arc in closed.tunnel_half(family.depth, n)]
     end = -family.separation_angle
     total_arc = closed.arc_length(family)
     total_tau = closed.total_transit_time(family).tau
-    return half + [(end - theta, rho, total_arc - arc, total_tau - tau)
-                   for theta, rho, arc, tau in reversed(half[:-1])]
+    return chain(half, ((end - theta, rho, total_arc - arc, total_tau - tau)
+                        for theta, rho, arc, tau in reversed(half[:-1])))
 
 
 def _chord_samples(delta, m):
-    """(theta, rho, arc, tau) at m points uniform along the chord.
+    """(theta, rho, arc, tau) at m points uniform along the chord, lazily.
 
     The points are `chord_path`'s; the bead's time to chord fraction t
     is the SHM time 2 asin(sqrt(t)).
     """
     spec = closed.chord_from_separation(delta)
     ts = _grid(0.0, 1.0, m, "linear")
-    samples = [(0.0, 1.0, 0.0, 0.0)]
+    yield 0.0, 1.0, 0.0, 0.0
     for t in ts[1:-1]:
         rho, theta, _ = closed.chord_point(spec, t)
-        samples.append((theta, rho, 2.0 * t * spec.half_chord,
-                        2.0 * math.asin(math.sqrt(t))))
-    samples.append((-delta, 1.0, 2.0 * spec.half_chord, math.pi))
-    return samples
+        yield (theta, rho, 2.0 * t * spec.half_chord,
+               2.0 * math.asin(math.sqrt(t)))
+    yield -delta, 1.0, 2.0 * spec.half_chord, math.pi
 
 
 def _curve_rows(name, samples, scaling):
-    """One csv line per sample: each cell as `_fmt` formats it."""
+    """One csv line per sample, each cell as `_fmt` formats it, lazily."""
     cos, sin = math.cos, math.sin
     if scaling is None:
-        return [f"{name},{theta:.12g},{rho:.12g},{rho * cos(theta):.12g},"
+        return (f"{name},{theta:.12g},{rho:.12g},{rho * cos(theta):.12g},"
                 f"{rho * sin(theta):.12g},{arc:.12g},{tau:.12g}"
-                for theta, rho, arc, tau in samples]
+                for theta, rho, arc, tau in samples)
     length, time = scaling.length_unit_m, scaling.time_unit_s
-    return [f"{name},{theta:.12g},{rho:.12g},{rho * cos(theta):.12g},"
+    return (f"{name},{theta:.12g},{rho:.12g},{rho * cos(theta):.12g},"
             f"{rho * sin(theta):.12g},{arc:.12g},{tau:.12g},"
             f"{arc * length:.12g},{tau * time:.12g}"
-            for theta, rho, arc, tau in samples]
+            for theta, rho, arc, tau in samples)
 
 
 def cmd_path(args):
@@ -193,25 +191,18 @@ def cmd_path(args):
         "columns: theta,rho polar samples; x=rho*cos(theta), y=rho*sin(theta); "
         "arc and tau cumulative from the release point",
     ]
-    out, close = _open_out(args.out)
-    try:
-        if args.format == "structured":
-            payload = {"kind": "path", "separation_rad": delta,
-                       "k": family.k, "rho_min": family.rho_min,
-                       "body": _body_payload(body, scaling), "curves": {}}
-            for name, samples in curves:
-                theta, rho, arc, tau = (list(c) for c in zip(*samples))
-                payload["curves"][name] = {"theta": theta, "rho": rho,
-                                           "arc": arc, "tau": tau}
-            _emit_structured(out, payload)
-        else:
-            rows = []
-            for name, samples in curves:
-                rows.extend(_curve_rows(name, samples, scaling))
-            _emit_csv(out, header, columns, rows)
-    finally:
-        if close:
-            out.close()
+
+    def payload():
+        tables = {}
+        for name, samples in curves:
+            theta, rho, arc, tau = (list(c) for c in zip(*samples))
+            tables[name] = {"theta": theta, "rho": rho, "arc": arc, "tau": tau}
+        return {"kind": "path", "separation_rad": delta, "k": family.k,
+                "rho_min": family.rho_min, "curves": tables,
+                "body": _body_payload(body, scaling)}
+    _emit(args, payload, header, columns,
+          (row for name, samples in curves
+           for row in _curve_rows(name, samples, scaling)))
     return EXIT_OK
 
 
@@ -240,20 +231,10 @@ def cmd_time(args):
             ("tunnel_min", tunnel_tau * scaling.time_unit_s / 60.0),
             ("chord_min", chord_tau * scaling.time_unit_s / 60.0),
         ]
-    out, close = _open_out(args.out)
-    try:
-        if args.format == "structured":
-            payload = {"kind": "time", "body": _body_payload(body, scaling)}
-            payload.update({k: v for k, v in items})
-            _emit_structured(out, payload)
-        else:
-            _emit_csv(out, ["gravitunnel time summary",
-                            *_body_header(body, scaling)],
-                      ["key", "value"],
-                      [f"{k},{_fmt(v)}" for k, v in items])
-    finally:
-        if close:
-            out.close()
+    _emit(args, lambda: {"kind": "time", "body": _body_payload(body, scaling),
+                         **dict(items)},
+          ["gravitunnel time summary", *_body_header(body, scaling)],
+          ["key", "value"], (f"{k},{_fmt(v)}" for k, v in items))
     return EXIT_OK
 
 
@@ -335,35 +316,21 @@ def cmd_sweep(args):
     rows = []
     for fam in families:
         tau = closed.total_transit_time(fam).tau
-        row = [_fmt(fam.k), _fmt(fam.rho_min), _fmt(fam.separation_angle),
-               _fmt(closed.arc_length(fam)), _fmt(tau), _fmt(tau / math.pi)]
+        row = [fam.k, fam.rho_min, fam.separation_angle,
+               closed.arc_length(fam), tau, tau / math.pi]
         if scaling is not None:
-            row.append(_fmt(tau * scaling.time_unit_s))
+            row.append(tau * scaling.time_unit_s)
         rows.append(row)
-    out, close = _open_out(args.out)
-    try:
-        if args.format == "structured":
-            payload = {"kind": "sweep", "body": _body_payload(body, scaling),
-                       "columns": columns,
-                       "rows": [[float(v) for v in row] for row in rows]}
-            _emit_structured(out, payload)
-        else:
-            _emit_csv(out, ["gravitunnel family sweep",
-                            *_body_header(body, scaling)], columns,
-                      [",".join(row) for row in rows])
-    finally:
-        if close:
-            out.close()
+    _emit(args, lambda: {"kind": "sweep", "body": _body_payload(body, scaling),
+                         "columns": columns, "rows": rows},
+          ["gravitunnel family sweep", *_body_header(body, scaling)], columns,
+          (",".join(map(_fmt, row)) for row in rows))
     return EXIT_OK
 
 
 def cmd_compare_cycloid(args):
     from . import cycloid
-    delta = _endpoint_separation(args)
-    try:
-        report = cycloid.compare_small_arc(delta)
-    except DomainError as exc:
-        raise _UsageError(str(exc))
+    report = cycloid.compare_small_arc(_endpoint_separation(args))
     items = [
         ("separation_rad", report.delta_theta),
         ("max_geometry_deviation", report.max_geometry_deviation),
@@ -371,18 +338,9 @@ def cmd_compare_cycloid(args):
         ("cycloid_time", report.cycloid_time),
         ("relative_time_difference", report.relative_time_difference),
     ]
-    out, close = _open_out(args.out)
-    try:
-        if args.format == "structured":
-            payload = {"kind": "compare-cycloid"}
-            payload.update({k: v for k, v in items})
-            _emit_structured(out, payload)
-        else:
-            _emit_csv(out, ["gravitunnel small-arc comparison"],
-                      ["key", "value"], [f"{k},{_fmt(v)}" for k, v in items])
-    finally:
-        if close:
-            out.close()
+    _emit(args, lambda: {"kind": "compare-cycloid", **dict(items)},
+          ["gravitunnel small-arc comparison"], ["key", "value"],
+          (f"{k},{_fmt(v)}" for k, v in items))
     return EXIT_OK
 
 
@@ -393,21 +351,13 @@ def cmd_verify(args):
     from . import checks   # the oracles load only when verifying
     results = [r._asdict() for r in checks.run("reduced", scale)]
     all_passed = all(r["passed"] for r in results)
-    out, close = _open_out(args.out)
-    try:
-        if args.format == "structured":
-            _emit_structured(out, {"kind": "verify", "tol_scale": scale,
-                                   "all_passed": all_passed, "checks": results})
-        else:
-            rows = [",".join([r["name"], "pass" if r["passed"] else "FAIL",
-                              _fmt(r["measure"]), _fmt(r["threshold"]),
-                              r["detail"]])
-                    for r in results]
-            _emit_csv(out, [f"gravitunnel verification (tol scale {_fmt(scale)})"],
-                      ["check", "status", "measure", "threshold", "detail"], rows)
-    finally:
-        if close:
-            out.close()
+    _emit(args, lambda: {"kind": "verify", "tol_scale": scale,
+                         "all_passed": all_passed, "checks": results},
+          [f"gravitunnel verification (tol scale {_fmt(scale)})"],
+          ["check", "status", "measure", "threshold", "detail"],
+          (",".join([r["name"], "pass" if r["passed"] else "FAIL",
+                     _fmt(r["measure"]), _fmt(r["threshold"]), r["detail"]])
+           for r in results))
     return EXIT_OK if all_passed else EXIT_VERIFY
 
 
@@ -480,10 +430,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"gravitunnel: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DomainError as exc:
+    except (_UsageError, DomainError) as exc:
         print(f"gravitunnel: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TunnelError as exc:

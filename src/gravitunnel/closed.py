@@ -35,60 +35,60 @@ def rho_min(k: float) -> float:
     return k / math.hypot(k, 1.0)
 
 
-def separation_angle(k: float) -> float:
-    """Total angle pi (1 - rho_m) swept between the two surface endpoints.
-
-    Past rho_m = 1/2, 1 - rho_m is taken as 1 / (h (h + k)) with
-    h = hypot(k, 1): there 1 - k/h cancels, while below it the direct
-    difference is the more accurate (both within 3 ulp of 50-digit
-    values over k from 1e-300 to 1e12).
-    """
+def _depth(k: float) -> float:
+    """Turnaround depth q = 1 - rho_m of the family member k, taken as
+    1 / (h (h + k)), h = hypot(k, 1), past rho_m = 1/2, where 1 - k/h
+    cancels (q, pi q, pi sqrt(q (2 - q)) and 2 q (2 - q) are within 4
+    ulp of 50-digit values over k from 1e-300 to 1e12)."""
     k = float(k)
     rm = rho_min(k)
     if rm <= 0.5:
-        return math.pi * (1.0 - rm)
+        return 1.0 - rm
     h = math.hypot(k, 1.0)
-    return math.pi / (h * (h + k))
+    return 1.0 / (h * (h + k))
 
 
-class BrachFamily(namedtuple("BrachFamily", "k rho_min separation_angle")):
-    """One member of the minimum-time tunnel family.
+def separation_angle(k: float) -> float:
+    """Total angle pi (1 - rho_m) swept between the two surface endpoints."""
+    return math.pi * _depth(k)
 
-    k is the conserved momentum, rho_min the turnaround radius and
-    separation_angle the surface sweep; the three are locked together by
-    rho_min = k/sqrt(k^2+1) and separation_angle = pi (1 - rho_min).
+
+# The least normal float: a shallower turnaround depth keeps fewer digits.
+_MIN_DEPTH = 2.2250738585072014e-308
+
+
+class BrachFamily(namedtuple("BrachFamily", "k")):
+    """One member of the minimum-time tunnel family: its momentum k >= 0.
+
+    Its turnaround radius `rho_min`, turnaround depth `depth` = 1 -
+    rho_min and surface sweep `separation_angle` = pi depth are the
+    module's formulas of k.  Built for k up to about 4.7e153, where the
+    depth is still a normal float; past that, raises DomainError naming k.
     """
 
     __slots__ = ()
 
-    def __new__(cls, k, rho_min, separation_angle):
-        if not (math.isfinite(k) and k >= 0.0):
-            raise DomainError(f"k must be >= 0; got {k!r}")
-        if not (0.0 <= rho_min < 1.0):
-            raise DomainError(f"rho_min must lie in [0, 1); got {rho_min!r}")
-        if not (0.0 < separation_angle <= math.pi):
-            raise DomainError("separation_angle must lie in (0, pi]; got "
-                              f"{separation_angle!r}")
-        if (abs(rho_min - k / math.hypot(k, 1.0)) > 1e-9
-                or abs(separation_angle - math.pi * (1.0 - rho_min)) > 1e-9):
-            raise DomainError("inconsistent family fields; build with "
-                              "from_momentum or from_separation")
-        return super().__new__(cls, k, rho_min, separation_angle)
+    def __new__(cls, k):
+        if not _depth(k) >= _MIN_DEPTH:
+            raise DomainError(f"k = {k!r} is too large: the depth "
+                              "1/(h (h + k)) of its turnaround, "
+                              "h = sqrt(k^2 + 1), underflows")
+        return super().__new__(cls, float(k))
+
+    rho_min = property(lambda self: rho_min(self.k))
+    depth = property(lambda self: _depth(self.k))
+    separation_angle = property(lambda self: separation_angle(self.k))
 
     @classmethod
     def from_momentum(cls, k: float) -> "BrachFamily":
-        """Family member k.  Raises DomainError naming k where rho_min
-        rounds to 1 (k above about 6.7e7), whose tunnel no float radius
-        can hold."""
-        k = float(k)
-        rm = rho_min(k)
-        if rm >= 1.0:
-            raise DomainError(f"k = {k!r} is too large: its minimum radius "
-                              "k/sqrt(k^2+1) rounds to 1")
-        return cls(k=k, rho_min=rm, separation_angle=separation_angle(k))
+        """Family member k, for k from 0 to about 4.7e153."""
+        return cls(k)
 
     @classmethod
     def from_separation(cls, delta_theta: float) -> "BrachFamily":
+        """Family member whose surface endpoints are delta_theta apart,
+        for delta_theta in (0, pi] down to about 7e-308, where the depth
+        delta_theta/pi is still a normal float; else DomainError."""
         delta_theta = float(delta_theta)
         if not (math.isfinite(delta_theta) and 0.0 < delta_theta <= math.pi):
             raise DomainError("separation must lie in (0, pi]; got "
@@ -96,11 +96,10 @@ class BrachFamily(namedtuple("BrachFamily", "k rho_min separation_angle")):
         # k = rho_min / sqrt(1 - rho_min^2) in x = 1 - rho_min, which the
         # rounded rho_min no longer holds at tiny separations
         x = delta_theta / math.pi
-        rm = 1.0 - x
-        if rm <= 0.0:
-            return cls(k=0.0, rho_min=0.0, separation_angle=math.pi)
-        k = rm / math.sqrt(x * (2.0 - x))
-        return cls(k=k, rho_min=rm, separation_angle=delta_theta)
+        if not x >= _MIN_DEPTH:
+            raise DomainError(f"separation {delta_theta!r} is too small: "
+                              "its depth separation/pi underflows")
+        return cls((1.0 - x) / math.sqrt(x * (2.0 - x)))
 
 
 def family_from_separation(delta_theta: float) -> BrachFamily:
@@ -111,21 +110,28 @@ def family_from_separation(delta_theta: float) -> BrachFamily:
 def arc_length(family: BrachFamily) -> float:
     """Tunnel length 2 * integral of sqrt(1 + rho^2 theta'^2) d rho.
 
-    Closed form 2 (1 - rho_min^2), written as 2 q (2 - q) for
-    q = separation_angle / pi so tiny separations keep full relative
-    precision: 2 for the k = 0 diameter and strictly longer than the
-    straight chord otherwise.  ``2 * timing.arc_integral(family,
+    Closed form 2 (1 - rho_min^2), written as 2 q (2 - q) for the
+    family's depth q so tiny separations keep full relative precision:
+    2 for the k = 0 diameter and strictly longer than the straight chord
+    otherwise.  ``2 * timing.arc_integral(family,
     "length")`` is the singular-quadrature route to the same number.
     """
     if not isinstance(family, BrachFamily):
         raise DomainError("arc_length expects a BrachFamily")
-    q = family.separation_angle / math.pi
+    q = family.depth
     return 2.0 * q * (2.0 - q)
 
 
-def tunnel_point(family: BrachFamily, beta, sin=math.sin, sqrt=math.sqrt,
+def tunnel_time(q: float) -> float:
+    """Transit time pi sqrt(q (2 - q)) = pi sqrt(1 - rho_min^2) of the
+    tunnel whose turnaround depth is q."""
+    return math.pi * math.sqrt(q * (2.0 - q))
+
+
+def tunnel_point(q: float, beta, sin=math.sin, sqrt=math.sqrt,
                  atan2=math.atan2):
-    """Depth, angle, time and arc length of the tunnel at radius cos(beta).
+    """Depth, angle, time and arc length at radius cos(beta) of the
+    tunnel whose turnaround depth (`BrachFamily.depth`) is q.
 
     The tunnel is a hypocycloid: a circle of radius b = q/2, with
     q = separation/pi, rolls inside the unit circle (Venezian 1966;
@@ -147,7 +153,6 @@ def tunnel_point(family: BrachFamily, beta, sin=math.sin, sqrt=math.sqrt,
     sin, sqrt and arctan2).  Valid for beta in [0, acos(rho_min));
     `tunnel_turnaround` gives the turnaround exactly.
     """
-    q = family.separation_angle / math.pi
     half = sin(0.5 * beta)
     depth = 2.0 * half * half
     width = q * (2.0 - q)
@@ -160,38 +165,39 @@ def tunnel_point(family: BrachFamily, beta, sin=math.sin, sqrt=math.sqrt,
             width * s * s / (1.0 + c))
 
 
-def tunnel_turnaround(family: BrachFamily):
-    """`tunnel_point`'s values at the turnaround, exactly: depth q,
-    angle -separation/2, half the transit time and half the arc length."""
-    return (family.separation_angle / math.pi, -0.5 * family.separation_angle,
-            0.5 * total_transit_time(family).tau, 0.5 * arc_length(family))
+def tunnel_turnaround(q: float):
+    """`tunnel_point`'s values at the turnaround of the tunnel of depth q,
+    exactly: depth q, angle -pi q/2 (half the separation), half the
+    transit time and half the arc length."""
+    return q, -0.5 * (math.pi * q), 0.5 * tunnel_time(q), q * (2.0 - q)
 
 
-def tunnel_step(family: BrachFamily, n: int) -> float:
-    """Angle step acos(rho_min) / (n - 1) of n samples per tunnel half.
+def tunnel_step(q: float, n: int) -> float:
+    """Angle step acos(1 - q) / (n - 1) of n samples per half of the
+    tunnel whose turnaround depth is q.
 
     Sample i lies at beta = i * step, numpy's ``linspace`` from 0 to the
     turnaround bit for bit.  acos(rho_min) is taken as 2 asin(sqrt(q/2)),
     which keeps its relative precision at tiny separations.  Raises
-    DomainError for n < 2.
+    DomainError for n < 2 or q outside (0, 1].
     """
-    if not isinstance(family, BrachFamily):
-        raise DomainError("a tunnel sample needs a BrachFamily")
+    if not 0.0 < q <= 1.0:
+        raise DomainError(f"a tunnel's depth must lie in (0, 1]; got {q!r}")
     n = int(n)
     if n < 2:
         raise DomainError(f"a tunnel half needs n >= 2 samples; got {n}")
-    q = family.separation_angle / math.pi
     return 2.0 * math.asin(math.sqrt(0.5 * q)) / (n - 1)
 
 
-def tunnel_half(family: BrachFamily, n: int):
-    """`tunnel_point` at the n samples of one half, surface to turnaround.
+def tunnel_half(q: float, n: int):
+    """`tunnel_point` at the n samples of one half of the tunnel whose
+    turnaround depth is q (`BrachFamily.depth`), surface to turnaround.
 
-    The second half is the mirror image about theta = -separation/2.
+    The second half is the mirror image about theta = -pi q/2.
     """
-    step = tunnel_step(family, n)
-    points = [tunnel_point(family, i * step) for i in range(n - 1)]
-    points.append(tunnel_turnaround(family))
+    step = tunnel_step(q, n)
+    points = [tunnel_point(q, i * step) for i in range(n - 1)]
+    points.append(tunnel_turnaround(q))
     return points
 
 
@@ -206,15 +212,14 @@ def total_transit_time(family: BrachFamily) -> TransitResult:
     """Full surface-to-surface time, in closed form.
 
     pi * sqrt(1 - rho_min^2), with 1 - rho_min^2 written as q (2 - q) for
-    q = separation_angle / pi, which keeps full relative precision at
-    tiny separations.  Nothing is integrated: the error estimate and the
+    the family's depth q, which keeps full relative precision at tiny
+    separations.  Nothing is integrated: the error estimate and the
     evaluation count are 0.  ``2 * timing.half_transit_time(family).tau``
     is the singular-quadrature route to the same number.
     """
     if not isinstance(family, BrachFamily):
         raise DomainError("total_transit_time expects a BrachFamily")
-    q = family.separation_angle / math.pi
-    return TransitResult(tau=math.pi * math.sqrt(q * (2.0 - q)),
+    return TransitResult(tau=tunnel_time(family.depth),
                          error_estimate=0.0, evaluations=0)
 
 

@@ -29,64 +29,64 @@ DOMAIN_EPS = 1e-12
 
 
 def _unit_interval(value, name):
-    """Validate value(s) against [0, 1], clamping DOMAIN_EPS overshoot."""
-    arr = np.asarray(value, dtype=float)
-    bad = (arr < -DOMAIN_EPS) | (arr > 1.0 + DOMAIN_EPS) | ~np.isfinite(arr)
-    if np.any(bad):
-        offender = float(np.ravel(arr[bad])[0])
-        raise DomainError(f"{name} must lie in [0, 1]; got {offender!r}")
-    clipped = np.clip(arr, 0.0, 1.0)
-    return float(clipped) if arr.ndim == 0 else clipped
+    """A fresh float copy of value(s) in [0, 1], DOMAIN_EPS overshoot
+    clipped in place."""
+    arr = np.array(value, dtype=float)
+    if arr.size and not (arr.min() >= -DOMAIN_EPS
+                         and arr.max() <= 1.0 + DOMAIN_EPS):
+        bad = ~((arr >= -DOMAIN_EPS) & (arr <= 1.0 + DOMAIN_EPS))
+        raise DomainError(f"{name} must lie in [0, 1]; "
+                          f"got {float(np.ravel(arr[bad])[0])!r}")
+    np.clip(arr, 0.0, 1.0, out=arr)
+    return float(arr) if arr.ndim == 0 else arr
 
 
 @dataclass(frozen=True)
 class DiscretePath:
     """Ordered polar samples of a tunnel, normally surface to surface.
 
-    ``rho`` and ``theta`` are equal-length float arrays (read-only).
-    Paths produced by the library constructors dip monotonically to a
-    single interior minimum and rise back; arbitrary point lists (e.g.
-    perturbed paths) need not.
+    ``rho``, ``theta`` and ``depth`` are equal-length float arrays
+    (read-only).  Paths produced by the library constructors dip
+    monotonically to a single interior minimum and rise back; arbitrary
+    point lists (e.g. perturbed paths) need not.
 
-    ``depth`` optionally holds 1 - rho per sample, computed without
-    cancellation by a constructor that knows the geometry (`sample_path`,
-    `chord_path`), since rho cannot resolve a depth much below 1e-16.
-    It must agree with 1 - rho to within DOMAIN_EPS.  It is None for
-    paths given by radii alone, whose depth is then taken as 1 - rho.
-    The timing kernel puts a sample on the zero-speed surface exactly
-    when its depth is 0.
+    ``depth`` holds 1 - rho per sample.  A constructor that knows the
+    geometry (`sample_path`, `chord_path`) computes it without
+    cancellation, since rho cannot resolve a depth much below 1e-16;
+    it must agree with 1 - rho to within DOMAIN_EPS.  For paths given
+    by radii alone it is 1 - rho.  The timing kernel puts a sample on
+    the zero-speed surface exactly when its depth is 0.
     """
 
     rho: np.ndarray
     theta: np.ndarray
-    depth: np.ndarray | None = None
+    depth: np.ndarray
 
     @classmethod
     def from_arrays(cls, rho, theta, depth=None):
-        rho = _unit_interval(np.atleast_1d(np.asarray(rho, dtype=float)), "rho")
+        rho = _unit_interval(np.atleast_1d(rho), "rho")
         theta = np.array(theta, dtype=float).reshape(-1)
         if rho.shape != theta.shape:
             raise DomainError("rho and theta must have the same length")
         if rho.size < 2:
             raise DomainError("a path needs at least 2 points")
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise DomainError("theta samples must be finite")
-        rho = rho.copy()
-        theta = theta.copy()
-        rho.setflags(write=False)
-        theta.setflags(write=False)
-        if depth is not None:
-            depth = _unit_interval(np.array(depth, dtype=float).reshape(-1),
-                                   "depth")
+        if depth is None:
+            depth = 1.0 - rho
+        else:
+            depth = _unit_interval(np.reshape(depth, -1), "depth")
             if depth.shape != rho.shape:
                 raise DomainError("depth and rho must have the same length")
-            off = np.abs(depth - (1.0 - rho)) > DOMAIN_EPS
-            if np.any(off):
-                i = int(np.flatnonzero(off)[0])
+            off = 1.0 - rho
+            off -= depth
+            if np.abs(off, out=off).max() > DOMAIN_EPS:
+                i = int(np.argmax(off > DOMAIN_EPS))
                 raise DomainError(f"depth[{i}] = {float(depth[i])!r} "
                                   f"contradicts rho[{i}] = {float(rho[i])!r}:"
                                   " depth must be 1 - rho")
-            depth.setflags(write=False)
+        for values in (rho, theta, depth):
+            values.setflags(write=False)
         return cls(rho=rho, theta=theta, depth=depth)
 
     def __len__(self):
@@ -100,10 +100,9 @@ class DiscretePath:
         """Length of each segment, sqrt((d1 - d0)^2 + 4 r0 r1 s2) with
         s2 = sin(dtheta/2)^2, which keeps the digits of a segment far
         shorter than an ulp of rho that Cartesian differences lose."""
-        depth = 1.0 - self.rho if self.depth is None else self.depth
         across = np.sin(0.5 * np.diff(self.theta))
         across *= 2.0 * np.sqrt(self.rho[:-1] * self.rho[1:])
-        return np.hypot(np.diff(depth), across)
+        return np.hypot(np.diff(self.depth), across)
 
     def cumulative_arclength(self):
         return np.concatenate(([0.0], np.cumsum(self.chord_lengths())))

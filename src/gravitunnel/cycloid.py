@@ -17,7 +17,7 @@ phi * sqrt(a / g).
 import math
 from collections import namedtuple
 
-from .closed import BrachFamily, total_transit_time, tunnel_half
+from .closed import BrachFamily, tunnel_half, tunnel_time
 from .errors import DomainError
 
 # samples per half of the spherical tunnel in compare_small_arc
@@ -91,6 +91,8 @@ def compare_small_arc(delta_theta: float) -> SmallArcComparison:
     The tunnel's stations come from the hypocycloid in closed form
     (`closed.tunnel_half`, 2001 per half), with their depth free of
     cancellation, and the cycloid is interpolated linearly onto them.
+    Its depth is the input's delta_theta/pi, not the family's few-ulp-off
+    formula of k, which would move both (cancelling) differences below.
 
     Separations above 0.2 rad are outside the small-arc regime; use the
     family and timing tools directly to compare large tunnels.
@@ -99,10 +101,13 @@ def compare_small_arc(delta_theta: float) -> SmallArcComparison:
     if not (math.isfinite(delta_theta) and 0.0 < delta_theta <= 0.2):
         raise DomainError("compare_small_arc covers separations in (0, 0.2] "
                           f"rad; got {delta_theta!r}")
-    family = BrachFamily.from_separation(delta_theta)
-    # (x, y) = (-theta, depth) along the tunnel, the second half mirrored
+    BrachFamily.from_separation(delta_theta)    # refuses an underflow
+    q = delta_theta / math.pi
+    # (x, y) = (-theta, depth) along the tunnel, the turnaround at half
+    # the input's separation and the second half mirrored about it
     half = [(-theta, depth) for depth, theta, _, _ in
-            tunnel_half(family, _SAMPLES_PER_HALF)]
+            tunnel_half(q, _SAMPLES_PER_HALF)[:-1]]
+    half.append((0.5 * delta_theta, q))
     stations = half + [(delta_theta - x, y) for x, y in reversed(half[:-1])]
 
     flat = cycloid_between(delta_theta)
@@ -115,7 +120,7 @@ def compare_small_arc(delta_theta: float) -> SmallArcComparison:
     deviation = max(abs(y - y_on) for (_, y), y_on in
                     zip(stations, _interpolate(curve, stations))) / delta_theta
 
-    t_sphere = total_transit_time(family).tau
+    t_sphere = tunnel_time(q)
     t_cyc = cycloid_time(flat, 1.0)
     return SmallArcComparison(delta_theta=delta_theta,
                               max_geometry_deviation=deviation,

@@ -125,10 +125,10 @@ def optimize_path(delta_theta: float, interior_points: int,
     rho[1:-1] = np.clip(x0, lo, hi)
 
     def objective(r):
-        return float(np.sum(_segment_times(r, thetas)))
+        return float(np.sum(_segment_times(r, thetas, 1.0 - r)))
 
     def derivatives(r):
-        t0, t1, t00, t01, t11 = _segment_time_partials(r, thetas)
+        t0, t1, t00, t01, t11 = _segment_time_partials(r, thetas, 1.0 - r)
         return t1[:-1] + t0[1:], t11[:-1] + t00[1:], t01[1:-1]
 
     best = objective(rho)
@@ -200,7 +200,7 @@ def perturbation_test(family: BrachFamily, amplitude: float,
         raise DomainError(
             f"perturbation of amplitude {amplitude!r} in mode {mode} pushes "
             f"the path {where}; the tunnel is "
-            f"{family.separation_angle / math.pi!r} deep (separation/pi)")
+            f"{family.depth!r} deep (separation/pi)")
     np.clip(rho, 0.0, 1.0, out=rho)
     np.clip(depth, 0.0, 1.0, out=depth)
     base = float(np.sum(_segment_times(path.rho, path.theta, path.depth)))
@@ -216,6 +216,9 @@ _RTOL = 1e-13
 _ATOL = 1e-13
 _MAX_TAU = 8.0 * math.pi
 _TRACE_SAMPLES = 2001
+# _ATOL on the arclength of a tunnel of depth q, ~4 q long, moves the
+# arrival by up to ~_ATOL/q relative: past 1e-4 below this depth.
+_MIN_DEPTH = 1e4 * _ATOL
 
 
 @dataclass(frozen=True)
@@ -262,13 +265,17 @@ def simulate_bead(path: DiscretePath) -> SimulationTrace:
     in that parameter, which conserves the continuum energy identically;
     the reported drift max |nu^2/2 - (1 - rho^2)/2| therefore isolates
     integrator error.  Raises StalledTrajectoryError, carrying the
-    turning point, if the bead fails to reach the far end by tau = 8 pi.
+    turning point, if the bead fails to reach the far end by tau = 8 pi,
+    and PathError for a path shallower than _MIN_DEPTH (separation ~3e-9).
     """
     from scipy.integrate import cumulative_trapezoid, solve_ivp
     from scipy.interpolate import CubicSpline
 
     if not isinstance(path, DiscretePath):
         raise DomainError("simulate_bead expects a DiscretePath")
+    if not path.depth.max() >= _MIN_DEPTH:
+        raise PathError(f"path depth {path.depth.max():.3e} is below "
+                        f"{_MIN_DEPTH:.0e}, too shallow for the bead")
     x, y = path.xy()
     seg = np.hypot(np.diff(x), np.diff(y))
     keep = np.concatenate(([True], seg > 0.0))

@@ -60,6 +60,10 @@ _ABS_TOL = 1e-10
 _REL_TOL = 1e-10
 _MAX_SUBDIVISIONS = 60
 
+# The integrands work in rho, spaced eps/2 apart near 1, which holds a
+# turnaround depth q only to eps/(2 q): shallower than this, past _REL_TOL.
+_MIN_DEPTH = 0.5 * math.ulp(1.0) / _REL_TOL
+
 
 # 15-point Kronrod extension of 7-point Gauss, positive abscissae.
 _XGK = np.array([
@@ -169,6 +173,10 @@ def _smooth_factor(rho, k, rm):
 def _integral(family, selector):
     """Half-tunnel integral of the chosen integrand, with substitutions."""
     k, rm = family.k, family.rho_min
+    if family.depth < _MIN_DEPTH:
+        raise QuadratureError(f"k = {k!r}: rho cannot resolve the depth "
+                              f"{family.depth:.3e} < {_MIN_DEPTH:.1e}; use "
+                              "total_transit_time or arc_length")
     rho_c = 0.5 * (1.0 + rm)
     alpha_c = math.asin(rho_c)
     u_max = math.sqrt(rho_c - rm)
@@ -201,7 +209,8 @@ def arc_integral(family: BrachFamily, selector: str) -> float:
 
     selector "time" gives the half transit time, "length" the half arc
     length.  The degenerate k = 0 diameter is returned in closed form
-    (pi/2 and 1 respectively).
+    (pi/2 and 1 respectively).  Raises QuadratureError where it does not
+    converge and below depth _MIN_DEPTH (separation ~3.5e-6).
     """
     if selector not in ("time", "length"):
         raise DomainError(f"selector must be 'time' or 'length'; got {selector!r}")
@@ -229,7 +238,7 @@ def half_transit_time(family: BrachFamily) -> TransitResult:
 _DIVISOR_FLOOR = 1e-300
 
 
-def _segment_geometry(rho, theta, depth=None):
+def _segment_geometry(rho, theta, depth):
     """Length, end projections and speeds of each segment of a polyline.
 
     With s2 = sin(dtheta/2)^2 and every radial difference taken from the
@@ -244,14 +253,13 @@ def _segment_geometry(rho, theta, depth=None):
     the length, the ends' positions along the segment measured from the
     foot of the perpendicular from the centre, the speed at each sample
     and the speed drop along the segment, all free of cancellation.
-    ``depth`` supplies d (see `DiscretePath`); without it d is 1 - rho,
-    which is exact for rho >= 1/2 (Sterbenz).  A zero length divides as
+    ``depth`` supplies d (see `DiscretePath`).  A zero length divides as
     _DIVISOR_FLOOR, where s0's dividend is 0, and so does nu0 + nu1 = 0,
     which needs d0 = d1 = 0.  Returns fresh arrays (L, s0, s1, nu, drop),
     nu per sample and the rest per segment.
     """
     rho = np.asarray(rho, dtype=float)
-    depth = 1.0 - rho if depth is None else np.asarray(depth, dtype=float)
+    depth = np.asarray(depth, dtype=float)
     r0, r1 = rho[:-1], rho[1:]
     d0, d1 = depth[:-1], depth[1:]
     s2 = np.diff(np.asarray(theta, dtype=float))
@@ -282,7 +290,7 @@ def _segment_geometry(rho, theta, depth=None):
     return length, s0, s1, nu, drop
 
 
-def _segment_times(rho, theta, depth=None):
+def _segment_times(rho, theta, depth):
     """Exact traversal times of each straight segment of a polar polyline.
 
     Along a straight segment the motion is simple harmonic, and
@@ -320,7 +328,7 @@ def _segment_times(rho, theta, depth=None):
     return np.arctan2(length, s1, out=length)
 
 
-def _segment_time_partials(rho, theta):
+def _segment_time_partials(rho, theta, depth):
     """First and second partials of each segment time in its end radii.
 
     With the angles held fixed a segment time depends only on its end
@@ -345,7 +353,7 @@ def _segment_time_partials(rho, theta):
     """
     rho = np.asarray(rho, dtype=float)
     r0, r1 = rho[:-1], rho[1:]
-    length, s0, s1, nu, drop = _segment_geometry(rho, theta)
+    length, s0, s1, nu, drop = _segment_geometry(rho, theta, depth)
     nu0, nu1 = nu[:-1], nu[1:]
     nu_diff = -drop                                     # nu1 - nu0
     c2 = (r0 - s0) * (r0 + s0)
@@ -404,9 +412,9 @@ def path_transit_time(path: DiscretePath) -> TransitResult:
     error = float(n * np.finfo(float).eps * max(abs(tau), 1.0))
     if n >= 5:
         try:
-            coarse = _segment_times(
-                _every_other(path.rho), _every_other(path.theta),
-                None if path.depth is None else _every_other(path.depth))
+            coarse = _segment_times(_every_other(path.rho),
+                                    _every_other(path.theta),
+                                    _every_other(path.depth))
             error = abs(tau - float(np.sum(coarse)))
             evaluations += coarse.size
         except DegenerateSegmentError:

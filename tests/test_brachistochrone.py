@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import mpmath
 import numpy as np
@@ -18,6 +20,20 @@ from gravitunnel.brachistochrone import _bisect_bits, _theta_closed_form
 from gravitunnel.closed import tunnel_step
 
 K_GRID = (0.1, 0.5, 1.0, 2.0, 10.0)
+# the largest k, and the smallest separation, whose turnaround depth
+# is a normal float
+K_LIMIT = 4.740375954054588e+153
+SEP_LIMIT = 6.990275687580919e-308
+
+
+def assert_one_formula(fam):
+    """Each quantity of the family is its module formula of k, bit for
+    bit, and its turnaround is where theta_of_rho puts it."""
+    assert fam.rho_min == rho_min(fam.k)
+    assert fam.separation_angle == separation_angle(fam.k)
+    assert fam.separation_angle == math.pi * fam.depth
+    turn = theta_of_rho(fam.rho_min, fam.k)
+    assert abs(turn + fam.separation_angle / 2) <= 1e-15
 
 
 class TestRhoMin:
@@ -159,32 +175,67 @@ class TestFamily:
         with pytest.raises(DomainError):
             family_from_separation(bad)
 
-    def test_inconsistent_fields_rejected(self):
-        with pytest.raises(DomainError):
-            BrachFamily(k=1.0, rho_min=0.3, separation_angle=1.0)
-
     @settings(max_examples=400, deadline=None)
-    @given(st.floats(-300.0, 12.0))
+    @given(st.floats(-300.0, 160.0))
     @example(3.0)
     @example(5.0)
     @example(math.log10(3e7))
     @example(math.log10(6.7e7))
     @example(8.0)
+    @example(12.0)
+    @example(math.log10(K_LIMIT))
+    @example(math.log10(1.3e154))
     def test_from_momentum_within_4_ulp_or_names_k(self, log_k):
-        # 1 - rho_min = 1/(h (h + k)) with h = sqrt(k^2 + 1), and the
-        # transit time pi sqrt(1 - rho_min^2) is pi/h: both free of
-        # cancellation, so exact at 50 digits
+        # 1 - rho_min = 1/(h (h + k)) with h = sqrt(k^2 + 1), the transit
+        # time pi sqrt(1 - rho_min^2) is pi/h and the arc length 2/h^2:
+        # all free of cancellation, so exact at 50 digits.  Past K_LIMIT
+        # the depth is no longer a normal float.
         k = 10.0 ** log_k
-        if k / math.hypot(k, 1.0) == 1.0:
-            with pytest.raises(DomainError, match=repr(k)):
+        if k > K_LIMIT:
+            with pytest.raises(DomainError, match=re.escape(repr(k))):
                 BrachFamily.from_momentum(k)
             return
         fam = BrachFamily.from_momentum(k)
         with mpmath.workdps(50):
             h = mpmath.sqrt(mpmath.mpf(k) ** 2 + 1)
             for value, exact in ((fam.separation_angle, mpmath.pi / (h * (h + k))),
-                                 (total_transit_time(fam).tau, mpmath.pi / h)):
+                                 (fam.depth, 1 / (h * (h + k))),
+                                 (fam.rho_min, k / h),
+                                 (total_transit_time(fam).tau, mpmath.pi / h),
+                                 (arc_length(fam), 2 / h ** 2)):
                 assert abs(mpmath.mpf(value) - exact) <= 4 * math.ulp(float(exact))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        st.just(0.0), st.floats(-300.0, 12.0).map(lambda e: 10.0 ** e)))
+    def test_each_quantity_has_one_formula_from_k(self, k):
+        assert_one_formula(BrachFamily.from_momentum(k))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.floats(math.log(1e-12), math.log(math.pi)))
+    @example(math.log(math.pi))
+    @example(math.log(1e-4))
+    def test_each_quantity_has_one_formula_from_separation(self, log_sep):
+        sep = min(math.exp(log_sep), math.pi)
+        fam = family_from_separation(sep)
+        assert_one_formula(fam)
+        x = sep / math.pi
+        assert fam.k == (1.0 - x) / math.sqrt(x * (2.0 - x))
+        assert abs(fam.separation_angle - sep) <= 8 * math.ulp(sep)
+
+    def test_domain_ends_name_the_input(self):
+        # the depth separation/pi, and 1/(h (h + k)), stay normal floats
+        for sep in (SEP_LIMIT, 1e-300, 1e-200):
+            fam = family_from_separation(sep)
+            assert fam.depth >= sys.float_info.min
+            assert abs(fam.separation_angle - sep) <= 8 * math.ulp(sep)
+        for sep in (5e-324, 1e-310, math.nextafter(SEP_LIMIT, 0.0)):
+            with pytest.raises(DomainError, match=re.escape(repr(sep))):
+                family_from_separation(sep)
+        assert BrachFamily.from_momentum(K_LIMIT).depth >= sys.float_info.min
+        for k in (math.nextafter(K_LIMIT, math.inf), 1e200, sys.float_info.max):
+            with pytest.raises(DomainError, match=re.escape(repr(k))):
+                BrachFamily.from_momentum(k)
 
 
 class TestSamplePath:
@@ -195,9 +246,6 @@ class TestSamplePath:
         assert path.theta[0] == 0.0
         assert path.theta[-1] == pytest.approx(-math.pi, rel=1e-15)
 
-    # The 1e-4 family's rho_min lies an ulp above the rho_min(k) that
-    # theta_of_rho recomputes, where theta's vertical slope would move the
-    # axis by 1.2e-10; the sample's axis comes from the separation alone.
     @pytest.mark.parametrize("fam", [
         *(pytest.param(BrachFamily.from_momentum(k), id=str(k))
           for k in (0.3, 1.0, 5.0)),
@@ -208,7 +256,7 @@ class TestSamplePath:
         assert int(np.argmax(path.depth)) == 49
         assert path.rho[49] == fam.rho_min
         assert path.theta[49] == -fam.separation_angle / 2
-        assert path.depth[49] == fam.separation_angle / math.pi
+        assert path.depth[49] == fam.depth
         reference = total_transit_time(fam).tau
         tau = path_transit_time(sample_path(fam, 10_000)).tau
         assert 0.0 <= tau - reference <= 1e-6 * reference
@@ -245,12 +293,12 @@ class TestHypocycloid:
     @example(math.log(3.1), 2000)
     @example(math.log(1e-12), 2000)
     def test_theta_against_references(self, log_sep, n):
-        sep = min(math.exp(log_sep), math.pi)
-        fam = family_from_separation(sep)
+        fam = family_from_separation(min(math.exp(log_sep), math.pi))
+        sep = fam.separation_angle
         path = sample_path(fam, n)
         assert path.theta[n - 1] == -sep / 2
-        assert path.depth[n - 1] == sep / math.pi
-        step = tunnel_step(fam, n)
+        assert path.depth[n - 1] == fam.depth
+        step = tunnel_step(fam.depth, n)
         # the hypocycloid at the samples' own angles beta = i * step:
         # s = sin(phi/2) = sin(beta) / sqrt(1 - rho_min^2)
         picks = sorted({*range(0, n - 1, max(1, n // 16)),
@@ -342,9 +390,7 @@ def assert_adjacent_float_brackets(fam, thetas, rho):
 
     It must also lie within a few floats of a bisection over the whole of
     [rho_min, 1]; the two can differ only where the computed angle is not
-    monotone.  The angle is the closed form on the family's own rho_min,
-    which for a family built from its separation can differ in the last
-    bit from the rho_min(k) that theta_of_rho derives.
+    monotone.
     """
     sep, k, rm = fam.separation_angle, fam.k, fam.rho_min
     target = np.where(thetas < -sep / 2.0, -sep - thetas, thetas)
@@ -402,6 +448,7 @@ class TestRhoAtThetaSolve:
                                      math.pi - 1e-6, math.pi))
     def test_mirror_symmetry_on_dense_grid(self, sep):
         fam = family_from_separation(sep)
+        sep = fam.separation_angle
         thetas = np.linspace(-sep, 0.0, 1000)
         rho = rho_at_theta(fam, thetas)
         assert np.max(np.abs(rho - rho[::-1])) <= 1e-12

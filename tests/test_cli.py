@@ -98,6 +98,20 @@ class TestUsageErrors:
         assert code == 1
         assert err.strip()
 
+    @pytest.mark.parametrize("argv, named", [
+        (("time", "--sep", "5e-324"), "separation 5e-324"),
+        (("path", "--sep", "6e-308", "--include-chord"), "separation 6e-308"),
+        (("compare-cycloid", "--sep", "1e-310"), "separation 1e-310"),
+        (("sweep", "--k-range", "1e150:1e155", "--count", "3"),
+         "k = 1e+155"),
+    ])
+    def test_domain_end_names_the_input(self, capsys, argv, named):
+        # one line of message, no traceback
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("gravitunnel: ") and err.count("\n") == 1
+        assert named in err
+
     def test_numeric_failure_exit_code(self, capsys, monkeypatch):
         from gravitunnel import cli as cli_mod
 
@@ -179,7 +193,7 @@ class TestPathCommand:
                 cells += [arc * scaling.length_unit_m,
                           tau * scaling.time_unit_s]
             expected.append(",".join([cells[0], *map(_fmt, cells[1:])]))
-        assert _curve_rows("tunnel", samples, scaling) == expected
+        assert list(_curve_rows("tunnel", samples, scaling)) == expected
 
     def test_include_chord_and_earth_columns(self, capsys):
         code, out, _ = run_cli(capsys, "path", "--sep", "90deg", "--body",
@@ -223,6 +237,29 @@ class TestSweepCommand:
         _, rows_sep = parse_csv(by_sep)
         for a, b in zip(rows_k[0][1:], rows_sep[0][1:]):
             assert float(a) == pytest.approx(float(b), abs=1e-12)
+
+    def test_momenta_up_to_1e12(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--k-range", "1e7:1e12",
+                               "--count", "6")
+        assert code == 0
+        header, rows = parse_csv(out)
+        k = [float(r[header.index("k")]) for r in rows]
+        tau = [float(r[header.index("tau")]) for r in rows]
+        assert k[-1] == 1e12
+        assert tau == pytest.approx([math.pi / x for x in k], rel=1e-11)
+
+    def test_structured_rows_are_full_doubles(self, capsys):
+        _, out, _ = run_cli(capsys, "sweep", "--sep-range", "1:1", "--count",
+                            "1", "--body", "earth", "--format", "structured")
+        payload = json.loads(out)
+        _, out, _ = run_cli(capsys, "time", "--sep", "1", "--body", "earth",
+                            "--format", "structured")
+        single = json.loads(out)
+        row = dict(zip(payload["columns"], payload["rows"][0]))
+        assert row["tau"] == single["tunnel_tau"]
+        assert row["tau_s"] == single["tunnel_s"]
+        assert (row["k"], row["rho_min"], row["arc"]) == (
+            single["k"], single["rho_min"], single["tunnel_arc"])
 
     def test_deterministic_output(self, capsys):
         args = ("sweep", "--k-range", "0.1:5", "--count", "7", "--body",

@@ -119,7 +119,7 @@ class TestDiscretePath:
 
     def test_depth(self):
         plain = DiscretePath.from_arrays([1.0, 0.5, 1.0], [0.0, -0.5, -1.0])
-        assert plain.depth is None
+        assert np.array_equal(plain.depth, 1.0 - plain.rho)
         path = DiscretePath.from_arrays([1.0, 0.5, 1.0], [0.0, -0.5, -1.0],
                                         [0.0, 0.5, 0.0])
         assert path.depth.tolist() == [0.0, 0.5, 0.0]

@@ -96,7 +96,8 @@ class TestSmallArc:
         delta = min(10.0 ** log_delta, 0.2)
         n = cycloid._SAMPLES_PER_HALF
         half = [(-theta, depth) for depth, theta, _, _ in
-                closed.tunnel_half(family_from_separation(delta), n)]
+                closed.tunnel_half(delta / math.pi, n)[:-1]]
+        half.append((delta / 2, delta / math.pi))
         stations = half + [(delta - x, y) for x, y in reversed(half[:-1])]
         flat = cycloid_between(delta)
         step = flat.end_angle / (8 * n - 1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gravitunnel import oracle
-from gravitunnel import (BrachFamily, DiscretePath, DomainError,
+from gravitunnel import (BrachFamily, DiscretePath, DomainError, PathError,
                          StalledTrajectoryError,
                          chord_from_separation, chord_path,
                          family_from_separation, optimize_path,
@@ -207,6 +207,15 @@ class TestSimulateBead:
         trace = simulate_bead(sample_path(fam, 1500))
         reference = total_transit_time(fam).tau
         assert abs(trace.transit_time - reference) / reference < 1e-8
+
+    @pytest.mark.parametrize("fam", [BrachFamily.from_momentum(1e9),
+                                     family_from_separation(1e-12),
+                                     family_from_separation(2e-9)])
+    def test_too_shallow_path_is_refused(self, fam):
+        # the first two ran to 2.8e-5 against 3.1e-9 and to 0.0; the
+        # third lies just under the bound
+        with pytest.raises(PathError, match="depth"):
+            simulate_bead(sample_path(fam, 200))
 
     def test_point_above_surface_rejected_at_validation(self):
         with pytest.raises(DomainError):

@@ -135,6 +135,28 @@ class TestArcIntegral:
             return
         assert abs(value - exact) <= 1e-9 * exact
 
+    @pytest.mark.parametrize("make, value", [
+        (BrachFamily.from_momentum, 1e8),       # rho_min rounds to 1
+        (BrachFamily.from_momentum, 6e7),       # gave inf
+        (family_from_separation, 1e-17),
+        (family_from_separation, 3.16e-8),      # was 8e-10 off, silently
+    ])
+    def test_depth_rho_cannot_hold_is_refused(self, make, value):
+        fam = make(value)
+        for call in (lambda: half_transit_time(fam),
+                     lambda: arc_integral(fam, "time"),
+                     lambda: arc_integral(fam, "length")):
+            with pytest.raises(QuadratureError, match=f"k = {fam.k!r}:"):
+                call()
+
+    def test_shallowest_integrated_family(self):
+        fam = family_from_separation(4e-6)
+        assert fam.depth >= timing._MIN_DEPTH
+        exact = total_transit_time(fam).tau
+        assert abs(2 * half_transit_time(fam).tau - exact) <= 1e-10 * exact
+        exact = arc_length(fam)
+        assert abs(2 * arc_integral(fam, "length") - exact) <= 1e-10 * exact
+
 
 class TestPathTransit:
     def test_sampled_family_matches_quadrature(self):
@@ -259,7 +281,7 @@ def polar_polyline(draw):
 @example((np.array([1.0, 1.0]), np.array([0.0, -1.0])))
 def test_segment_times_match_scalar_reference(case):
     rho, theta = case
-    times = _segment_times(rho, theta)
+    times = _segment_times(rho, theta, 1.0 - rho)
     ref = [float(reference_segment_time(rho[i], theta[i], rho[i + 1],
                                         theta[i + 1]))
            for i in range(rho.size - 1)]
@@ -277,7 +299,8 @@ def test_segment_time_partials_match_central_differences(r0, r1, dtheta):
     theta = np.array([0.0, -dtheta])
 
     def t(a, b):
-        return float(_segment_times(np.array([a, b]), theta)[0])
+        r = np.array([a, b])
+        return float(_segment_times(r, theta, 1.0 - r)[0])
 
     # each step well inside the radius' distance to 0, to the surface and
     # the segment length, and exact in floating point; the noise term
@@ -294,8 +317,8 @@ def test_segment_time_partials_match_central_differences(r0, r1, dtheta):
           (t(r0, r1 + h1) - 2 * center + t(r0, r1 - h1)) / h1 ** 2]
     noise = [1e-15 / h0, 1e-15 / h1, 4e-15 / h0 ** 2, 4e-15 / (h0 * h1),
              4e-15 / h1 ** 2]
-    exact = [float(p[0]) for p in _segment_time_partials(np.array([r0, r1]),
-                                                         theta)]
+    r = np.array([r0, r1])
+    exact = [float(p[0]) for p in _segment_time_partials(r, theta, 1.0 - r)]
     # a mixed partial is measured against sqrt(|t00 t11|), its natural size
     scale = [abs(e) for e in exact]
     scale[3] = max(scale[3], math.sqrt(abs(exact[2] * exact[4])))
@@ -324,9 +347,9 @@ def test_segment_times_match_mpmath_on_a_short_tunnel(delta):
 
 def test_rho_only_segment_times_match_mpmath_on_a_short_tunnel():
     # ~5e-7-long segments given by radii alone, the form the optimizer
-    # times, where the depth 1 - rho is taken inside the kernel
+    # times, with the depth taken as 1 - rho
     path = sample_path(family_from_separation(0.01), 10_000)
-    times = _segment_times(path.rho, path.theta)
+    times = _segment_times(path.rho, path.theta, 1.0 - path.rho)
     ref = np.array([reference_segment_time(path.rho[i], path.theta[i],
                                            path.rho[i + 1], path.theta[i + 1])
                     for i in range(len(path) - 1)], dtype=float)
