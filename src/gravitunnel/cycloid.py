@@ -92,7 +92,12 @@ def compare_small_arc(delta_theta: float) -> SmallArcComparison:
     (`closed.tunnel_half`, 2001 per half), with their depth free of
     cancellation, and the cycloid is interpolated linearly onto them.
     Its depth is the input's delta_theta/pi, not the family's few-ulp-off
-    formula of k, which would move both (cancelling) differences below.
+    formula of k, which would move the (cancelling) depth differences.
+
+    The tunnel takes pi sqrt(q (2 - q)) and the cycloid sqrt(2 pi delta),
+    so with x = delta/(2 pi) the relative time difference is
+    1 - sqrt(1 - x), taken as x / (1 + sqrt(1 - x)), which does not
+    cancel: within a few ulps at every separation.
 
     Separations above 0.2 rad are outside the small-arc regime; use the
     family and timing tools directly to compare large tunnels.
@@ -120,13 +125,11 @@ def compare_small_arc(delta_theta: float) -> SmallArcComparison:
     deviation = max(abs(y - y_on) for (_, y), y_on in
                     zip(stations, _interpolate(curve, stations))) / delta_theta
 
-    t_sphere = tunnel_time(q)
-    t_cyc = cycloid_time(flat, 1.0)
-    return SmallArcComparison(delta_theta=delta_theta,
-                              max_geometry_deviation=deviation,
-                              sphere_time=t_sphere,
-                              cycloid_time=t_cyc,
-                              relative_time_difference=abs(t_sphere - t_cyc) / t_cyc)
+    x = delta_theta / (2.0 * math.pi)
+    return SmallArcComparison(
+        delta_theta=delta_theta, max_geometry_deviation=deviation,
+        sphere_time=tunnel_time(q), cycloid_time=cycloid_time(flat, 1.0),
+        relative_time_difference=x / (1.0 + math.sqrt(1.0 - x)))
 
 
 def _interpolate(curve, stations):

@@ -7,17 +7,22 @@ A family member's full transit time has the closed form
 which `closed.total_transit_time` returns (re-exported here with
 `TransitResult`).  The singular quadrature below is kept as an
 independent route to the same number.  The half-tunnel time of a
-family member k is
+family member k, and its half length without the 1/sqrt(1 - rho^2), is
 
-    integral from rho_m to 1 of sqrt(1 + rho^2 theta'^2) / sqrt(1-rho^2),
+    integral from rho_m to 1 of
+        rho / sqrt((k^2+1)(rho^2 - rho_m^2)(1 - rho^2)) drho,
 
-which diverges integrably at both ends: like 1/sqrt(1-rho) at the
-zero-speed surface release and like 1/sqrt(rho - rho_m) where the slope
-turns vertical.  Both are removed by substitution before any quadrature
-runs: rho = sin(alpha) flattens the surface end (the Jacobian cos(alpha)
-cancels sqrt(1 - rho^2) exactly) and u = sqrt(rho - rho_m) flattens the
-turnaround end.  The smooth remainders go to an adaptive Gauss-Kronrod
-(G7, K15) engine.
+which diverges integrably: like 1/sqrt(1-rho) at the zero-speed surface
+release and like 1/sqrt(rho - rho_m) where the slope turns vertical.
+One substitution in the depth, 1 - rho = q sin^2(psi) and so
+rho - rho_m = q cos^2(psi), cancels both, leaving on psi in [0, pi/2]
+
+    time    2 rho / sqrt((k^2+1)(2 rho_m + q cos^2 psi)(1 + rho)),
+    length  2 sqrt(q) sin(psi) rho / sqrt((k^2+1)(2 rho_m + q cos^2 psi)),
+
+with rho = rho_m + q cos^2(psi), so neither end cancels at any depth.
+An adaptive Gauss-Kronrod (G7, K15) engine integrates them; the route
+uses the integrand and q, never the closed-form time.
 
 Discrete paths are timed segment by segment.  Along any straight segment
 the motion is simple harmonic (the field is linear in position), so the
@@ -59,10 +64,6 @@ from .errors import DegenerateSegmentError, DomainError, QuadratureError
 _ABS_TOL = 1e-10
 _REL_TOL = 1e-10
 _MAX_SUBDIVISIONS = 60
-
-# The integrands work in rho, spaced eps/2 apart near 1, which holds a
-# turnaround depth q only to eps/(2 q): shallower than this, past _REL_TOL.
-_MIN_DEPTH = 0.5 * math.ulp(1.0) / _REL_TOL
 
 
 # 15-point Kronrod extension of 7-point Gauss, positive abscissae.
@@ -120,22 +121,22 @@ def _gk15(f, a, b):
 
 
 def _tolerance(value):
-    """Error allowed on one of the two pieces of an integral of this value.
-
-    Each piece gets half the absolute tolerance, so the two sum to it.
-    """
+    """Error allowed on an integral of this value."""
     size = abs(value)
-    return max(0.5 * _ABS_TOL * min(1.0, size), _REL_TOL * size)
+    return max(_ABS_TOL * min(1.0, size), _REL_TOL * size)
 
 
-def _adaptive(f, a, b, label):
-    """Adaptive bisection over [a, b]; returns (value, error, evaluations)."""
-    if a == b:
-        return 0.0, 0.0, 0
-    val, err = _gk15(f, a, b)
-    evals = 15
-    heap = [(-err, a, b, val, err)]
-    total_val, total_err = val, err
+def _adaptive(f, breaks, label):
+    """Adaptive bisection over the panels between consecutive break
+    points, all in one heap; returns (value, error, evaluations)."""
+    heap = []
+    for lo, hi in zip(breaks, breaks[1:]):
+        val, err = _gk15(f, lo, hi)
+        heap.append((-err, lo, hi, val, err))
+    heapq.heapify(heap)
+    evals = 15 * len(heap)
+    total_val = sum(panel[3] for panel in heap)
+    total_err = sum(panel[4] for panel in heap)
     for _ in range(_MAX_SUBDIVISIONS):
         if total_err <= _tolerance(total_val):
             return total_val, total_err, evals
@@ -161,56 +162,42 @@ def _adaptive(f, a, b, label):
     )
 
 
-def _smooth_factor(rho, k, rm):
-    """sqrt(1 + rho^2 theta'^2) written without the theta' singularities.
-
-    Simplifies to rho / sqrt((k^2+1)(rho^2 - rho_m^2)); equals 1 at the
-    surface.  Singular only at rho_m, which the caller substitutes away.
-    """
-    return rho / np.sqrt((k * k + 1.0) * (rho - rm) * (rho + rm))
-
-
 def _integral(family, selector):
-    """Half-tunnel integral of the chosen integrand, with substitutions."""
-    k, rm = family.k, family.rho_min
-    if family.depth < _MIN_DEPTH:
-        raise QuadratureError(f"k = {k!r}: rho cannot resolve the depth "
-                              f"{family.depth:.3e} < {_MIN_DEPTH:.1e}; use "
-                              "total_transit_time or arc_length")
-    rho_c = 0.5 * (1.0 + rm)
-    alpha_c = math.asin(rho_c)
-    u_max = math.sqrt(rho_c - rm)
+    """Half-tunnel integral of the chosen integrand, in psi on [0, pi/2].
 
-    if selector == "time":
-        def upper(alpha):
-            return _smooth_factor(np.sin(alpha), k, rm)
+    A near-diameter tunnel's integrand bends on the scale
+    cos(psi) ~ sqrt(rho_m / q) at the turnaround, a layer no node of a
+    wide panel sees, so the initial panels end at cos(psi) = c, 4c, 16c,
+    ... up to 1/2, from c = max(sqrt(rho_m / q), 2^-26).  Below 2^-26,
+    rho_m < 2^-52 q and the layer moves the integral by a few ulps.
+    """
+    h, rm, q = math.hypot(family.k, 1.0), family.rho_min, family.depth
+    length_scale = 2.0 * math.sqrt(q) / h
 
-        def lower(u):
-            rho = rm + u * u
-            return 2.0 * rho / (np.sqrt((k * k + 1.0) * (rho + rm))
-                                * np.sqrt((1.0 - rho) * (1.0 + rho)))
-    else:
-        def upper(alpha):
-            return _smooth_factor(np.sin(alpha), k, rm) * np.cos(alpha)
+    def integrand(psi):
+        above = q * np.cos(psi) ** 2                    # rho - rho_m
+        rho = rm + above
+        if selector == "time":
+            return 2.0 * rho / (h * np.sqrt((2.0 * rm + above) * (1.0 + rho)))
+        return length_scale * np.sin(psi) * rho / np.sqrt(2.0 * rm + above)
 
-        def lower(u):
-            rho = rm + u * u
-            return 2.0 * rho / np.sqrt((k * k + 1.0) * (rho + rm))
-
-    v1, e1, n1 = _adaptive(upper, alpha_c, math.pi / 2.0,
-                           f"{selector} integral, surface piece")
-    v2, e2, n2 = _adaptive(lower, 0.0, u_max,
-                           f"{selector} integral, turnaround piece")
-    return v1 + v2, e1 + e2, n1 + n2
+    cuts = []
+    c = max(math.sqrt(rm / q), 2.0 ** -26)
+    while c < 0.5:
+        cuts.append(math.acos(c))
+        c *= 4.0
+    return _adaptive(integrand, [0.0, *reversed(cuts), 0.5 * math.pi],
+                     f"{selector} integral")
 
 
 def arc_integral(family: BrachFamily, selector: str) -> float:
     """Half-tunnel integral for one family member.
 
     selector "time" gives the half transit time, "length" the half arc
-    length.  The degenerate k = 0 diameter is returned in closed form
-    (pi/2 and 1 respectively).  Raises QuadratureError where it does not
-    converge and below depth _MIN_DEPTH (separation ~3.5e-6).
+    length, within 1e-12 relative for every family member, from k = 0 to
+    the largest `BrachFamily` holds.  The degenerate k = 0 diameter is
+    returned in closed form (pi/2 and 1 respectively).  Raises
+    QuadratureError where it does not converge.
     """
     if selector not in ("time", "length"):
         raise DomainError(f"selector must be 'time' or 'length'; got {selector!r}")

@@ -15,7 +15,13 @@ from gravitunnel.checks import bisect_root, fd4, quad_slope_sweep  # noqa: F401
 
 
 def quad_half_time(k):
-    """Half transit time by QUADPACK under the same two substitutions."""
+    """Half transit time by QUADPACK in rho, in two pieces.
+
+    The surface piece runs in rho = sin(alpha) and the turnaround piece
+    in u = sqrt(rho - rho_m), unlike `timing`'s single integral in psi
+    with depth q sin^2(psi); the different substitutions keep this an
+    independent reference for it.
+    """
     rm = k / np.hypot(k, 1.0)
     rho_c = 0.5 * (1.0 + rm)
 

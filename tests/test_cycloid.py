@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -106,6 +107,18 @@ class TestSmallArc:
         expected = max(abs(y - y_on) for (_, y), y_on
                        in zip(stations, on_curve)) / delta
         assert compare_small_arc(delta).max_geometry_deviation == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(math.log10(1e-12), math.log10(0.2)))
+    @example(math.log10(1e-12))
+    @example(math.log10(0.2))
+    def test_relative_time_difference_within_4_ulp(self, log_delta):
+        delta = min(10.0 ** log_delta, 0.2)
+        diff = compare_small_arc(delta).relative_time_difference
+        with mpmath.workdps(50):
+            x = mpmath.mpf(delta) / (2 * mpmath.pi)
+            exact = 1 - mpmath.sqrt(1 - x)
+            assert abs(diff - exact) <= 4 * math.ulp(float(exact))
 
     def test_depth_to_span_ratio_is_exactly_one_over_pi(self):
         for delta in np.linspace(0.01, math.pi, 40):

@@ -129,33 +129,37 @@ class TestArcIntegral:
         fam = family_from_separation(delta)
         exact = (arc_length(fam) if selector == "length"
                  else total_transit_time(fam).tau)
-        try:
-            value = 2 * arc_integral(fam, selector)
-        except QuadratureError:
-            return
-        assert abs(value - exact) <= 1e-9 * exact
+        assert abs(2 * arc_integral(fam, selector) - exact) <= 1e-12 * exact
 
-    @pytest.mark.parametrize("make, value", [
-        (BrachFamily.from_momentum, 1e8),       # rho_min rounds to 1
-        (BrachFamily.from_momentum, 6e7),       # gave inf
-        (family_from_separation, 1e-17),
-        (family_from_separation, 3.16e-8),      # was 8e-10 off, silently
-    ])
-    def test_depth_rho_cannot_hold_is_refused(self, make, value):
-        fam = make(value)
-        for call in (lambda: half_transit_time(fam),
-                     lambda: arc_integral(fam, "time"),
-                     lambda: arc_integral(fam, "length")):
-            with pytest.raises(QuadratureError, match=f"k = {fam.k!r}:"):
-                call()
-
-    def test_shallowest_integrated_family(self):
-        fam = family_from_separation(4e-6)
-        assert fam.depth >= timing._MIN_DEPTH
-        exact = total_transit_time(fam).tau
-        assert abs(2 * half_transit_time(fam).tau - exact) <= 1e-10 * exact
-        exact = arc_length(fam)
-        assert abs(2 * arc_integral(fam, "length") - exact) <= 1e-10 * exact
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.floats(-300.0, 153.6).map(
+            lambda e: BrachFamily.from_momentum(10.0 ** e)),
+        st.floats(-300.0, math.log10(math.pi)).map(
+            lambda e: family_from_separation(min(10.0 ** e, math.pi))),
+        st.integers(1, 16).map(
+            lambda j: family_from_separation(math.pi - 10.0 ** -j))))
+    @example(BrachFamily.from_momentum(1e-8))
+    @example(BrachFamily.from_momentum(3e-8))
+    @example(BrachFamily.from_momentum(1e-10))
+    @example(BrachFamily.from_momentum(1e8))
+    @example(BrachFamily.from_momentum(6e7))
+    @example(family_from_separation(1e-17))
+    @example(family_from_separation(3.16e-8))
+    @pytest.mark.parametrize("selector", ("time", "length"))
+    def test_quadrature_within_1e12_of_mpmath(self, selector, fam):
+        # log k over [-300, 153.6] and separations from 1e-300 to pi,
+        # against pi sqrt(q (2 - q))/2 and q (2 - q) with q from k
+        value = (half_transit_time(fam).tau if selector == "time"
+                 else arc_integral(fam, "length"))
+        with mpmath.workdps(50):
+            k = mpmath.mpf(fam.k)
+            h = mpmath.sqrt(k * k + 1)
+            q = 1 / (h * (h + k))
+            exact = q * (2 - q)
+            if selector == "time":
+                exact = mpmath.pi * mpmath.sqrt(exact) / 2
+            assert abs(value - exact) <= 1e-12 * exact
 
 
 class TestPathTransit:
