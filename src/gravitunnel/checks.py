@@ -19,6 +19,7 @@ import numpy as np
 
 from . import brachistochrone as brach
 from . import chord as chord_mod
+from . import closed
 from . import cycloid as cycloid_mod
 from . import oracle as oracle_mod
 from . import timing
@@ -233,7 +234,7 @@ def transit_closed_form(tol_scale, ks):
     for k in ks:
         fam = brach.BrachFamily.from_momentum(k)
         worst = max(worst, abs(2.0 * timing.half_transit_time(fam).tau
-                               - math.pi * math.sqrt(1.0 - fam.rho_min ** 2)))
+                               - closed.tunnel_time(fam.depth)))
     k0 = 2.0 * timing.half_transit_time(brach.BrachFamily.from_momentum(0.0)).tau
     worst = max(worst, abs(k0 - math.pi))
     threshold = 1e-7 * tol_scale

@@ -9,8 +9,8 @@ Every command but `verify` runs on `closed` alone: `time` and `sweep`
 print its closed forms, and `path` and `compare-cycloid` evaluate its
 hypocycloid and chord points in plain `math`.  So none of them loads
 numpy or `dataclasses` (the records are named tuples), and only
-structured output imports `json`; `verify` (the oracles) and the
-``--lat`` endpoint option import the numpy modules inside.
+structured output imports `json`; only `verify` (the oracles) imports
+the numpy modules inside.
 """
 
 import argparse
@@ -50,6 +50,15 @@ def _parse_angle(text):
         raise _UsageError(f"cannot parse angle {text!r}; use radians or e.g. 90deg")
 
 
+def _latitude(text):
+    """A latitude, checked and clamped as `core.latitude_to_polar` does;
+    the pi/2 offsets of two polar angles pi/2 - latitude cancel."""
+    lat = _parse_angle(text)
+    if not abs(lat) <= 0.5 * math.pi + closed.DOMAIN_EPS:
+        raise DomainError("latitude must lie in [-pi/2, pi/2] radians")
+    return min(max(lat, -0.5 * math.pi), 0.5 * math.pi)
+
+
 def _endpoint_separation(args):
     has_sep = args.sep is not None
     has_lat = args.lat1 is not None or args.lat2 is not None
@@ -58,9 +67,7 @@ def _endpoint_separation(args):
     if has_sep:
         delta = _parse_angle(args.sep)
     elif args.lat1 is not None and args.lat2 is not None:
-        from .core import latitude_to_polar
-        delta = abs(latitude_to_polar(_parse_angle(args.lat1))
-                    - latitude_to_polar(_parse_angle(args.lat2)))
+        delta = abs(_latitude(args.lat1) - _latitude(args.lat2))
     else:
         raise _UsageError("an endpoint spec is required: --sep, or both "
                           "--lat1 and --lat2")

@@ -55,6 +55,8 @@ def separation_angle(k: float) -> float:
 
 # The least normal float: a shallower turnaround depth keeps fewer digits.
 _MIN_DEPTH = 2.2250738585072014e-308
+# Values this near a domain boundary are clamped onto it: solvers land there.
+DOMAIN_EPS = 1e-12
 
 
 class BrachFamily(namedtuple("BrachFamily", "k")):

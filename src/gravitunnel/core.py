@@ -20,12 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed import EARTH, PhysicalParams, Scaling, make_scaling  # noqa: F401
+from .closed import (DOMAIN_EPS, EARTH, PhysicalParams, Scaling,  # noqa: F401
+                     make_scaling)
 from .errors import DomainError
-
-# Values this close to a domain boundary are clamped onto it instead of
-# rejected; quadrature nodes and root finders land arbitrarily close.
-DOMAIN_EPS = 1e-12
 
 
 def _unit_interval(value, name):

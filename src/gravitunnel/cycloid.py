@@ -5,7 +5,8 @@ indistinguishable from a uniform downward pull of surface strength, so
 the spherical minimum-time tunnel must flatten onto the classical
 cycloid solution as the surface separation shrinks.  This module carries
 the level-endpoint cycloid arch, its transit time and the comparison
-that demonstrates the convergence.
+that demonstrates the convergence, matching the two curves station by
+station in their rolling angles.
 
 Cycloid conventions: a point on a circle of radius a rolling under a
 horizontal line traces x = a (phi - sin phi), y = a (1 - cos phi) with
@@ -85,14 +86,19 @@ def compare_small_arc(delta_theta: float) -> SmallArcComparison:
     compared to the level-endpoint cycloid spanning the same mouths in a
     uniform field of surface strength.  Both the depth mismatch per unit
     span and the relative transit-time difference vanish at least
-    linearly as the separation shrinks.  The cycloid is sampled eight
-    times as densely as the tunnel.
+    linearly as the separation shrinks.
 
     The tunnel's stations come from the hypocycloid in closed form
     (`closed.tunnel_half`, 2001 per half), with their depth free of
-    cancellation, and the cycloid is interpolated linearly onto them.
-    Its depth is the input's delta_theta/pi, not the family's few-ulp-off
-    formula of k, which would move the (cancelling) depth differences.
+    cancellation.  Its rolling circle has the cycloid's radius
+    b = delta_theta/(2 pi), so at each station a few Newton steps from
+    its own rolling angle solve b (p - sin p) = x for the cycloid's, whose
+    depth there is 2b sin^2(p/2).  The curves are symmetric about the
+    turnaround, where they meet, so one half is compared; the mismatch
+    (~delta_theta^2/80) is exact to the stations' round-off (~eps
+    delta_theta).  Their depth is the input's delta_theta/pi, not the
+    family's few-ulp-off formula of k, which would move the (cancelling)
+    depth differences.
 
     The tunnel takes pi sqrt(q (2 - q)) and the cycloid sqrt(2 pi delta),
     so with x = delta/(2 pi) the relative time difference is
@@ -108,38 +114,24 @@ def compare_small_arc(delta_theta: float) -> SmallArcComparison:
                           f"rad; got {delta_theta!r}")
     BrachFamily.from_separation(delta_theta)    # refuses an underflow
     q = delta_theta / math.pi
-    # (x, y) = (-theta, depth) along the tunnel, the turnaround at half
-    # the input's separation and the second half mirrored about it
-    half = [(-theta, depth) for depth, theta, _, _ in
-            tunnel_half(q, _SAMPLES_PER_HALF)[:-1]]
-    half.append((0.5 * delta_theta, q))
-    stations = half + [(delta_theta - x, y) for x, y in reversed(half[:-1])]
-
     flat = cycloid_between(delta_theta)
-    count = 8 * _SAMPLES_PER_HALF
-    step = flat.end_angle / (count - 1)
-    # cycloid_xy's points at i * step, bit for bit, without a call per point
-    a, sin, cos = flat.rolling_radius, math.sin, math.cos
-    curve = [(a * (p - sin(p)), a * (1.0 - cos(p)))
-             for i in range(count) for p in [i * step]]
-    deviation = max(abs(y - y_on) for (_, y), y_on in
-                    zip(stations, _interpolate(curve, stations))) / delta_theta
+    b, sin = flat.rolling_radius, math.sin
+    scale = math.sqrt(b * (1.0 - b))
+    worst = 0.0
+    for depth, theta, tau, _ in tunnel_half(q, _SAMPLES_PER_HALF)[1:-1]:
+        # done once the step moves the depth, b sin(p) per unit p, < 1e-15 b
+        p = tau / scale
+        for _ in range(8):
+            half, sin_p = sin(0.5 * p), sin(p)
+            step = (b * (p - sin_p) + theta) / (2.0 * b * half * half)
+            p -= step
+            if abs(step * sin_p) <= 1e-15:
+                break
+        half = sin(0.5 * p)
+        worst = max(worst, abs(depth - 2.0 * b * half * half))
 
     x = delta_theta / (2.0 * math.pi)
     return SmallArcComparison(
-        delta_theta=delta_theta, max_geometry_deviation=deviation,
+        delta_theta=delta_theta, max_geometry_deviation=worst / delta_theta,
         sphere_time=tunnel_time(q), cycloid_time=cycloid_time(flat, 1.0),
         relative_time_difference=x / (1.0 + math.sqrt(1.0 - x)))
-
-
-def _interpolate(curve, stations):
-    """curve's y, linear in x, at each station's x (as numpy's interp).
-
-    Both lists are sorted by x, so one forward walk serves every station.
-    """
-    j, last = 0, len(curve) - 1
-    for x, _ in stations:
-        while j < last and curve[j + 1][0] <= x:
-            j += 1
-        (x0, y0), (x1, y1) = curve[j], curve[min(j + 1, last)]
-        yield y0 if x1 == x0 else y0 + (y1 - y0) / (x1 - x0) * (x - x0)

@@ -62,6 +62,12 @@ class TestTimeCommand:
                                "--lat2", "0deg")
         assert by_lat == by_sep
 
+    def test_latitude_difference_keeps_its_digits(self, capsys):
+        # as polar angles pi/2 - latitude, 1e-9 would keep only 7 digits
+        _, out, _ = run_cli(capsys, "time", "--lat1", "1e-9", "--lat2", "0",
+                            "--format", "structured")
+        assert json.loads(out)["separation_rad"] == 1e-9
+
     def test_tiny_separation(self, capsys):
         code, out, _ = run_cli(capsys, "time", "--sep", "1e-12",
                                "--format", "structured")
@@ -92,6 +98,8 @@ class TestUsageErrors:
         ("sweep", "--k-range", "0:1", "--count", "4", "--spacing", "log"),
         ("path", "--sep", "1.0", "--samples", "1"),
         ("no-such-command",),
+        ("time", "--lat1", "91deg", "--lat2", "0deg"),
+        ("time", "--lat1", "nan", "--lat2", "0deg"),
     ])
     def test_exit_code_one(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
@@ -381,7 +389,9 @@ def startup_modules():
      "--format", "structured"],
     ["compare-cycloid", "--sep", "0.1"],
     ["compare-cycloid", "--sep", "0.1", "--format", "structured"],
-], ids=lambda argv: f"{argv[0]}-{argv[-1] if '--format' in argv else 'csv'}")
+    ["time", "--lat1", "40deg", "--lat2=-10deg"],
+], ids=lambda argv: f"{argv[0]}-{argv[-1] if '--format' in argv else 'csv'}"
+                    + ("-lat" if "--lat1" in argv else ""))
 def test_cli_process_loads_no_heavy_module(argv, startup_modules):
     loaded = imported_modules("-m", "gravitunnel.cli", *argv) - startup_modules
     assert "gravitunnel.closed" in loaded       # the probe sees the package

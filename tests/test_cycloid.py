@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gravitunnel import (CycloidSolution, DomainError, closed,
-                         compare_small_arc, cycloid, cycloid_between,
-                         cycloid_time, cycloid_xy, family_from_separation)
+from gravitunnel import (CycloidSolution, DomainError, compare_small_arc,
+                         cycloid, cycloid_between, cycloid_time, cycloid_xy,
+                         family_from_separation)
 
 
 class TestCycloidBetween:
@@ -89,24 +89,14 @@ class TestSmallArc:
             slope = np.polyfit(np.log(deltas), np.log(series), 1)[0]
             assert slope >= 1.0
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.floats(math.log10(1e-12), math.log10(0.2)))
-    @example(math.log10(0.2))
-    def test_geometry_deviation_bit_for_bit(self, log_delta):
-        # the reference takes each cycloid point from cycloid_xy
-        delta = min(10.0 ** log_delta, 0.2)
-        n = cycloid._SAMPLES_PER_HALF
-        half = [(-theta, depth) for depth, theta, _, _ in
-                closed.tunnel_half(delta / math.pi, n)[:-1]]
-        half.append((delta / 2, delta / math.pi))
-        stations = half + [(delta - x, y) for x, y in reversed(half[:-1])]
-        flat = cycloid_between(delta)
-        step = flat.end_angle / (8 * n - 1)
-        curve = [cycloid_xy(flat, i * step) for i in range(8 * n)]
-        on_curve = cycloid._interpolate(curve, stations)
-        expected = max(abs(y - y_on) for (_, y), y_on
-                       in zip(stations, on_curve)) / delta
-        assert compare_small_arc(delta).max_geometry_deviation == expected
+    @pytest.mark.parametrize("delta", [0.2, 0.1, 0.05, 0.025,
+                                       1e-3, 1e-6, 1e-9, 1e-12])
+    def test_geometry_deviation_against_mpmath(self, delta):
+        # The float stations carry ~eps q of round-off in a mismatch of
+        # ~q^2/8, q = delta/pi: about 5e-15/delta relative.
+        got = compare_small_arc(delta).max_geometry_deviation
+        exact = _geometry_deviation_50_digits(delta)
+        assert abs(got - exact) <= 3e-14 / delta * exact
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(math.log10(1e-12), math.log10(0.2)))
@@ -124,3 +114,31 @@ class TestSmallArc:
         for delta in np.linspace(0.01, math.pi, 40):
             fam = family_from_separation(float(delta))
             assert abs((1 - fam.rho_min) / delta - 1 / math.pi) < 1e-12
+
+
+def _geometry_deviation_50_digits(delta):
+    """compare_small_arc's mismatch at 50 digits over the same stations:
+    each tunnel station in mpmath, the cycloid's rolling angle there by
+    mpmath Newton from the station's hypocycloid angle."""
+    n = cycloid._SAMPLES_PER_HALF
+    with mpmath.workdps(50):
+        q = mpmath.mpf(delta) / mpmath.pi
+        b, width = q / 2, q * (2 - q)
+        step = 2 * mpmath.asin(mpmath.sqrt(q / 2)) / (n - 1)
+        worst = 0
+        for i in range(1, n - 1):
+            depth = 2 * mpmath.sin(i * step / 2) ** 2
+            s = mpmath.sqrt(depth * (2 - depth) / width)
+            c = mpmath.sqrt((q - depth) * ((2 - q) - depth) / width)
+            half_phi = mpmath.atan2(s, c)
+            x = q * half_phi - mpmath.atan2(q * s * c, (1 - q) + q * c * c)
+            p = 2 * half_phi
+            for _ in range(20):
+                p_step = (b * (p - mpmath.sin(p)) - x) / (b * (1 - mpmath.cos(p)))
+                p -= p_step
+                if abs(p_step) <= mpmath.mpf(10) ** -40 * p:
+                    break
+            else:
+                raise AssertionError(f"no Newton convergence at station {i}")
+            worst = max(worst, abs(depth - 2 * b * mpmath.sin(p / 2) ** 2))
+        return float(worst / delta)
