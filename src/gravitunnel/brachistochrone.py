@@ -148,8 +148,10 @@ def sample_path(family: BrachFamily, n: int) -> DiscretePath:
     # `DiscretePath.from_arrays` checks, and the checks' full-length
     # copies cost more than the formula.  One block holds the three
     # arrays; three separate ones page-faulted more in the timing calls
-    # that follow (glibc returns freed heap tops to the system).
-    rho, theta, depth = np.empty((3, 2 * n - 1))
+    # that follow (glibc returns freed heap tops to the system).  The
+    # block ends read-only, so the path owns its rows without a copy.
+    block = np.empty((3, 2 * n - 1))
+    rho, theta, depth = block
     depth[:n - 1] = half_depth
     depth[n - 1] = depth_mid
     depth[n:] = half_depth[::-1]
@@ -158,9 +160,8 @@ def sample_path(family: BrachFamily, n: int) -> DiscretePath:
     np.subtract(2.0 * theta_mid, half_theta[::-1], out=theta[n:])
     np.subtract(1.0, depth, out=rho)
     rho[n - 1] = family.rho_min
-    for values in (rho, theta, depth):
-        values.setflags(write=False)
-    return DiscretePath(rho=rho, theta=theta, depth=depth)
+    block.setflags(write=False)
+    return DiscretePath(*block)
 
 
 def rho_at_theta(family: BrachFamily, theta):

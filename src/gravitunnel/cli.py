@@ -15,6 +15,7 @@ the numpy modules inside.
 
 import argparse
 import math
+import re
 import sys
 from itertools import chain
 
@@ -32,6 +33,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A negative angle (-10deg, -1e-3) is a value, not an option:
+        # argparse's own rule takes only plain negative numbers as values.
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?(deg)?$", re.IGNORECASE)
+
     def error(self, message):
         raise _UsageError(message)
 

@@ -17,6 +17,7 @@ Physical units enter only at the boundary of the library, through
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,14 +39,32 @@ def _unit_interval(value, name):
     return float(arr) if arr.ndim == 0 else arr
 
 
+def _owned(values):
+    """Whether values is a read-only float array that owns its memory,
+    or views one through read-only arrays only, so no writable array
+    can change it."""
+    if not (isinstance(values, np.ndarray) and values.dtype == float):
+        return False
+    while isinstance(values, np.ndarray) and not values.flags.writeable:
+        if values.base is None:
+            return True
+        values = values.base
+    return False
+
+
 @dataclass(frozen=True)
 class DiscretePath:
     """Ordered polar samples of a tunnel, normally surface to surface.
 
-    ``rho``, ``theta`` and ``depth`` are equal-length float arrays
-    (read-only).  Paths produced by the library constructors dip
-    monotonically to a single interior minimum and rise back; arbitrary
-    point lists (e.g. perturbed paths) need not.
+    ``rho``, ``theta`` and ``depth`` are equal-length float arrays,
+    read-only and owned by the path: each owns its memory, or views
+    memory owned by a read-only array through read-only arrays only.
+    The library constructors build them so; anything else passed in
+    directly (a caller's writable array or a view of one, a list) is
+    copied, so no later write by the caller reaches the path.  Paths
+    produced by the library constructors dip monotonically to a single
+    interior minimum and rise back; arbitrary point lists (e.g.
+    perturbed paths) need not.
 
     ``depth`` holds 1 - rho per sample.  A constructor that knows the
     geometry (`sample_path`, `chord_path`) computes it without
@@ -53,16 +72,30 @@ class DiscretePath:
     it must agree with 1 - rho to within DOMAIN_EPS.  For paths given
     by radii alone it is 1 - rho.  The timing kernel puts a sample on
     the zero-speed surface exactly when its depth is 0.
+
+    ``segment_times`` holds each segment's exact traversal time
+    (`timing._segment_times`) as a read-only array, computed on first
+    use and cached, so a path is timed once however many of
+    `timing.path_transit_time` and `timing.cumulative_path_times` run
+    on it.  The cache is sound because the path owns its arrays.
     """
 
     rho: np.ndarray
     theta: np.ndarray
     depth: np.ndarray
 
+    def __post_init__(self):
+        for name in ("rho", "theta", "depth"):
+            values = getattr(self, name)
+            if not _owned(values):
+                values = np.array(values, dtype=float)
+                values.setflags(write=False)
+                object.__setattr__(self, name, values)
+
     @classmethod
     def from_arrays(cls, rho, theta, depth=None):
         rho = _unit_interval(np.atleast_1d(rho), "rho")
-        theta = np.array(theta, dtype=float).reshape(-1)
+        theta = np.array(np.reshape(theta, -1), dtype=float)
         if rho.shape != theta.shape:
             raise DomainError("rho and theta must have the same length")
         if rho.size < 2:
@@ -88,6 +121,14 @@ class DiscretePath:
 
     def __len__(self):
         return self.rho.size
+
+    @cached_property
+    def segment_times(self):
+        """Exact traversal time of each segment, computed once per path."""
+        from .timing import _segment_times
+        times = _segment_times(self.rho, self.theta, self.depth)
+        times.setflags(write=False)
+        return times
 
     def xy(self):
         """Cartesian coordinates of the samples in the tunnel plane."""

@@ -18,11 +18,16 @@ phi * sqrt(a / g).
 import math
 from collections import namedtuple
 
-from .closed import BrachFamily, tunnel_half, tunnel_time
+from .closed import tunnel_half, tunnel_time
 from .errors import DomainError
 
 # samples per half of the spherical tunnel in compare_small_arc
 _SAMPLES_PER_HALF = 2001
+# Smallest separation compare_small_arc takes.  Its stations carry
+# ~eps delta of round-off on a mismatch of ~delta^2/80, which stops
+# resolving it below here: the mismatch per unit span, ~0.01267, reads
+# 0.0136 at 1e-13 and 1.33 at 1e-16.
+_MIN_SEPARATION = 1e-12
 
 
 class CycloidSolution(namedtuple("CycloidSolution",
@@ -106,13 +111,15 @@ def compare_small_arc(delta_theta: float) -> SmallArcComparison:
     cancel: within a few ulps at every separation.
 
     Separations above 0.2 rad are outside the small-arc regime; use the
-    family and timing tools directly to compare large tunnels.
+    family and timing tools directly to compare large tunnels.  Below
+    1e-12 the stations' round-off swamps the mismatch; a separation
+    outside [1e-12, 0.2] raises DomainError naming it.
     """
     delta_theta = float(delta_theta)
-    if not (math.isfinite(delta_theta) and 0.0 < delta_theta <= 0.2):
-        raise DomainError("compare_small_arc covers separations in (0, 0.2] "
-                          f"rad; got {delta_theta!r}")
-    BrachFamily.from_separation(delta_theta)    # refuses an underflow
+    if not _MIN_SEPARATION <= delta_theta <= 0.2:
+        raise DomainError("compare_small_arc covers separations in "
+                          f"[{_MIN_SEPARATION!r}, 0.2] rad; got separation "
+                          f"{delta_theta!r}")
     q = delta_theta / math.pi
     flat = cycloid_between(delta_theta)
     b, sin = flat.rolling_radius, math.sin

@@ -44,6 +44,12 @@ a released particle has zero speed, is depth 0 exactly and needs no
 special case: a segment between two surface points takes pi, the
 gravity train.  The same geometry feeds the closed-form partials of a
 segment time in its end radii, which the transcription optimizer uses.
+
+Each path is timed once: a `DiscretePath` caches its segment times
+(`DiscretePath.segment_times`), which `path_transit_time` and
+`cumulative_path_times` share.  The kernel runs over blocks of 4096
+segments (`_BLOCK`), so its temporaries stay small enough for malloc to
+reuse and for the cache to hold, with no page faults per call.
 """
 
 import heapq
@@ -249,7 +255,8 @@ def _segment_geometry(rho, theta, depth):
     depth = np.asarray(depth, dtype=float)
     r0, r1 = rho[:-1], rho[1:]
     d0, d1 = depth[:-1], depth[1:]
-    s2 = np.diff(np.asarray(theta, dtype=float))
+    theta = np.asarray(theta, dtype=float)
+    s2 = theta[1:] - theta[:-1]                         # np.diff, cheaper
     s2 *= 0.5
     np.sin(s2, out=s2)
     s2 *= s2
@@ -277,6 +284,14 @@ def _segment_geometry(rho, theta, depth):
     return length, s0, s1, nu, drop
 
 
+# Segments per block of `_segment_times`: each temporary takes 32 KiB,
+# under glibc's 128 KiB mmap threshold, so it is reused from malloc's
+# free lists rather than mapped and faulted in per call (a 10^4-per-half
+# tunnel's full-length one is 160 KB), and the ~8 of them stay in cache.
+# Smaller blocks pay numpy's per-call overhead more often.
+_BLOCK = 4096
+
+
 def _segment_times(rho, theta, depth):
     """Exact traversal times of each straight segment of a polar polyline.
 
@@ -294,17 +309,36 @@ def _segment_times(rho, theta, depth):
     atan2(+0, s0 s1) = pi, the gravity train.  A repeated sample has
     L = s0 = nu0 - nu1 = 0 and takes exactly zero time.
 
+    The path is evaluated in blocks of _BLOCK segments into one output
+    array; every operation is elementwise, so each time is bit for bit
+    the time of a single pass over the whole path.
+
     Raises DegenerateSegmentError for a zero-length segment on the
-    surface, where the speed is zero and no time is defined.
+    surface, where the speed is zero and no time is defined, naming its
+    index from the start of the path.
     """
+    rho = np.asarray(rho, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    depth = np.asarray(depth, dtype=float)
+    times = np.empty(max(rho.size - 1, 0))
+    for lo in range(0, times.size, _BLOCK):
+        hi = min(lo + _BLOCK, times.size) + 1
+        _block_times(rho[lo:hi], theta[lo:hi], depth[lo:hi],
+                     times[lo:hi - 1], lo)
+    return times
+
+
+def _block_times(rho, theta, depth, out, first):
+    """`_segment_times` of one polyline piece into out; first is the
+    index of its first segment in the whole path."""
     length, s0, s1, nu, drop = _segment_geometry(rho, theta, depth)
     nu0, nu1 = nu[:-1], nu[1:]
     if not length.all():
         stuck = np.flatnonzero((length == 0.0) & (nu0 == 0.0))
         if stuck.size:
             raise DegenerateSegmentError(
-                f"segment {int(stuck[0])} has zero length at the surface, "
-                "where speed is zero")
+                f"segment {first + int(stuck[0])} has zero length at the "
+                "surface, where speed is zero")
     # numerator L nu0 + s0 drop in length, denominator nu0 nu1 + s0 s1 in s1
     length *= nu0
     drop *= s0
@@ -312,7 +346,7 @@ def _segment_times(rho, theta, depth):
     s1 *= s0
     np.multiply(nu0, nu1, out=s0)
     s1 += s0
-    return np.arctan2(length, s1, out=length)
+    np.arctan2(length, s1, out=out)
 
 
 def _segment_time_partials(rho, theta, depth):
@@ -392,7 +426,7 @@ def path_transit_time(path: DiscretePath) -> TransitResult:
     """
     if not isinstance(path, DiscretePath):
         path = DiscretePath.from_arrays(*path)
-    times = _segment_times(path.rho, path.theta, path.depth)
+    times = path.segment_times
     tau = float(np.sum(times))
     evaluations = times.size
     n = len(path)
@@ -413,5 +447,4 @@ def cumulative_path_times(path: DiscretePath) -> np.ndarray:
     """Running transit time at each sample of a path, starting at 0."""
     if not isinstance(path, DiscretePath):
         path = DiscretePath.from_arrays(*path)
-    times = _segment_times(path.rho, path.theta, path.depth)
-    return np.concatenate(([0.0], np.cumsum(times)))
+    return np.concatenate(([0.0], np.cumsum(path.segment_times)))

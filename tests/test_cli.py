@@ -62,6 +62,15 @@ class TestTimeCommand:
                                "--lat2", "0deg")
         assert by_lat == by_sep
 
+    @pytest.mark.parametrize("lat", ["-10deg", "-0.5", "-.5DEG", "-1e-1"])
+    def test_negative_latitude_as_its_own_argument(self, capsys, lat):
+        # argparse takes only plain negative numbers such as -0.5 as values
+        code, spaced, _ = run_cli(capsys, "time", "--lat1", "40deg",
+                                  "--lat2", lat)
+        assert code == 0
+        assert spaced == run_cli(capsys, "time", "--lat1", "40deg",
+                                 f"--lat2={lat}")[1]
+
     def test_latitude_difference_keeps_its_digits(self, capsys):
         # as polar angles pi/2 - latitude, 1e-9 would keep only 7 digits
         _, out, _ = run_cli(capsys, "time", "--lat1", "1e-9", "--lat2", "0",
@@ -112,6 +121,7 @@ class TestUsageErrors:
         (("compare-cycloid", "--sep", "1e-310"), "separation 1e-310"),
         (("sweep", "--k-range", "1e150:1e155", "--count", "3"),
          "k = 1e+155"),
+        (("compare-cycloid", "--sep", "1e-13"), "separation 1e-13"),
     ])
     def test_domain_end_names_the_input(self, capsys, argv, named):
         # one line of message, no traceback
@@ -390,6 +400,8 @@ def startup_modules():
     ["compare-cycloid", "--sep", "0.1"],
     ["compare-cycloid", "--sep", "0.1", "--format", "structured"],
     ["time", "--lat1", "40deg", "--lat2=-10deg"],
+    pytest.param(["time", "--lat1", "40deg", "--lat2", "-10deg"],
+                 id="time-csv-lat-negative-value"),
 ], ids=lambda argv: f"{argv[0]}-{argv[-1] if '--format' in argv else 'csv'}"
                     + ("-lat" if "--lat1" in argv else ""))
 def test_cli_process_loads_no_heavy_module(argv, startup_modules):
@@ -462,6 +474,7 @@ def test_optimizer_and_small_arc_never_import_scipy():
 
 
 class TestVerifyCommand:
+    @pytest.mark.slow
     def test_default_run_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--format", "structured")
         assert code == 0

@@ -69,6 +69,12 @@ class TestSmallArc:
         with pytest.raises(DomainError):
             compare_small_arc(0.0)
 
+    @pytest.mark.parametrize("delta", [1e-13, 1e-20, 1e-300, 5e-324])
+    def test_below_the_floor_names_the_separation(self, delta):
+        # below 1e-12 the stations' round-off swamps the mismatch
+        with pytest.raises(DomainError, match=f"separation {delta!r}$"):
+            compare_small_arc(delta)
+
     def test_tenth_radian_regression(self):
         report = compare_small_arc(0.1)
         assert report.relative_time_difference < 1e-2

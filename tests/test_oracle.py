@@ -169,6 +169,7 @@ class TestSimulateBead:
         assert trace.transit_time == pytest.approx(math.pi, rel=1e-4)
         assert trace.max_energy_drift < 1e-8
 
+    @pytest.mark.slow
     def test_family_path_matches_quadrature(self):
         fam = BrachFamily.from_momentum(1.0)
         reference = total_transit_time(fam).tau
@@ -176,6 +177,7 @@ class TestSimulateBead:
         assert abs(trace.transit_time - reference) / reference < 1e-3
         assert trace.max_energy_drift < 1e-8
 
+    @pytest.mark.slow
     def test_trace_invariants(self):
         trace = simulate_bead(sample_path(BrachFamily.from_momentum(1.0), 2000))
         assert np.all(trace.speed >= 0)
@@ -200,6 +202,7 @@ class TestSimulateBead:
         assert interior.rhs_evaluations > interior.steps > 0
         assert interior.end_gap == 0.0
 
+    @pytest.mark.slow
     def test_arrival_is_the_turnaround_time(self):
         # a zero-speed arrival is the integrator's turnaround event, which
         # is ~4e-11 off the closed form here

@@ -15,7 +15,8 @@ from gravitunnel import (BrachFamily, DegenerateSegmentError, DiscretePath,
                          cumulative_path_times, family_from_separation,
                          half_transit_time, path_transit_time, sample_path,
                          timing, total_transit_time)
-from gravitunnel.timing import _segment_time_partials, _segment_times
+from gravitunnel.timing import (_BLOCK, _block_times, _segment_time_partials,
+                               _segment_times)
 
 K_SWEEP = np.geomspace(0.05, 20.0, 20)
 
@@ -371,6 +372,95 @@ def test_error_estimate_is_the_every_other_sample_gap(n):
     coarse = path_transit_time(DiscretePath.from_arrays(rho[idx], theta[idx]))
     assert result.error_estimate == abs(result.tau - coarse.tau)
     assert result.evaluations == (n - 1) + (len(idx) - 1)
+
+
+@st.composite
+def blocked_polyline(draw):
+    """m = 1, B-1, B, B+1 or 2B+1 segments (B = _BLOCK), drawn from a seed:
+    depths inside, a share of them 1e-16 to 1e-12 below the surface, the
+    ends on it or not, and repeated interior samples."""
+    m = draw(st.sampled_from((1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                              2 * _BLOCK + 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    depth = rng.uniform(0.0, 1.0, m + 1)
+    shallow = rng.random(m + 1) < draw(st.floats(0.0, 1.0))
+    depth[shallow] = 10.0 ** rng.uniform(-16.0, -12.0, shallow.sum())
+    for i in draw(st.sampled_from(((), (0,), (-1,), (0, -1)))):
+        depth[i] = 0.0
+    theta = np.cumsum(-rng.uniform(1e-6, 1.0 / m, m + 1))
+    repeats = draw(st.integers(0, 50)) if m > 2 else 0
+    for i in rng.integers(1, m - 1, repeats):
+        # sample i + 1 repeats sample i, a zero-length segment inside
+        depth[i + 1], theta[i + 1] = depth[i], theta[i]
+    return 1.0 - depth, theta, depth
+
+
+@settings(max_examples=40, deadline=None)
+@given(blocked_polyline())
+def test_blocked_segment_times_equal_one_block(case):
+    rho, theta, depth = case
+    whole = np.empty(rho.size - 1)
+    _block_times(rho, theta, depth, whole, 0)
+    assert np.array_equal(_segment_times(rho, theta, depth), whole)
+
+
+def test_degenerate_segment_is_named_from_the_path_start():
+    # a zero-length surface segment in the third block
+    m = 3 * _BLOCK
+    j = 2 * _BLOCK + 5
+    depth = np.full(m + 1, 0.5)
+    theta = np.linspace(0.0, -1.0, m + 1)
+    depth[[0, j, j + 1, m]] = 0.0
+    theta[j + 1] = theta[j]
+    with pytest.raises(DegenerateSegmentError, match=f"^segment {j} "):
+        _segment_times(1.0 - depth, theta, depth)
+
+
+def test_sampled_path_runs_the_kernel_once(monkeypatch):
+    path = sample_path(BrachFamily.from_momentum(1.0), 10_000)
+    calls = []
+
+    def counted(rho, theta, depth):
+        calls.append(len(rho))
+        return _segment_times(rho, theta, depth)
+
+    monkeypatch.setattr(timing, "_segment_times", counted)
+    result = path_transit_time(path)
+    cumulative = cumulative_path_times(path)
+    # one full-length pass, shared, and the coarse estimate's half pass
+    assert calls == [len(path), len(path) // 2 + 1]
+    assert cumulative[-1] == pytest.approx(result.tau, rel=1e-15)
+    assert not path.segment_times.flags.writeable
+
+
+@pytest.mark.parametrize("time_first", (True, False))
+def test_direct_path_keeps_its_times_when_the_caller_writes(time_first):
+    rho = np.array([1.0, 0.5, 0.4, 1.0])
+    theta = np.array([0.0, -0.4, -0.6, -1.0])
+    depth = 1.0 - rho
+    reference = path_transit_time(DiscretePath.from_arrays(rho, theta))
+    path = DiscretePath(rho=rho, theta=theta, depth=depth)
+    if time_first:
+        path_transit_time(path)
+    rho[1], depth[1], theta[2] = 0.9, 0.1, -0.9
+    assert path_transit_time(path) == reference
+    assert cumulative_path_times(path)[-1] == pytest.approx(reference.tau,
+                                                            rel=1e-15)
+    assert path.rho[1] == 0.5 and path.theta[2] == -0.6
+    for values in (path.rho, path.theta, path.depth, path.segment_times):
+        assert not values.flags.writeable
+
+
+def test_owned_arrays_are_kept_and_views_of_writable_ones_copied():
+    path = sample_path(BrachFamily.from_momentum(1.0), 50)
+    again = DiscretePath(path.rho, path.theta, path.depth)
+    assert again.rho is path.rho and again.depth is path.depth
+    writable = np.array([1.0, 0.5, 1.0])
+    view = writable.view()
+    view.setflags(write=False)
+    copied = DiscretePath(view, np.array([0.0, -0.5, -1.0]), 1.0 - view)
+    writable[1] = 0.9
+    assert copied.rho[1] == 0.5
 
 
 def test_cumulative_path_times():
