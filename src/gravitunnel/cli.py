@@ -63,7 +63,8 @@ def _latitude(text):
     the pi/2 offsets of two polar angles pi/2 - latitude cancel."""
     lat = _parse_angle(text)
     if not abs(lat) <= 0.5 * math.pi + closed.DOMAIN_EPS:
-        raise DomainError("latitude must lie in [-pi/2, pi/2] radians")
+        raise DomainError("latitude must lie in [-pi/2, pi/2] radians; "
+                          f"got {text!r}")
     return min(max(lat, -0.5 * math.pi), 0.5 * math.pi)
 
 

@@ -97,17 +97,21 @@ class DiscretePath:
         rho = _unit_interval(np.atleast_1d(rho), "rho")
         theta = np.array(np.reshape(theta, -1), dtype=float)
         if rho.shape != theta.shape:
-            raise DomainError("rho and theta must have the same length")
+            raise DomainError("rho and theta must have the same length; "
+                              f"got {rho.size} and {theta.size}")
         if rho.size < 2:
-            raise DomainError("a path needs at least 2 points")
+            raise DomainError(f"a path needs at least 2 points; got {rho.size}")
         if not np.isfinite(theta).all():
-            raise DomainError("theta samples must be finite")
+            i = int(np.argmin(np.isfinite(theta)))
+            raise DomainError("theta samples must be finite; "
+                              f"theta[{i}] = {float(theta[i])!r}")
         if depth is None:
             depth = 1.0 - rho
         else:
             depth = _unit_interval(np.reshape(depth, -1), "depth")
             if depth.shape != rho.shape:
-                raise DomainError("depth and rho must have the same length")
+                raise DomainError("depth and rho must have the same length; "
+                                  f"got {depth.size} and {rho.size}")
             off = 1.0 - rho
             off -= depth
             if np.abs(off, out=off).max() > DOMAIN_EPS:
@@ -161,9 +165,10 @@ def speed_at_radius(rho):
 def latitude_to_polar(lat):
     """Polar angle theta = pi/2 - lambda for a surface point at latitude lambda."""
     arr = np.asarray(lat, dtype=float)
-    if np.any(~np.isfinite(arr) | (arr < -math.pi / 2 - DOMAIN_EPS)
-              | (arr > math.pi / 2 + DOMAIN_EPS)):
-        raise DomainError("latitude must lie in [-pi/2, pi/2] radians")
+    bad = ~(np.abs(arr) <= math.pi / 2 + DOMAIN_EPS)
+    if bad.any():
+        raise DomainError("latitude must lie in [-pi/2, pi/2] radians; "
+                          f"got {float(arr[bad].flat[0])!r}")
     out = math.pi / 2 - np.clip(arr, -math.pi / 2, math.pi / 2)
     return float(out) if arr.ndim == 0 else out
 

@@ -18,19 +18,16 @@ class DegenerateSegmentError(PathError):
 
 
 class QuadratureError(TunnelError, ArithmeticError):
-    """Adaptive quadrature failed to reach the requested tolerance.
+    """The tanh-sinh quadrature's levels did not agree within the tolerance.
 
     Attributes
     ----------
-    worst_interval : (lo, hi, error) for the least-converged subinterval.
-    error_estimate : total error estimate at the point of failure.
+    error_estimate : difference of the last two levels at the point of failure.
     evaluations : integrand evaluations performed before giving up.
     """
 
-    def __init__(self, message, worst_interval=None, error_estimate=None,
-                 evaluations=None):
+    def __init__(self, message, error_estimate=None, evaluations=None):
         super().__init__(message)
-        self.worst_interval = worst_interval
         self.error_estimate = error_estimate
         self.evaluations = evaluations
 

@@ -108,7 +108,8 @@ def optimize_path(delta_theta: float, interior_points: int,
                           f"{delta_theta!r}")
     interior_points = int(interior_points)
     if interior_points < 3:
-        raise DomainError("optimize_path needs at least 3 interior points")
+        raise DomainError("optimize_path needs at least 3 interior points; "
+                          f"got {interior_points}")
 
     thetas = np.linspace(0.0, -delta_theta, interior_points + 2)
     lo, hi = _BOUND_MARGIN, 1.0 - _BOUND_MARGIN
@@ -118,9 +119,14 @@ def optimize_path(delta_theta: float, interior_points: int,
         x0 = d / np.cos(thetas[1:-1] + delta_theta / 2.0)
     else:
         x0 = np.asarray(initial_rho, dtype=float)
-        if x0.shape != (interior_points,) or not np.all(np.isfinite(x0)):
-            raise DomainError("initial_rho must supply one finite radius per "
-                              "interior point")
+        if x0.shape != (interior_points,):
+            raise DomainError(f"initial_rho must supply {interior_points} "
+                              "radii, one per interior point; got shape "
+                              f"{x0.shape}")
+        if not np.isfinite(x0).all():
+            i = int(np.argmin(np.isfinite(x0)))
+            raise DomainError("initial_rho must be finite; "
+                              f"initial_rho[{i}] = {float(x0[i])!r}")
     rho = np.ones(interior_points + 2)
     rho[1:-1] = np.clip(x0, lo, hi)
 

@@ -14,15 +14,17 @@ family member k, and its half length without the 1/sqrt(1 - rho^2), is
 
 which diverges integrably: like 1/sqrt(1-rho) at the zero-speed surface
 release and like 1/sqrt(rho - rho_m) where the slope turns vertical.
-One substitution in the depth, 1 - rho = q sin^2(psi) and so
-rho - rho_m = q cos^2(psi), cancels both, leaving on psi in [0, pi/2]
+One substitution in the depth, 1 - rho = q cos^2(chi) and so
+rho - rho_m = q sin^2(chi), cancels both, leaving on chi in [0, pi/2]
 
-    time    2 rho / sqrt((k^2+1)(2 rho_m + q cos^2 psi)(1 + rho)),
-    length  2 sqrt(q) sin(psi) rho / sqrt((k^2+1)(2 rho_m + q cos^2 psi)),
+    time    2 rho / sqrt((k^2+1)(2 rho_m + q sin^2 chi)(1 + rho)),
+    length  2 sqrt(q) cos(chi) rho / sqrt((k^2+1)(2 rho_m + q sin^2 chi)),
 
-with rho = rho_m + q cos^2(psi), so neither end cancels at any depth.
-An adaptive Gauss-Kronrod (G7, K15) engine integrates them; the route
-uses the integrand and q, never the closed-form time.
+with rho = rho_m + q sin^2(chi), so neither end cancels at any depth.
+The turnaround is chi = 0, where floats are dense.  One tanh-sinh rule
+(Takahasi & Mori 1974) integrates them; its nodes crowd both ends, so a
+near-diameter tunnel's layer at the turnaround needs no special case.
+The route uses the integrand and q, never the closed-form time.
 
 Discrete paths are timed segment by segment.  Along any straight segment
 the motion is simple harmonic (the field is linear in position), so the
@@ -52,7 +54,6 @@ segments (`_BLOCK`), so its temporaries stay small enough for malloc to
 reuse and for the cache to hold, with no page faults per call.
 """
 
-import heapq
 import math
 
 import numpy as np
@@ -62,138 +63,61 @@ from .core import DiscretePath
 from .errors import DegenerateSegmentError, DomainError, QuadratureError
 
 
-# Adaptive quadrature: a piece of integral I stops once its error
-# estimate is within max(_ABS_TOL * min(1, |I|), _REL_TOL * |I|).  The
-# absolute tolerance belongs to an integral of size 1 or more and shrinks
-# with a smaller one, so a tiny integral is never accepted on an error
-# estimate as large as itself.
-_ABS_TOL = 1e-10
+# Tanh-sinh quadrature: the trapezoid rule in t over |t| <= _T_MAX, from
+# step 1/2, halved at each level up to _MAX_LEVEL times, stops once two
+# successive levels agree within _REL_TOL relative.
 _REL_TOL = 1e-10
-_MAX_SUBDIVISIONS = 60
-
-
-# 15-point Kronrod extension of 7-point Gauss, positive abscissae.
-_XGK = np.array([
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.000000000000000000000000000000000,
-])
-_WGK = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-])
-_WG = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-])
-
-_NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))          # 15 ascending
-_KRONROD_W = np.concatenate((_WGK[:-1], _WGK[::-1]))
-_GAUSS_IDX = np.arange(1, 15, 2)                            # Gauss subset
-_GAUSS_W = _WG[[0, 1, 2, 3, 2, 1, 0]]
-
-
-def _gk15(f, a, b):
-    """One Gauss-Kronrod panel: (integral, error estimate)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fv = np.asarray(f(mid + half * _NODES), dtype=float)
-    resk = float(_KRONROD_W @ fv)
-    resg = float(_GAUSS_W @ fv[_GAUSS_IDX])
-    result = resk * half
-    resabs = float(_KRONROD_W @ np.abs(fv)) * abs(half)
-    reskh = 0.5 * resk
-    resasc = float(_KRONROD_W @ np.abs(fv - reskh)) * abs(half)
-    err = abs((resk - resg) * half)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    eps50 = 50.0 * np.finfo(float).eps
-    if resabs > np.finfo(float).tiny / eps50:
-        err = max(eps50 * resabs, err)
-    return result, err
-
-
-def _tolerance(value):
-    """Error allowed on an integral of this value."""
-    size = abs(value)
-    return max(_ABS_TOL * min(1.0, size), _REL_TOL * size)
-
-
-def _adaptive(f, breaks, label):
-    """Adaptive bisection over the panels between consecutive break
-    points, all in one heap; returns (value, error, evaluations)."""
-    heap = []
-    for lo, hi in zip(breaks, breaks[1:]):
-        val, err = _gk15(f, lo, hi)
-        heap.append((-err, lo, hi, val, err))
-    heapq.heapify(heap)
-    evals = 15 * len(heap)
-    total_val = sum(panel[3] for panel in heap)
-    total_err = sum(panel[4] for panel in heap)
-    for _ in range(_MAX_SUBDIVISIONS):
-        if total_err <= _tolerance(total_val):
-            return total_val, total_err, evals
-        neg_err, lo, hi, v, e = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
-        evals += 30
-        total_val += v1 + v2 - v
-        total_err += e1 + e2 - e
-        heapq.heappush(heap, (-e1, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, mid, hi, v2, e2))
-    if total_err <= _tolerance(total_val):
-        return total_val, total_err, evals
-    worst = max(heap)                       # heap of negated errors
-    raise QuadratureError(
-        f"{label}: no convergence within {_MAX_SUBDIVISIONS} subdivisions "
-        f"(error estimate {total_err:.3e}, worst subinterval "
-        f"[{worst[1]:.6g}, {worst[2]:.6g}] with error {worst[4]:.3e})",
-        worst_interval=(worst[1], worst[2], worst[4]),
-        error_estimate=total_err,
-        evaluations=evals,
-    )
+_T_MAX = 3.2
+_MAX_LEVEL = 6
 
 
 def _integral(family, selector):
-    """Half-tunnel integral of the chosen integrand, in psi on [0, pi/2].
+    """Half-tunnel integral of the chosen integrand, by tanh-sinh in chi.
 
-    A near-diameter tunnel's integrand bends on the scale
-    cos(psi) ~ sqrt(rho_m / q) at the turnaround, a layer no node of a
-    wide panel sees, so the initial panels end at cos(psi) = c, 4c, 16c,
-    ... up to 1/2, from c = max(sqrt(rho_m / q), 2^-26).  Below 2^-26,
-    rho_m < 2^-52 q and the layer moves the integral by a few ulps.
+    In chi = pi/2 - psi, rho - rho_m = q sin^2(chi), so the turnaround is
+    chi = 0, where floats are dense.  The nodes chi = b/(1 + exp(-pi
+    sinh t)), b = pi/2, crowd both ends doubly exponentially and give the
+    distance to the turnaround with no cancellation, down to chi ~ 1e-17
+    at t = -_T_MAX.  So a near-diameter tunnel's layer at
+    sin(chi) ~ sqrt(rho_m / q) needs no special case: a layer thinner than
+    that moves the integral, which vanishes like chi^2 there, by less
+    than an ulp.  Returns (value, |last level - previous|, evaluations).
     """
     h, rm, q = math.hypot(family.k, 1.0), family.rho_min, family.depth
     length_scale = 2.0 * math.sqrt(q) / h
+    b = 0.5 * math.pi
 
-    def integrand(psi):
-        above = q * np.cos(psi) ** 2                    # rho - rho_m
+    def integrand(chi):
+        above = q * np.sin(chi) ** 2                    # rho - rho_m
         rho = rm + above
         if selector == "time":
             return 2.0 * rho / (h * np.sqrt((2.0 * rm + above) * (1.0 + rho)))
-        return length_scale * np.sin(psi) * rho / np.sqrt(2.0 * rm + above)
+        return length_scale * np.cos(chi) * rho / np.sqrt(2.0 * rm + above)
 
-    cuts = []
-    c = max(math.sqrt(rm / q), 2.0 ** -26)
-    while c < 0.5:
-        cuts.append(math.acos(c))
-        c *= 4.0
-    return _adaptive(integrand, [0.0, *reversed(cuts), 0.5 * math.pi],
-                     f"{selector} integral")
+    def weighted_sum(t):
+        # sum of f(chi) dchi/dt over the nodes t
+        e = np.exp(-math.pi * np.sinh(t))
+        chi = b / (1.0 + e)
+        return float(np.sum(integrand(chi) * np.cosh(t) * e / (1.0 + e) ** 2)
+                     * math.pi * b)
+
+    step = 0.5
+    t = step * np.arange(-int(_T_MAX / step), int(_T_MAX / step) + 1)
+    total, evals = weighted_sum(t), t.size
+    value = error = step * total
+    for _ in range(_MAX_LEVEL):
+        step *= 0.5
+        t = step * np.arange(1, int(_T_MAX / step) + 1, 2)  # the new nodes
+        total += weighted_sum(np.concatenate((-t, t)))
+        evals += 2 * t.size
+        previous, value = value, step * total
+        error = abs(value - previous)
+        if error <= _REL_TOL * value:
+            return value, error, evals
+    raise QuadratureError(
+        f"{selector} integral: no convergence within {_MAX_LEVEL} levels "
+        f"(last two levels differ by {error:.3e})",
+        error_estimate=error, evaluations=evals)
 
 
 def arc_integral(family: BrachFamily, selector: str) -> float:
@@ -201,9 +125,10 @@ def arc_integral(family: BrachFamily, selector: str) -> float:
 
     selector "time" gives the half transit time, "length" the half arc
     length, within 1e-12 relative for every family member, from k = 0 to
-    the largest `BrachFamily` holds.  The degenerate k = 0 diameter is
-    returned in closed form (pi/2 and 1 respectively).  Raises
-    QuadratureError where it does not converge.
+    the largest `BrachFamily` holds, by one tanh-sinh rule in at most 205
+    evaluations.  The degenerate k = 0 diameter is returned in closed
+    form (pi/2 and 1 respectively).  Raises QuadratureError if the rule's
+    levels do not agree within its level cap.
     """
     if selector not in ("time", "length"):
         raise DomainError(f"selector must be 'time' or 'length'; got {selector!r}")

@@ -122,6 +122,8 @@ class TestUsageErrors:
         (("sweep", "--k-range", "1e150:1e155", "--count", "3"),
          "k = 1e+155"),
         (("compare-cycloid", "--sep", "1e-13"), "separation 1e-13"),
+        (("time", "--lat1", "91deg", "--lat2", "0"), "'91deg'"),
+        (("time", "--lat1", "nan", "--lat2", "0"), "'nan'"),
     ])
     def test_domain_end_names_the_input(self, capsys, argv, named):
         # one line of message, no traceback

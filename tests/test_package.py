@@ -112,3 +112,24 @@ def test_record_fields(record):
 def test_record_rejects_bad_fields(record, change, message):
     with pytest.raises(DomainError, match=message):
         record(**{**RECORDS[record], **change})
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: core.latitude_to_polar(2.0), "got 2.0"),
+    (lambda: core.latitude_to_polar([0.1, float("nan")]), "got nan"),
+    (lambda: gravitunnel.optimize_path(1.0, 2), "got 2"),
+    (lambda: gravitunnel.optimize_path(1.0, 16, initial_rho=[0.9] * 5),
+     "shape (5,)"),
+    (lambda: gravitunnel.optimize_path(1.0, 3, initial_rho=[0.9, math.inf, 0.9]),
+     "initial_rho[1] = inf"),
+    (lambda: core.DiscretePath.from_arrays([1.0, 0.5], [0.0, math.nan]),
+     "theta[1] = nan"),
+    (lambda: core.DiscretePath.from_arrays([1.0, 0.5, 1.0], [0.0, -1.0]),
+     "got 3 and 2"),
+    (lambda: core.DiscretePath.from_arrays([1.0, 0.5], [0.0, -1.0],
+                                           [0.0, 0.5, 0.0]), "got 3 and 2"),
+])
+def test_domain_errors_name_the_input(call, named):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert named in str(err.value)

@@ -36,20 +36,18 @@ class TestHalfTransit:
 
     @pytest.mark.parametrize("k", (0.3, 1.0, 3.0))
     def test_against_quadpack(self, k):
-        # in-house Gauss-Kronrod vs scipy QUADPACK on the same integrand
+        # in-house tanh-sinh vs scipy QUADPACK on the same integrand
         result = half_transit_time(BrachFamily.from_momentum(k))
         assert result.tau == pytest.approx(quad_half_time(k), abs=1e-9)
 
     def test_vanishing_tunnel(self):
         assert 2 * half_transit_time(BrachFamily.from_momentum(100.0)).tau < 0.05
 
-    def test_nonconvergence_reports_worst_interval(self, monkeypatch):
-        monkeypatch.setattr(timing, "_ABS_TOL", 1e-30)
-        monkeypatch.setattr(timing, "_REL_TOL", 1e-30)
-        monkeypatch.setattr(timing, "_MAX_SUBDIVISIONS", 2)
-        with pytest.raises(QuadratureError) as err:
+    def test_nonconvergence_raises_at_the_level_cap(self, monkeypatch):
+        # one halving of the step cannot agree with the first level to 1e-10
+        monkeypatch.setattr(timing, "_MAX_LEVEL", 1)
+        with pytest.raises(QuadratureError, match="time integral") as err:
             half_transit_time(BrachFamily.from_momentum(1.0))
-        assert err.value.worst_interval is not None
         assert err.value.evaluations > 0
         assert err.value.error_estimate > 0
 
@@ -125,8 +123,8 @@ class TestArcIntegral:
     @pytest.mark.parametrize("delta", (1e-12, 1e-9, 1e-6))
     @pytest.mark.parametrize("selector", ("length", "time"))
     def test_tiny_separation_is_accurate_or_raises(self, delta, selector):
-        # the integrals are ~delta (length) and ~sqrt(delta) (time), far
-        # below the 1e-10 absolute tolerance: the stop test must scale
+        # the integrals are ~delta (length) and ~sqrt(delta) (time), so
+        # only a relative stop test holds them to 1e-12
         fam = family_from_separation(delta)
         exact = (arc_length(fam) if selector == "length"
                  else total_transit_time(fam).tau)
@@ -150,8 +148,11 @@ class TestArcIntegral:
     @pytest.mark.parametrize("selector", ("time", "length"))
     def test_quadrature_within_1e12_of_mpmath(self, selector, fam):
         # log k over [-300, 153.6] and separations from 1e-300 to pi,
-        # against pi sqrt(q (2 - q))/2 and q (2 - q) with q from k
-        value = (half_transit_time(fam).tau if selector == "time"
+        # against pi sqrt(q (2 - q))/2 and q (2 - q) with q from k, in at
+        # most 205 evaluations: four halvings of the first step
+        result = half_transit_time(fam)
+        assert result.evaluations <= 205
+        value = (result.tau if selector == "time"
                  else arc_integral(fam, "length"))
         with mpmath.workdps(50):
             k = mpmath.mpf(fam.k)
