@@ -121,8 +121,8 @@ def _theta_closed_form(rho, k, rm):
     # the arcsine of sqrt(k^2+1)*u evaluated as atan2: its sine and cosine
     # (sqrt(k^2+1) u, k w) form an exact unit pair, so no clamping is
     # needed and the vertical arcsine slope at the turnaround is harmless
-    return -np.arctan2(u, w) + rm * np.arctan2(math.sqrt(k * k + 1.0) * u,
-                                               k * w)
+    h = math.sqrt(k * k + 1.0)
+    return rm * np.arctan2(h * u, k * w) - np.arctan2(u, w)
 
 
 def sample_path(family: BrachFamily, n: int) -> DiscretePath:
@@ -168,115 +168,115 @@ def rho_at_theta(family: BrachFamily, theta):
     """Radius of the tunnel at polar angle theta in [-separation_angle, 0].
 
     Angles past the bisector use the mirror symmetry.  theta_of_rho
-    increases with rho, so all angles are inverted at once.  A few
-    Newton steps (`_newton_seed`) place each radius near its root; the
-    bracket of _SEED_ULPS floats either side of that seed is checked
-    against the closed form, and bisection on the float bit patterns
-    then closes every bracket that holds its target on two adjacent
-    floats.  The angles whose bracket fails the check, and only those,
-    are bisected over the whole of [rho_min, 1].  So each result
+    increases with rho, so all angles are inverted at once: Newton in
+    the tunnel's own angle (`_seed_radius`) puts a seed within a few
+    floats of each root, and bisection on the float bit patterns closes
+    the bracket of _ULPS floats either side of it on adjacent floats of
+    the closed form.  Only the angles whose bracket the halvings do not
+    prove are bisected over the whole of [rho_min, 1].  So each result
     brackets its target on adjacent floats and depends on its own angle
-    alone.  Theta 0 maps to exactly 1.0 and the bisector to exactly
-    rho_min; for the k = 0 diameter every interior angle maps to the
-    center.  Returns a float for scalar theta and an array of theta's
-    shape otherwise.  A non-finite or out-of-range angle raises
-    DomainError naming the value.
+    alone.  Theta 0 maps to exactly 1.0, and the bisector, with any
+    angle at or below the closed form's value at rho_min (above the
+    bisector on some shallow tunnels), to exactly rho_min; for the
+    k = 0 diameter every interior angle maps to the center.  Returns a
+    float for scalar theta and an array of theta's shape otherwise.  A
+    non-finite or out-of-range angle raises DomainError naming it.
     """
     k, rm, sep = family.k, family.rho_min, family.separation_angle
     arr = np.asarray(theta, dtype=float)
-    bad = ~np.isfinite(arr) | (arr > DOMAIN_EPS) | (arr < -sep - DOMAIN_EPS)
-    if np.any(bad):
-        offender = float(np.ravel(arr[bad])[0])
+    good = (arr <= DOMAIN_EPS) & (arr >= -sep - DOMAIN_EPS)   # not nan
+    if not good.all():
+        offender = float(np.ravel(arr[~good])[0])
         raise DomainError("theta must be a finite angle in "
                           f"[-separation_angle, 0] (separation_angle = "
                           f"{sep!r}); got theta = {offender!r}")
     arr = np.clip(arr, -sep, 0.0)
     mid = -sep / 2.0
-    target = np.where(arr < mid, 2.0 * mid - arr, arr)
-    at_surface = target >= 0.0
+    target = np.maximum(arr, 2.0 * mid - arr)   # the mirror image
     if k == 0.0:
-        out = np.where(at_surface, 1.0, 0.0)
+        out = np.where(target >= 0.0, 1.0, 0.0)
         return float(out) if np.ndim(theta) == 0 else out
-    # Brackets are bit patterns, which order non-negative doubles.
-    # Invariant: theta(lo) < target <= theta(hi); a closed bracket stays.
-    lo = np.where(at_surface, 1.0, rm).view(np.int64)
-    hi = np.where((target <= mid) & ~at_surface, rm, 1.0).view(np.int64)
-    solve = lo != hi
-    t = target[solve]
-    seed = _newton_seed(t, k, rm, mid).view(np.int64)
-    lo_s = np.maximum(seed - _SEED_ULPS, lo[solve])
-    hi_s = np.minimum(seed + _SEED_ULPS, hi[solve])
-    held = ((_theta_closed_form(lo_s.view(float), k, rm) < t)
-            & (_theta_closed_form(hi_s.view(float), k, rm) >= t))
-    missed = ~held
-    root = np.empty_like(seed)
-    root[held] = _bisect_bits(lo_s[held], hi_s[held], t[held], k, rm)
-    root[missed] = _bisect_bits(lo[solve][missed], hi[solve][missed],
-                                t[missed], k, rm)
-    hi[solve] = root
-    out = hi.view(float)
+    out = np.where(target >= 0.0, 1.0, rm)
+    turn = max(mid, _theta_closed_form(rm, k, rm))
+    inner = (target < 0.0) & (target > turn)
+    t = target[inner]
+    # Bit patterns order non-negative doubles; theta(rm) < t <= theta(1).
+    ends = np.array([rm, 1.0]).view(np.int64)
+    start = np.maximum(_seed_radius(t, rm).view(np.int64) - _ULPS,
+                       ends[0])
+    lo = _bisect_bits(start, 2 * _ULPS, t, k, rm)
+    # theta(lo) < t is proven where a halving moved lo or lo is rho_min,
+    # and theta(lo + 1) >= t unless every halving moved lo
+    redo = np.flatnonzero(((lo == start) & (start > ends[0]))
+                          | (lo == start + 2 * _ULPS - 1))
+    if redo.size:
+        lo[redo] = _bisect_bits(np.full(redo.size, ends[0]),
+                                int(ends[1] - ends[0]), t[redo], k, rm)
+    out[inner] = (lo + 1).view(float)
     return float(out) if np.ndim(theta) == 0 else out
 
 
-# Half-width, in floats, of the bracket checked around each Newton seed.
-# Four steps put the seed within a few floats of its root for all but 3
-# of 1.8 million angles tried (separations 1e-12 to pi, k 1e-300 to 1e6;
-# the 3 sat within 1e-12 of an end of a separation near 1e-12), so the
-# bisection closes almost every bracket in 5 halvings instead of up to 64.
-_SEED_ULPS = 16
-_NEWTON_STEPS = 4
+# Half-width, in floats, of the bracket bisected around each seed.  Over
+# 350 separations from 1e-12 to pi (10^3 angles each) the seeds fell -6
+# to +6 floats from their roots: 0.05% outside +-4, each costing its call
+# a whole-interval bisection (~1 ms), and none outside +-8.
+_ULPS = 8
+_NEWTON_STEPS = 2
+# Seed-table nodes in psi, cubed towards the surface, where theta starts
+# like -psi^3 and, on wide tunnels, turns within psi ~ rho_min.
+_NODES = (0.5 * math.pi) * np.linspace(0.0, 1.0, 256) ** 3
 
 
-def _newton_seed(target, k, rm, mid):
-    """Radii near the roots of theta_of_rho = target, for targets in (mid, 0).
+def _theta_of_psi(psi, rm):
+    """theta and d theta / d psi of the tunnel at its own angle psi.
 
-    Newton runs in sigma = asin(rm / rho), which goes from asin(rm) at
-    the surface to pi/2 at the turnaround.  Along the tunnel
+    psi = atan2(u, w), the angle between the tunnel and the radius
+    (tan psi = rho theta'), runs from 0 at the surface to pi/2 at the
+    turnaround.  There theta = rm atan(tan(psi) / rm) - psi, taken with
+    T = tan psi and the depth q = 1 - rm factored out of both terms:
 
-        d theta / d sigma = -sqrt(1 - rho^2),
+        theta = rm atan(q T / (rm + T^2)) - q psi,
+        d theta / d psi = -(1 - rm^2) T^2 / (T^2 + rm^2),
 
-    which is finite at the turnaround and, on wide tunnels (small rm),
-    close to -1 wherever the tunnel passes near the center, where theta
-    turns fastest against rho.  At the surface theta vanishes like
-    (sigma - asin(rm))^(3/2), so the steps solve (-theta)^(2/3) =
-    (-target)^(2/3), regular at both ends, starting from sigma linear in
-    the target.  A step that leaves the bracket set by the signs seen so
-    far is replaced by that bracket's midpoint.  The result is only a
-    seed; rho_at_theta checks it.
+    a slope of size at most 1; and rho^2 = rm^2 (1 + T^2) / (T^2 + rm^2).
     """
-    s_lo, s_hi = math.asin(rm), math.pi / 2.0
-    goal = np.cbrt(target * target)
-    sigma = s_lo + (s_hi - s_lo) * (target / mid)
-    lo = np.full_like(sigma, s_lo)
-    hi = np.full_like(sigma, s_hi)
+    q = 1.0 - rm
+    tan = np.tan(psi)
+    tan2 = tan * tan
+    theta = rm * np.arctan(q * tan / (rm + tan2)) - q * psi
+    return theta, (-q * (1.0 + rm)) * tan2 / (tan2 + rm * rm)
+
+
+def _seed_radius(target, rm):
+    """Radii near the roots of theta_of_rho = target in (mid, 0).
+
+    psi is read off a table of theta at the fixed _NODES, linearly in
+    (-theta)^(1/3), in which psi is linear at the surface and, on wide
+    tunnels, cubic beyond psi ~ rm; _NEWTON_STEPS Newton steps on
+    theta(psi) = target refine it.  The result is only a seed, maybe a
+    float or two outside [rm, 1] or nan.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
+        theta, _ = _theta_of_psi(_NODES, rm)
+        psi = np.interp(np.cbrt(-target), np.cbrt(-theta), _NODES)
         for _ in range(_NEWTON_STEPS):
-            rho = rm / np.sin(sigma)
-            theta = _theta_closed_form(rho, k, rm)
-            excess = np.cbrt(theta * theta) - goal      # increases with sigma
-            step = 1.5 * excess * np.cbrt(-theta) / np.sqrt((1.0 - rho)
-                                                             * (1.0 + rho))
-            short = excess < 0.0
-            lo = np.where(short, sigma, lo)
-            hi = np.where(short, hi, sigma)
-            sigma = sigma - step
-            sigma = np.where((sigma >= lo) & (sigma <= hi), sigma,
-                             0.5 * (lo + hi))
-    return np.clip(rm / np.sin(sigma), rm, 1.0)
+            theta, slope = _theta_of_psi(psi, rm)
+            psi -= (theta - target) / slope
+        tan = np.tan(psi)
+        return rm * np.sqrt(1.0 + (1.0 - rm) * (1.0 + rm)
+                            / (tan * tan + rm * rm))
 
 
-def _bisect_bits(lo, hi, target, k, rm):
-    """Bisect bit-pattern brackets until each closes on adjacent floats.
+def _bisect_bits(lo, width, target, k, rm):
+    """Close the bit-pattern brackets [lo, lo + width] on adjacent floats.
 
-    Each halving splits the floats left in a bracket, so every bracket
-    closes within 64 halvings however small rho_min is.
+    Returns lo with theta(lo) < target <= theta(lo + 1) where the
+    bracket held the target.  Each halving moves lo up by a power of two
+    where the probe's angle is below the target; a probe above 1.0 gives
+    nan, never below, so a bracket may reach past 1.0.
     """
-    for _ in range(64):
-        half = lo + (hi - lo) // 2
-        split = half > lo
-        if not np.any(split):
-            break
-        below = _theta_closed_form(half.view(float), k, rm) < target
-        lo = np.where(split & below, half, lo)
-        hi = np.where(split & ~below, half, hi)
-    return hi
+    with np.errstate(invalid="ignore"):
+        for bit in reversed(range(int(width - 1).bit_length())):
+            probe = (lo + (1 << bit)).view(float)
+            lo = lo + (_theta_closed_form(probe, k, rm) < target) * (1 << bit)
+    return lo

@@ -38,9 +38,11 @@ class CycloidSolution(namedtuple("CycloidSolution",
 
     def __new__(cls, rolling_radius, end_angle, horizontal_span):
         if not (rolling_radius > 0.0):
-            raise DomainError("rolling_radius must be positive")
+            raise DomainError("rolling_radius must be positive; got "
+                              f"{rolling_radius!r}")
         if not (0.0 < end_angle <= 2.0 * math.pi):
-            raise DomainError("end_angle must lie in (0, 2*pi]")
+            raise DomainError("end_angle must lie in (0, 2*pi]; got "
+                              f"{end_angle!r}")
         return super().__new__(cls, rolling_radius, end_angle, horizontal_span)
 
 

@@ -49,9 +49,9 @@ segment time in its end radii, which the transcription optimizer uses.
 
 Each path is timed once: a `DiscretePath` caches its segment times
 (`DiscretePath.segment_times`), which `path_transit_time` and
-`cumulative_path_times` share.  The kernel runs over blocks of 4096
+`cumulative_path_times` share.  The kernel runs over blocks of 8192
 segments (`_BLOCK`), so its temporaries stay small enough for malloc to
-reuse and for the cache to hold, with no page faults per call.
+reuse, with no page faults per call.
 """
 
 import math
@@ -209,12 +209,14 @@ def _segment_geometry(rho, theta, depth):
     return length, s0, s1, nu, drop
 
 
-# Segments per block of `_segment_times`: each temporary takes 32 KiB,
-# under glibc's 128 KiB mmap threshold, so it is reused from malloc's
-# free lists rather than mapped and faulted in per call (a 10^4-per-half
-# tunnel's full-length one is 160 KB), and the ~8 of them stay in cache.
-# Smaller blocks pay numpy's per-call overhead more often.
-_BLOCK = 4096
+# Segments per block of `_segment_times`: each temporary takes 64 KiB,
+# under glibc's initial 128 KiB mmap threshold, so it is reused from
+# malloc's free lists rather than mapped and faulted in per call (a
+# 10^4-per-half tunnel's full-length one is 160 KB).  Each block pays
+# ~20-30 us of numpy call overhead: 8192 timed faster than 4096 both
+# before and after a large free has raised the threshold, and 16384
+# (128 KiB, mapped until then) slower before it.
+_BLOCK = 8192
 
 
 def _segment_times(rho, theta, depth):

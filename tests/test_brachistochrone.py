@@ -379,7 +379,7 @@ def family_and_angle(draw):
     # bulk separations, plus momenta so small that (k^2+1)(rho^2 - rm^2)
     # underflows near the turnaround
     if draw(st.booleans()):
-        fam = family_from_separation(draw(st.floats(1e-9, math.pi)))
+        fam = family_from_separation(draw(st.floats(1e-12, math.pi)))
     else:
         fam = BrachFamily.from_momentum(10.0 ** draw(st.floats(-300, -100)))
     return fam, draw(st.floats(-fam.separation_angle, 0.0))
@@ -398,10 +398,24 @@ def assert_adjacent_float_brackets(fam, thetas, rho):
     r, t = rho[inner], target[inner]
     assert np.all(_theta_closed_form(np.nextafter(r, 0.0), k, rm) < t)
     assert np.all(_theta_closed_form(r, k, rm) >= t)
-    whole = _bisect_bits(np.full(r.size, rm).view(np.int64),
-                         np.ones(r.size).view(np.int64), t, k, rm)
+    ends = np.array([rm, 1.0]).view(np.int64)
+    whole = _bisect_bits(np.full(r.size, ends[0]), int(ends[1] - ends[0]),
+                         t, k, rm) + 1
     ulps = np.abs(r.view(np.int64) - whole)
     assert ulps.max() <= 4, f"largest difference {ulps.max()} floats"
+
+
+def spy_whole_bisections(monkeypatch, fam):
+    """Record the angle count of each bisection over all of [rho_min, 1]."""
+    whole = int(np.subtract(*np.array([1.0, fam.rho_min]).view(np.int64)))
+    sizes = []
+
+    def spy(lo, width, target, k, rm):
+        if width == whole:
+            sizes.append(lo.size)
+        return _bisect_bits(lo, width, target, k, rm)
+    monkeypatch.setattr(brachistochrone, "_bisect_bits", spy)
+    return sizes
 
 
 class TestRhoAtThetaSolve:
@@ -444,8 +458,8 @@ class TestRhoAtThetaSolve:
         assert out.shape == (3, 4)
         assert out[1, 2] == rho_at_theta(fam, float(grid[1, 2]))
 
-    @pytest.mark.parametrize("sep", (1e-9, 1e-6, 0.01, 0.7, 2.498, 3.1,
-                                     math.pi - 1e-6, math.pi))
+    @pytest.mark.parametrize("sep", (1e-12, 1e-9, 1e-6, 0.01, 0.7, 2.498,
+                                     3.1, math.pi - 1e-6, math.pi))
     def test_mirror_symmetry_on_dense_grid(self, sep):
         fam = family_from_separation(sep)
         sep = fam.separation_angle
@@ -458,20 +472,47 @@ class TestRhoAtThetaSolve:
 
     @pytest.mark.parametrize("sep", (1e-9, 0.01, 3.1))
     def test_missed_seeds_bisect_the_whole_bracket(self, sep, monkeypatch):
-        # with no Newton steps the linear seed misses most brackets, so
+        # with no Newton steps the table's seeds miss most brackets, so
         # those angles are bisected again over the whole of [rho_min, 1]
         fam = family_from_separation(sep)
         thetas = np.linspace(-sep, 0.0, 1000)
-        whole_bracket = []
-
-        def spy(lo, hi, target, k, rm):
-            whole_bracket.append(int(np.sum((lo.view(float) == rm)
-                                            & (hi.view(float) == 1.0))))
-            return _bisect_bits(lo, hi, target, k, rm)
+        bisected_whole = spy_whole_bisections(monkeypatch, fam)
         monkeypatch.setattr(brachistochrone, "_NEWTON_STEPS", 0)
-        monkeypatch.setattr(brachistochrone, "_bisect_bits", spy)
         rho = rho_at_theta(fam, thetas)
-        assert whole_bracket[-1] > 0
+        assert bisected_whole and bisected_whole[-1] > 0
+        assert_adjacent_float_brackets(fam, thetas, rho)
+
+    @pytest.mark.parametrize("sep", (1e-12, 1e-6, 1.0, 2.498,
+                                     math.pi - 1e-6))
+    def test_cost_per_angle(self, sep, monkeypatch):
+        # four halvings of each seed's bracket, one closed-form
+        # evaluation each; at most 1% of angles bisected whole
+        fam = family_from_separation(sep)
+        thetas = np.linspace(-fam.separation_angle, 0.0, 1000)
+        bisected_whole = spy_whole_bisections(monkeypatch, fam)
+        evaluated = []
+
+        def count(rho, k, rm):
+            evaluated.append(np.size(rho))
+            return _theta_closed_form(rho, k, rm)
+        monkeypatch.setattr(brachistochrone, "_theta_closed_form", count)
+        rho = rho_at_theta(fam, thetas)
+        assert sum(bisected_whole) <= 10
+        assert sum(evaluated) <= 4.1 * thetas.size
+        assert_adjacent_float_brackets(fam, thetas, rho)
+
+    def test_shallow_turnaround_band_maps_to_rho_min(self):
+        # at 1e-12 the closed form puts rho_min a little above the
+        # bisector; the angles in between have nothing below rho_min
+        fam = family_from_separation(1e-12)
+        sep, rm = fam.separation_angle, fam.rho_min
+        turn = float(_theta_closed_form(rm, fam.k, rm))
+        assert turn > -sep / 2.0
+        thetas = np.linspace(-sep, 0.0, 100001)
+        rho = rho_at_theta(fam, thetas)
+        band = (thetas <= turn) & (thetas >= -sep - turn)
+        assert band.sum() > 2
+        assert np.all(rho[band] == rm)
         assert_adjacent_float_brackets(fam, thetas, rho)
 
     @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))

@@ -128,6 +128,8 @@ def test_record_rejects_bad_fields(record, change, message):
      "got 3 and 2"),
     (lambda: core.DiscretePath.from_arrays([1.0, 0.5], [0.0, -1.0],
                                            [0.0, 0.5, 0.0]), "got 3 and 2"),
+    (lambda: cycloid.CycloidSolution(-1.0, 1.0, 1.0), "got -1.0"),
+    (lambda: cycloid.CycloidSolution(1.0, 7.0, 1.0), "got 7.0"),
 ])
 def test_domain_errors_name_the_input(call, named):
     with pytest.raises(DomainError) as err:
