@@ -7,8 +7,10 @@ surface, turns around at rho_min = k/sqrt(k^2+1), and climbs back out as
 its own mirror image, sweeping a surface angle pi(1 - rho_min).
 
 The sweep below runs the family from nearly-through-center (k small) to
-shallow scratches (k large).  The time column is the singular-quadrature
-value; it always beats the chord's pi and follows pi*sqrt(1 - rho_min^2).
+shallow scratches (k large).  The time column is the closed form
+pi*sqrt(1 - rho_min^2) (`total_transit_time`); it always beats the
+chord's pi.  `timing.half_transit_time` is the singular-quadrature route
+to half of it, which `gravitunnel verify` checks against the closed form.
 """
 
 import math

@@ -137,7 +137,9 @@ def sample_path(family: BrachFamily, n: int) -> DiscretePath:
     resolve are still timed.  The turnaround sample is exact: depth
     separation/pi and angle -separation/2.  The second half is the
     first's mirror image about that angle, ending at
-    (1, -separation_angle).
+    (1, -separation_angle), with angles 2 theta_m - theta rounded.  The
+    path records that it is a mirror image, so it is timed over its
+    first half (`timing._mirrored_times`: ~3.4e-12 per segment, 3 ulps).
     """
     q = family.depth
     step = tunnel_step(q, n)
@@ -161,7 +163,9 @@ def sample_path(family: BrachFamily, n: int) -> DiscretePath:
     np.subtract(1.0, depth, out=rho)
     rho[n - 1] = family.rho_min
     block.setflags(write=False)
-    return DiscretePath(*block)
+    path = DiscretePath(*block)
+    object.__setattr__(path, "_mirrored", True)
+    return path
 
 
 def rho_at_theta(family: BrachFamily, theta):

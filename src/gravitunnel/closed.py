@@ -205,7 +205,11 @@ def tunnel_half(q: float, n: int):
 
 class TransitResult(namedtuple("TransitResult",
                                "tau error_estimate evaluations")):
-    """A transit time with its error estimate and evaluation count."""
+    """A transit time with its error estimate and evaluation count.
+
+    ``evaluations`` counts the integrand or segment-kernel evaluations
+    actually made (a sampled tunnel's mirrored half makes none).
+    """
 
     __slots__ = ()
 

@@ -52,6 +52,17 @@ Each path is timed once: a `DiscretePath` caches its segment times
 `cumulative_path_times` share.  The kernel runs over blocks of 8192
 segments (`_BLOCK`), so its temporaries stay small enough for malloc to
 reuse, with no page faults per call.
+
+A sampled tunnel (`brachistochrone.sample_path`) is its first half and
+that half's mirror image, and a segment's time depends only on its end
+depths and |theta1 - theta0|.  So its segments, and those of its
+every-other-sample subsample, which is mirrored too, are timed over the
+first half and the times reversed for the second (`_mirrored_times`):
+half the kernel work.  The stored second-half angles are 2 theta_m -
+theta rounded, so a mirrored segment time is within ~3.4e-12 relative
+of the kernel on the stored arrays, and tau within 3 ulps (measured over
+42 separations from 1e-12 to pi, 2 to 10^4 samples per half).  Paths
+built any other way run the kernel on every segment.
 """
 
 import math
@@ -255,6 +266,15 @@ def _segment_times(rho, theta, depth):
     return times
 
 
+def _mirrored_times(rho, theta, depth):
+    """`_segment_times` of a polyline whose sample -1 - i mirrors sample
+    i: the first half's segments (with the middle one when their count
+    is odd) are timed, and the second half takes those times reversed."""
+    head = rho.size // 2 + 1
+    half = _segment_times(rho[:head], theta[:head], depth[:head])
+    return np.concatenate((half, half[:(rho.size - 1) // 2][::-1]))
+
+
 def _block_times(rho, theta, depth, out, first):
     """`_segment_times` of one polyline piece into out; first is the
     index of its first segment in the whole path."""
@@ -347,24 +367,31 @@ def path_transit_time(path: DiscretePath) -> TransitResult:
     The error estimate is |tau - tau_coarse|, where tau_coarse times the
     same path through samples 0, 2, 4, ... and the last one, so it
     reflects how converged the path's geometry is, not floating-point
-    noise.  Paths under 5 samples, and paths whose coarse subsample
-    cannot be timed (a zero-length segment on the surface), report only
-    a round-off bound.
+    noise.  On a sampled tunnel over separations 1e-12 to 3.1 at 100 to
+    10^4 samples per half it is 2.98-3.02 times the error tau - T
+    against the closed form at an even n per half, where the subsample
+    skips the turnaround, and 1.83-2.99 times it at an odd n, where the
+    subsample is the sampled tunnel at (n + 1) / 2.  Paths under 5
+    samples, and paths whose coarse subsample cannot be timed (a
+    zero-length segment on the surface), report only a round-off bound.
+    ``evaluations`` counts the segment-kernel evaluations of both
+    passes, the cached one included; a mirrored path's are half.
     """
     if not isinstance(path, DiscretePath):
         path = DiscretePath.from_arrays(*path)
+    mirrored = path._mirrored
+    kernel = _mirrored_times if mirrored else _segment_times
     times = path.segment_times
     tau = float(np.sum(times))
-    evaluations = times.size
+    evaluations = (times.size + 1) // 2 if mirrored else times.size
     n = len(path)
     error = float(n * np.finfo(float).eps * max(abs(tau), 1.0))
     if n >= 5:
         try:
-            coarse = _segment_times(_every_other(path.rho),
-                                    _every_other(path.theta),
-                                    _every_other(path.depth))
+            coarse = kernel(_every_other(path.rho), _every_other(path.theta),
+                            _every_other(path.depth))
             error = abs(tau - float(np.sum(coarse)))
-            evaluations += coarse.size
+            evaluations += (coarse.size + 1) // 2 if mirrored else coarse.size
         except DegenerateSegmentError:
             pass
     return TransitResult(tau=tau, error_estimate=error, evaluations=evaluations)

@@ -1,0 +1,69 @@
+"""Negative controls: each breaks one clause of a registered check's
+verdict through a monkeypatched route, and the verdict must turn False
+with the detail showing the broken clause.  The check functions, their
+inputs and their bounds are the registry's own."""
+
+import numpy as np
+import pytest
+
+from gravitunnel import checks, cycloid
+from gravitunnel.core import dimensional_time
+
+INPUTS = {c.name: c.inputs for c in checks.REGISTRY}
+SMALL_ARC = INPUTS["small-arc-limit"]["full"]
+CHORD = INPUTS["chord-time-quadrature"]["reduced"]
+
+
+def _small_arc_with(monkeypatch, times=None, devs=None):
+    """checks.small_arc with compare_small_arc's time difference and
+    geometry deviation at each separation replaced where given."""
+    real = cycloid.compare_small_arc
+    separations = SMALL_ARC["separations"]
+
+    def patched(delta):
+        i = separations.index(delta)
+        report = real(delta)
+        if times is not None:
+            report = report._replace(relative_time_difference=times[i])
+        if devs is not None:
+            report = report._replace(max_geometry_deviation=devs[i])
+        return report
+
+    monkeypatch.setattr(cycloid, "compare_small_arc", patched)
+    return checks.small_arc(1.0, **SMALL_ARC)
+
+
+def test_small_arc_passes_unpatched(monkeypatch):
+    passed, _, _, detail = _small_arc_with(monkeypatch)
+    assert passed and detail.startswith("monotone: True")
+
+
+def test_small_arc_rejects_a_series_of_order_one_half(monkeypatch):
+    # monotone, and 0.00799 at 0.1 rad as the real series, but of order 0.5
+    d = np.array(SMALL_ARC["separations"])
+    at_tenth = cycloid.compare_small_arc(0.1).relative_time_difference
+    times = at_tenth * np.sqrt(d / 0.1)
+    passed, measure, _, detail = _small_arc_with(monkeypatch, times=times)
+    assert not passed
+    assert measure == at_tenth
+    assert detail.startswith("monotone: True, orders 0.50/")
+
+
+def test_small_arc_rejects_a_series_that_is_not_monotone(monkeypatch):
+    # of fitted order 1.8, but larger at 0.05 rad than at 0.1 rad
+    devs = [0.04, 0.01, 0.0101, 0.000625]
+    passed, _, _, detail = _small_arc_with(monkeypatch, devs=devs)
+    assert not passed
+    assert detail.startswith("monotone: False, orders 1.00/1.80 >= 1")
+
+
+def test_chord_time_rejects_earth_seconds_one_percent_off(monkeypatch):
+    monkeypatch.setattr(checks, "dimensional_time",
+                        lambda tau, scaling: 1.01 * dimensional_time(tau,
+                                                                     scaling))
+    passed, measure, threshold, detail = checks.chord_time(1.0, **CHORD)
+    assert not passed
+    assert measure < threshold                  # the quadrature clause holds
+    seconds = 1.01 * dimensional_time(np.pi, checks.make_scaling(checks.EARTH))
+    assert f"Earth {seconds:.1f} s" in detail
+    assert seconds == pytest.approx(1.01 * 2531.9, rel=5e-4)

@@ -428,8 +428,9 @@ def test_sampled_path_runs_the_kernel_once(monkeypatch):
     monkeypatch.setattr(timing, "_segment_times", counted)
     result = path_transit_time(path)
     cumulative = cumulative_path_times(path)
-    # one full-length pass, shared, and the coarse estimate's half pass
-    assert calls == [len(path), len(path) // 2 + 1]
+    # one pass over the mirrored path's first half, shared, and one over
+    # the first half of the coarse estimate's every-other subsample
+    assert calls == [10_000, 5001]
     assert cumulative[-1] == pytest.approx(result.tau, rel=1e-15)
     assert not path.segment_times.flags.writeable
 
@@ -485,3 +486,50 @@ def test_concurrent_sweep_matches_serial():
     with ThreadPoolExecutor(max_workers=8) as pool:
         threaded = list(pool.map(lambda f: half_transit_time(f).tau, families))
     assert threaded == serial
+
+
+MIRROR_SEPARATIONS = (1e-12, 1e-6, 1e-3, 1.0, 2.498, math.pi - 1e-6, math.pi)
+
+
+@pytest.mark.parametrize("n", (2, 3, 40, 41, 1500, 10_000))
+@pytest.mark.parametrize("separation", MIRROR_SEPARATIONS)
+def test_mirrored_times_match_the_kernel_on_the_stored_arrays(separation, n):
+    # a sampled tunnel times its first half and mirrors it; its stored
+    # second-half angles are rounded, so the kernel on them differs by
+    # round-off only
+    path = sample_path(family_from_separation(separation), n)
+    plain = DiscretePath.from_arrays(path.rho, path.theta, path.depth)
+    reference = _segment_times(path.rho, path.theta, path.depth)
+    times = path.segment_times
+    assert np.all(np.abs(times - reference) <= 1e-11 * reference)
+    result, expected = path_transit_time(path), path_transit_time(plain)
+    ulp = math.ulp(expected.tau + expected.error_estimate)
+    assert abs(result.tau - expected.tau) <= 4 * ulp
+    assert abs(result.error_estimate - expected.error_estimate) <= 8 * ulp
+    cumulative = cumulative_path_times(path)[1:]
+    assert np.all(np.abs(cumulative - cumulative_path_times(plain)[1:])
+                  <= 1e-13 * cumulative)
+
+
+@pytest.mark.parametrize("n", (3, 40, 41, 1500))
+def test_sampled_path_reports_the_kernel_evaluations_made(n):
+    # 2n - 2 segments and n - 1 coarse ones, each timed over its first half
+    path = sample_path(BrachFamily.from_momentum(1.0), n)
+    plain = DiscretePath.from_arrays(path.rho, path.theta, path.depth)
+    assert path_transit_time(path).evaluations == (n - 1) + n // 2
+    assert path_transit_time(plain).evaluations == 3 * (n - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-12.0, math.log10(3.1)), st.integers(100, 10_000))
+def test_error_estimate_is_calibrated(log_separation, n):
+    # the every-other-sample gap against tau - T, the closed form, over
+    # [1e-12, 3.1]: 2.98-3.02 at an even n per half, where the subsample
+    # skips the turnaround, and 1.83-2.99 at an odd n, where it is
+    # sample_path at (n + 1) / 2 and the gap is 2^p - 1 times the error
+    # of local order p
+    family = family_from_separation(10.0 ** log_separation)
+    result = path_transit_time(sample_path(family, n))
+    error = result.tau - total_transit_time(family).tau
+    low, high = (2.5, 3.5) if n % 2 == 0 else (1.7, 3.1)
+    assert low <= result.error_estimate / error <= high
