@@ -27,11 +27,10 @@ __version__ = "0.1.0"
 _LAZY = {
     "brachistochrone": ("rho_at_theta", "sample_path", "theta_of_rho",
                         "theta_prime"),
-    "chord": ("chord_path", "chord_position"),
-    "core": ("DOMAIN_EPS", "DiscretePath", "dimensional_time",
-             "latitude_to_polar", "speed_at_radius"),
+    "chord": ("chord_path",),
+    "core": ("DOMAIN_EPS", "DiscretePath", "dimensional_time"),
     "cycloid": ("CycloidSolution", "SmallArcComparison", "compare_small_arc",
-                "cycloid_between", "cycloid_time", "cycloid_xy"),
+                "cycloid_between", "cycloid_time"),
     "oracle": ("OptimizationReport", "SimulationTrace", "optimize_path",
                "perturbation_test", "simulate_bead"),
     "timing": ("arc_integral", "cumulative_path_times", "half_transit_time",

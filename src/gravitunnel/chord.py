@@ -11,7 +11,7 @@ release point sits at (rho=1, theta=0) and the destination at
 (rho=1, theta=-separation_angle), so chord and tunnel samples can be fed
 to the same integrators and plotted on the same axes.  `ChordSpec`,
 `chord_from_separation` and `chord_transit_time` are closed forms and
-live in `closed`; this module samples and positions along a chord.
+live in `closed`; this module samples a chord.
 """
 
 import numpy as np
@@ -20,16 +20,6 @@ from .closed import (ChordSpec, chord_from_separation, chord_point,  # noqa: F40
                      chord_transit_time)
 from .core import DiscretePath
 from .errors import DomainError
-
-
-def chord_position(tau, spec: ChordSpec):
-    """Along-chord coordinate x(tau) = half_chord * cos(tau).
-
-    Measured from the chord midpoint, for release from rest at one end at
-    tau = 0.  Accepts scalar or array tau.
-    """
-    arr = spec.half_chord * np.cos(np.asarray(tau, dtype=float))
-    return float(arr) if arr.ndim == 0 else arr
 
 
 def chord_path(spec: ChordSpec, n: int) -> DiscretePath:

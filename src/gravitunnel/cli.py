@@ -59,8 +59,8 @@ def _parse_angle(text):
 
 
 def _latitude(text):
-    """A latitude, checked and clamped as `core.latitude_to_polar` does;
-    the pi/2 offsets of two polar angles pi/2 - latitude cancel."""
+    """A latitude in [-pi/2, pi/2], DOMAIN_EPS overshoot clamped to the
+    pole; the pi/2 offsets of two polar angles pi/2 - latitude cancel."""
     lat = _parse_angle(text)
     if not abs(lat) <= 0.5 * math.pi + closed.DOMAIN_EPS:
         raise DomainError("latitude must lie in [-pi/2, pi/2] radians; "

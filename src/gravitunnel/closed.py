@@ -115,8 +115,8 @@ def arc_length(family: BrachFamily) -> float:
     Closed form 2 (1 - rho_min^2), written as 2 q (2 - q) for the
     family's depth q so tiny separations keep full relative precision:
     2 for the k = 0 diameter and strictly longer than the straight chord
-    otherwise.  ``2 * timing.arc_integral(family,
-    "length")`` is the singular-quadrature route to the same number.
+    otherwise.  ``2 * timing.arc_integral(family)`` is the
+    singular-quadrature route to the same number.
     """
     if not isinstance(family, BrachFamily):
         raise DomainError("arc_length expects a BrachFamily")

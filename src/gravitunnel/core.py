@@ -15,7 +15,6 @@ Physical units enter only at the boundary of the library, through
 `closed`, re-exported here) and `dimensional_time`.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -161,26 +160,6 @@ class DiscretePath:
 
     def endpoint_separation(self):
         return abs(float(self.theta[-1] - self.theta[0]))
-
-
-def speed_at_radius(rho):
-    """Dimensionless speed sqrt(1 - rho^2) of a surface-released particle.
-
-    Exactly zero at rho = 1.  Accepts scalars or arrays.
-    """
-    rho = _unit_interval(rho, "rho")
-    return np.sqrt((1.0 - rho) * (1.0 + rho))
-
-
-def latitude_to_polar(lat):
-    """Polar angle theta = pi/2 - lambda for a surface point at latitude lambda."""
-    arr = np.asarray(lat, dtype=float)
-    bad = ~(np.abs(arr) <= math.pi / 2 + DOMAIN_EPS)
-    if bad.any():
-        raise DomainError("latitude must lie in [-pi/2, pi/2] radians; "
-                          f"got {float(arr[bad].flat[0])!r}")
-    out = math.pi / 2 - np.clip(arr, -math.pi / 2, math.pi / 2)
-    return float(out) if arr.ndim == 0 else out
 
 
 def dimensional_time(tau, scaling: Scaling):

@@ -67,13 +67,6 @@ def cycloid_time(sol: CycloidSolution, field_strength: float = 1.0) -> float:
     return sol.end_angle * math.sqrt(sol.rolling_radius / g)
 
 
-def cycloid_xy(sol: CycloidSolution, phi: float):
-    """Cycloid coordinates at rolling angle phi; depth positive downward."""
-    phi = float(phi)
-    a = sol.rolling_radius
-    return a * (phi - math.sin(phi)), a * (1.0 - math.cos(phi))
-
-
 class SmallArcComparison(namedtuple(
         "SmallArcComparison", "delta_theta max_geometry_deviation sphere_time "
         "cycloid_time relative_time_difference")):

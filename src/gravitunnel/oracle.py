@@ -315,14 +315,9 @@ def simulate_bead(path: DiscretePath) -> SimulationTrace:
     turnaround.terminal = True
     turnaround.direction = -1.0
 
-    def escaped_back(_, state):
-        return state[0] + 0.05 * sigma_end
-    escaped_back.terminal = True
-    escaped_back.direction = -1.0
-
     sol = solve_ivp(rhs, (0.0, _MAX_TAU), (0.0, 0.0), method="DOP853",
                     rtol=_RTOL, atol=_ATOL, dense_output=True,
-                    events=(reach_end, turnaround, escaped_back))
+                    events=(reach_end, turnaround))
     end_gap = 0.0
     if sol.t_events[0].size:
         t_end = float(sol.t_events[0][0])

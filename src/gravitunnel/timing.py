@@ -131,23 +131,21 @@ def _integral(family, selector):
         error_estimate=error, evaluations=evals)
 
 
-def arc_integral(family: BrachFamily, selector: str) -> float:
-    """Half-tunnel integral for one family member.
+def arc_integral(family: BrachFamily) -> float:
+    """Half arc length of one family member, by singular quadrature.
 
-    selector "time" gives the half transit time, "length" the half arc
-    length, within 1e-12 relative for every family member, from k = 0 to
-    the largest `BrachFamily` holds, by one tanh-sinh rule in at most 205
-    evaluations.  The degenerate k = 0 diameter is returned in closed
-    form (pi/2 and 1 respectively).  Raises QuadratureError if the rule's
-    levels do not agree within its level cap.
+    Within 1e-12 relative for every family member, from k = 0 to the
+    largest `BrachFamily` holds, by one tanh-sinh rule in at most 205
+    evaluations; the quadrature reference for `closed.arc_length`.  The
+    degenerate k = 0 diameter is returned in closed form (1).  Raises
+    QuadratureError if the rule's levels do not agree within its level
+    cap.
     """
-    if selector not in ("time", "length"):
-        raise DomainError(f"selector must be 'time' or 'length'; got {selector!r}")
     if not isinstance(family, BrachFamily):
         raise DomainError("arc_integral expects a BrachFamily")
     if family.k == 0.0:
-        return math.pi / 2.0 if selector == "time" else 1.0
-    value, _, _ = _integral(family, selector)
+        return 1.0
+    value, _, _ = _integral(family, "length")
     return value
 
 

@@ -3,15 +3,21 @@ verdict through a monkeypatched route, and the verdict must turn False
 with the detail showing the broken clause.  The check functions, their
 inputs and their bounds are the registry's own."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from gravitunnel import checks, cycloid
+from gravitunnel import (checks, cycloid, family_from_separation, oracle,
+                         timing)
 from gravitunnel.core import dimensional_time
 
 INPUTS = {c.name: c.inputs for c in checks.REGISTRY}
 SMALL_ARC = INPUTS["small-arc-limit"]["full"]
 CHORD = INPUTS["chord-time-quadrature"]["reduced"]
+TRIANGLE = INPUTS["oracle-triangle"]["reduced"]
+STATIONARITY = INPUTS["stationarity"]["reduced"]
 
 
 def _small_arc_with(monkeypatch, times=None, devs=None):
@@ -67,3 +73,32 @@ def test_chord_time_rejects_earth_seconds_one_percent_off(monkeypatch):
     seconds = 1.01 * dimensional_time(np.pi, checks.make_scaling(checks.EARTH))
     assert f"Earth {seconds:.1f} s" in detail
     assert seconds == pytest.approx(1.01 * 2531.9, rel=5e-4)
+
+
+def test_oracle_triangle_rejects_an_optimizer_undercut(monkeypatch):
+    # the bead lands on the quadrature and the optimizer 1e-3 under it:
+    # pairwise within 4e-4, so only the minimality clause can fail
+    def quadrature(delta):
+        return 2.0 * timing.half_transit_time(
+            family_from_separation(delta)).tau
+
+    (delta,) = TRIANGLE["separations"]
+    monkeypatch.setattr(oracle, "optimize_path", lambda d, m: SimpleNamespace(
+        best_time=quadrature(d) - 1e-3))
+    monkeypatch.setattr(oracle, "simulate_bead", lambda path: SimpleNamespace(
+        transit_time=quadrature(delta)))
+    passed, measure, threshold, detail = checks.oracle_triangle(1.0, **TRIANGLE)
+    assert not passed
+    assert measure < threshold
+    assert detail.endswith("optimizer undercut 1.0e-03 <= 1.0e-06")
+
+
+def test_stationarity_rejects_a_doubling_ratio_of_4_5(monkeypatch):
+    # a positive delta growing like amplitude^log2(4.5): never below
+    # zero, so only the doubling-ratio clause can fail
+    monkeypatch.setattr(oracle, "perturbation_test",
+                        lambda fam, amp, mode: amp ** math.log2(4.5))
+    passed, measure, _, detail = checks.stationarity(1.0, **STATIONARITY)
+    assert not passed
+    assert measure == 0.0
+    assert detail.endswith("doubling ratio within 4.0 +/- 0.50 (limit 0.3)")

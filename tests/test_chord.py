@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from gravitunnel import (DomainError, PhysicalParams, chord_from_separation,
-                         chord_path, chord_position, chord_transit_time,
-                         dimensional_time, make_scaling, path_transit_time,
-                         speed_at_radius)
+                         chord_path, chord_transit_time, dimensional_time,
+                         make_scaling, path_transit_time)
 
 
 def test_chord_from_separation_values():
@@ -42,25 +41,6 @@ def test_transit_time_earth_minutes():
     minutes = dimensional_time(chord_transit_time(chord_from_separation(1.0)),
                                scaling) / 60.0
     assert minutes == pytest.approx(42.2, abs=0.1)
-
-
-def test_chord_position_values():
-    assert chord_position(0.0, chord_from_separation(math.pi)) == 1.0
-    assert chord_position(math.pi / 2, chord_from_separation(1.0)) == \
-        pytest.approx(0.0, abs=1e-15)
-    assert chord_position(math.pi, chord_from_separation(math.pi / 2)) == \
-        pytest.approx(-math.sqrt(2) / 2, rel=1e-15)
-
-
-def test_chord_position_conserves_energy():
-    # |dx/dtau| must equal the energy speed at the instantaneous radius
-    spec = chord_from_separation(2.0)
-    tau = np.linspace(0.0, math.pi, 2001)
-    x = chord_position(tau, spec)
-    rho = np.hypot(x, spec.midpoint_radius)
-    v_energy = speed_at_radius(np.clip(rho, 0.0, 1.0))
-    v_motion = np.abs(spec.half_chord * np.sin(tau))
-    assert np.max(np.abs(v_energy - v_motion)) < 1e-9
 
 
 def test_chord_path_samples():

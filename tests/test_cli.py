@@ -71,6 +71,21 @@ class TestTimeCommand:
         assert spaced == run_cli(capsys, "time", "--lat1", "40deg",
                                  f"--lat2={lat}")[1]
 
+    def test_latitude_clamps_at_the_poles(self, capsys):
+        # 5e-13 past each pole is clamped onto it, and the tunnel is the
+        # diameter; 2e-12 past a pole is refused, naming the input
+        pole = "1.5707963267953966"
+        code, out, _ = run_cli(capsys, "time", "--lat1", pole, f"--lat2=-{pole}")
+        assert code == 0
+        assert kv_table(out)["separation_rad"] == "3.14159265359"
+        _, out, _ = run_cli(capsys, "time", "--lat1", pole, f"--lat2=-{pole}",
+                            "--format", "structured")
+        assert json.loads(out)["separation_rad"] == math.pi
+        code, out, err = run_cli(capsys, "time", "--lat1", "1.5707963267969",
+                                 "--lat2", "0")
+        assert (code, out) == (1, "")
+        assert "'1.5707963267969'" in err
+
     def test_latitude_difference_keeps_its_digits(self, capsys):
         # as polar angles pi/2 - latitude, 1e-9 would keep only 7 digits
         _, out, _ = run_cli(capsys, "time", "--lat1", "1e-9", "--lat2", "0",

@@ -7,8 +7,7 @@ import pytest
 
 from gravitunnel import (DiscretePath, DomainError, PhysicalParams,
                          dimensional_time, family_from_separation,
-                         latitude_to_polar, make_scaling, sample_path,
-                         speed_at_radius)
+                         make_scaling, rho_at_theta, sample_path)
 
 EARTH = PhysicalParams(radius_m=6.371e6, gravity_m_s2=9.80665)
 
@@ -46,44 +45,6 @@ def test_scaling_product_identity():
         s = make_scaling(params)
         product = s.time_unit_s * s.speed_unit_m_s
         assert abs(product - s.length_unit_m) <= 4 * math.ulp(s.length_unit_m)
-
-
-def test_speed_at_radius_values():
-    assert speed_at_radius(1.0) == 0.0
-    assert speed_at_radius(0.0) == 1.0
-    assert speed_at_radius(0.6) == pytest.approx(0.8, abs=1e-15)
-
-
-def test_speed_clamps_and_rejects():
-    assert speed_at_radius(1.0 + 1e-13) == 0.0
-    for bad in (-0.1, 1.1, math.nan):
-        with pytest.raises(DomainError):
-            speed_at_radius(bad)
-
-
-def test_energy_identity_on_grid():
-    # kinetic plus potential energy -(1 - rho^2)/2 is zero everywhere
-    rho = np.linspace(0.0, 1.0, 1001)
-    total = 0.5 * speed_at_radius(rho) ** 2 - 0.5 * (1.0 - rho ** 2)
-    assert np.max(np.abs(total)) < 1e-12
-
-
-def test_latitude_to_polar():
-    assert latitude_to_polar(math.pi / 2) == 0.0
-    assert latitude_to_polar(0.0) == pytest.approx(math.pi / 2, rel=1e-15)
-    assert latitude_to_polar(math.pi / 6) == pytest.approx(math.pi / 3, rel=1e-14)
-    with pytest.raises(DomainError):
-        latitude_to_polar(2.0)
-
-
-def test_latitude_to_polar_is_decreasing_bijection():
-    lats = np.linspace(-math.pi / 2, math.pi / 2, 501)
-    thetas = latitude_to_polar(lats)
-    assert np.all(np.diff(thetas) < 0)
-    assert thetas[0] == pytest.approx(math.pi, rel=1e-15)
-    assert thetas[-1] == 0.0
-    # defining relation at the surface: cos(theta) = sin(latitude)
-    assert np.max(np.abs(np.cos(thetas) - np.sin(lats))) < 1e-15
 
 
 def test_dimensional_time():
@@ -160,9 +121,10 @@ class TestDiscretePath:
 
 
 def test_pure_functions_are_thread_safe():
-    rho = np.linspace(0.0, 1.0, 10001)
-    expected = speed_at_radius(rho)
+    fam = family_from_separation(1.0)
+    theta = np.linspace(0.0, -1.0, 10001)
+    expected = rho_at_theta(fam, theta)
     with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(lambda _: speed_at_radius(rho), range(16)))
+        results = list(pool.map(lambda _: rho_at_theta(fam, theta), range(16)))
     for r in results:
         assert np.array_equal(r, expected)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gravitunnel import (CycloidSolution, DomainError, compare_small_arc,
-                         cycloid, cycloid_between, cycloid_time, cycloid_xy,
+                         cycloid, cycloid_between, cycloid_time,
                          family_from_separation)
 
 
@@ -53,13 +53,6 @@ class TestCycloidTime:
                                                        rel=1e-14)
         with pytest.raises(DomainError):
             cycloid_time(sol, 0.0)
-
-    def test_xy_endpoints(self):
-        sol = cycloid_between(1.0)
-        assert cycloid_xy(sol, 0.0) == (0.0, 0.0)
-        x, y = cycloid_xy(sol, sol.end_angle)
-        assert x == pytest.approx(1.0, rel=1e-12)
-        assert y == pytest.approx(0.0, abs=1e-12)
 
 
 class TestSmallArc:

@@ -61,6 +61,15 @@ class TestOptimizePath:
         assert report.first_order_residual > 1e-6
         assert report.best_time > 0
 
+    def test_step_cap_short_of_the_residual_threshold(self, monkeypatch):
+        # seven steps leave a residual of ~8e-5 at m = 24, close enough
+        # to converged that only a threshold of 1e-6 refuses it
+        monkeypatch.setattr(oracle, "_NEWTON_STEPS", 7)
+        report = optimize_path(1.0, 24)
+        assert report.iterations == 7
+        assert not report.converged
+        assert 1e-6 < report.first_order_residual < 1e-3
+
     @pytest.mark.parametrize("interior_points", (24, 64))
     @pytest.mark.parametrize("delta", (1e-3, 0.01, 0.1, 0.7, 1.0, math.pi / 2,
                                        2.0, 2.498, 3.0, math.pi - 1e-3))

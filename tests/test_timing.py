@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import quad_half_time
 from gravitunnel import (BrachFamily, DegenerateSegmentError, DiscretePath,
-                         DomainError, QuadratureError,
+                         QuadratureError,
                          arc_integral, arc_length,
                          chord_from_separation, chord_path,
                          cumulative_path_times, family_from_separation,
@@ -103,22 +103,14 @@ class TestTotalTransit:
 class TestArcIntegral:
     def test_degenerate_closed_forms(self):
         fam0 = BrachFamily.from_momentum(0.0)
-        assert arc_integral(fam0, "length") == 1.0
-        assert arc_integral(fam0, "time") == math.pi / 2
+        assert arc_integral(fam0) == 1.0
+        assert half_transit_time(fam0).tau == math.pi / 2
 
     def test_length_selector_against_closed_form(self):
         for k in K_SWEEP:
             fam = BrachFamily.from_momentum(float(k))
             q = fam.separation_angle / math.pi
-            assert abs(arc_integral(fam, "length") - q * (2 - q)) < 1e-9
-
-    def test_time_selector_matches_half_transit(self):
-        fam = BrachFamily.from_momentum(1.0)
-        assert arc_integral(fam, "time") == half_transit_time(fam).tau
-
-    def test_bad_selector(self):
-        with pytest.raises(DomainError):
-            arc_integral(BrachFamily.from_momentum(1.0), "speed")
+            assert abs(arc_integral(fam) - q * (2 - q)) < 1e-9
 
     @pytest.mark.parametrize("delta", (1e-12, 1e-9, 1e-6))
     @pytest.mark.parametrize("selector", ("length", "time"))
@@ -126,9 +118,11 @@ class TestArcIntegral:
         # the integrals are ~delta (length) and ~sqrt(delta) (time), so
         # only a relative stop test holds them to 1e-12
         fam = family_from_separation(delta)
-        exact = (arc_length(fam) if selector == "length"
-                 else total_transit_time(fam).tau)
-        assert abs(2 * arc_integral(fam, selector) - exact) <= 1e-12 * exact
+        if selector == "length":
+            value, exact = arc_integral(fam), arc_length(fam)
+        else:
+            value, exact = half_transit_time(fam).tau, total_transit_time(fam).tau
+        assert abs(2 * value - exact) <= 1e-12 * exact
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(
@@ -152,8 +146,7 @@ class TestArcIntegral:
         # most 205 evaluations: four halvings of the first step
         result = half_transit_time(fam)
         assert result.evaluations <= 205
-        value = (result.tau if selector == "time"
-                 else arc_integral(fam, "length"))
+        value = result.tau if selector == "time" else arc_integral(fam)
         with mpmath.workdps(50):
             k = mpmath.mpf(fam.k)
             h = mpmath.sqrt(k * k + 1)
