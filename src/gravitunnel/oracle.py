@@ -331,7 +331,7 @@ def simulate_bead(path: DiscretePath) -> SimulationTrace:
         g1_end = dspline(sigma_end)
         decel = (spline(sigma_end) @ g1_end) / math.hypot(*g1_end)
         if abs(gap) <= 1e-6 * max(sigma_end, 1.0) and decel > 0.0:
-            end_gap = gap
+            end_gap = float(gap)
         else:
             p_turn = spline(s_turn)
             raise StalledTrajectoryError(

@@ -49,9 +49,7 @@ segment time in its end radii, which the transcription optimizer uses.
 
 Each path is timed once: a `DiscretePath` caches its segment times
 (`DiscretePath.segment_times`), which `path_transit_time` and
-`cumulative_path_times` share.  The kernel runs over blocks of 8192
-segments (`_BLOCK`), so its temporaries stay small enough for malloc to
-reuse, with no page faults per call.
+`cumulative_path_times` share.
 
 A sampled tunnel (`brachistochrone.sample_path`) is its first half and
 that half's mirror image, and a segment's time depends only on its end
@@ -218,16 +216,6 @@ def _segment_geometry(rho, theta, depth):
     return length, s0, s1, nu, drop
 
 
-# Segments per block of `_segment_times`: each temporary takes 64 KiB,
-# under glibc's initial 128 KiB mmap threshold, so it is reused from
-# malloc's free lists rather than mapped and faulted in per call (a
-# 10^4-per-half tunnel's full-length one is 160 KB).  Each block pays
-# ~20-30 us of numpy call overhead: 8192 timed faster than 4096 both
-# before and after a large free has raised the threshold, and 16384
-# (128 KiB, mapped until then) slower before it.
-_BLOCK = 8192
-
-
 def _segment_times(rho, theta, depth):
     """Exact traversal times of each straight segment of a polar polyline.
 
@@ -245,23 +233,26 @@ def _segment_times(rho, theta, depth):
     atan2(+0, s0 s1) = pi, the gravity train.  A repeated sample has
     L = s0 = nu0 - nu1 = 0 and takes exactly zero time.
 
-    The path is evaluated in blocks of _BLOCK segments into one output
-    array; every operation is elementwise, so each time is bit for bit
-    the time of a single pass over the whole path.
-
     Raises DegenerateSegmentError for a zero-length segment on the
     surface, where the speed is zero and no time is defined, naming its
     index from the start of the path.
     """
-    rho = np.asarray(rho, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    depth = np.asarray(depth, dtype=float)
-    times = np.empty(max(rho.size - 1, 0))
-    for lo in range(0, times.size, _BLOCK):
-        hi = min(lo + _BLOCK, times.size) + 1
-        _block_times(rho[lo:hi], theta[lo:hi], depth[lo:hi],
-                     times[lo:hi - 1], lo)
-    return times
+    length, s0, s1, nu, drop = _segment_geometry(rho, theta, depth)
+    nu0, nu1 = nu[:-1], nu[1:]
+    if not length.all():
+        stuck = np.flatnonzero((length == 0.0) & (nu0 == 0.0))
+        if stuck.size:
+            raise DegenerateSegmentError(
+                f"segment {int(stuck[0])} has zero length at the surface, "
+                "where speed is zero")
+    # numerator L nu0 + s0 drop in length, denominator nu0 nu1 + s0 s1 in s1
+    length *= nu0
+    drop *= s0
+    length += drop
+    s1 *= s0
+    np.multiply(nu0, nu1, out=s0)
+    s1 += s0
+    return np.arctan2(length, s1, out=length)
 
 
 def _mirrored_times(rho, theta, depth):
@@ -271,27 +262,6 @@ def _mirrored_times(rho, theta, depth):
     head = rho.size // 2 + 1
     half = _segment_times(rho[:head], theta[:head], depth[:head])
     return np.concatenate((half, half[:(rho.size - 1) // 2][::-1]))
-
-
-def _block_times(rho, theta, depth, out, first):
-    """`_segment_times` of one polyline piece into out; first is the
-    index of its first segment in the whole path."""
-    length, s0, s1, nu, drop = _segment_geometry(rho, theta, depth)
-    nu0, nu1 = nu[:-1], nu[1:]
-    if not length.all():
-        stuck = np.flatnonzero((length == 0.0) & (nu0 == 0.0))
-        if stuck.size:
-            raise DegenerateSegmentError(
-                f"segment {first + int(stuck[0])} has zero length at the "
-                "surface, where speed is zero")
-    # numerator L nu0 + s0 drop in length, denominator nu0 nu1 + s0 s1 in s1
-    length *= nu0
-    drop *= s0
-    length += drop
-    s1 *= s0
-    np.multiply(nu0, nu1, out=s0)
-    s1 += s0
-    np.arctan2(length, s1, out=out)
 
 
 def _segment_time_partials(rho, theta, depth):
@@ -376,7 +346,7 @@ def path_transit_time(path: DiscretePath) -> TransitResult:
     passes, the cached one included; a mirrored path's are half.
     """
     if not isinstance(path, DiscretePath):
-        path = DiscretePath.from_arrays(*path)
+        raise DomainError("path_transit_time expects a DiscretePath")
     mirrored = path._mirrored
     kernel = _mirrored_times if mirrored else _segment_times
     times = path.segment_times
@@ -398,5 +368,5 @@ def path_transit_time(path: DiscretePath) -> TransitResult:
 def cumulative_path_times(path: DiscretePath) -> np.ndarray:
     """Running transit time at each sample of a path, starting at 0."""
     if not isinstance(path, DiscretePath):
-        path = DiscretePath.from_arrays(*path)
+        raise DomainError("cumulative_path_times expects a DiscretePath")
     return np.concatenate(([0.0], np.cumsum(path.segment_times)))

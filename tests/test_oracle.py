@@ -203,12 +203,14 @@ class TestSimulateBead:
         # ending inside the sphere is reached with speed and has no gap
         surface = simulate_bead(chord_path(chord_from_separation(math.pi), 50))
         assert surface.rhs_evaluations > surface.steps > 0
+        assert type(surface.end_gap) is float
         assert surface.end_gap != 0.0
         assert abs(surface.end_gap) < 1e-6
         assert surface.tau[-1] == surface.transit_time
         interior = simulate_bead(DiscretePath.from_arrays(
             [1.0, 0.8, 0.6, 0.5], [0.0, -0.1, -0.2, -0.3]))
         assert interior.rhs_evaluations > interior.steps > 0
+        assert type(interior.end_gap) is float
         assert interior.end_gap == 0.0
 
     @pytest.mark.slow
@@ -232,6 +234,15 @@ class TestSimulateBead:
     def test_point_above_surface_rejected_at_validation(self):
         with pytest.raises(DomainError):
             DiscretePath.from_arrays([1.0, 1.05, 1.0], [0.0, -0.5, -1.0])
+
+    def test_turnaround_just_short_of_the_end_stalls(self):
+        # released 1e-4 deeper than the far end, the bead turns around
+        # 7.0e-5 of the chordwise arc short of it: far outside the
+        # round-off gap that counts as arrival
+        path = DiscretePath.from_arrays([0.9, 0.5, 0.9 + 1e-4],
+                                        [0.0, -0.5, -1.0])
+        with pytest.raises(StalledTrajectoryError, match="turned around"):
+            simulate_bead(path)
 
     def test_rising_path_stalls_with_turning_point(self):
         path = DiscretePath.from_arrays([0.8, 0.82, 0.95],

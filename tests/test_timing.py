@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import quad_half_time
 from gravitunnel import (BrachFamily, DegenerateSegmentError, DiscretePath,
-                         QuadratureError,
+                         DomainError, QuadratureError,
                          arc_integral, arc_length,
                          chord_from_separation, chord_path,
                          cumulative_path_times, family_from_separation,
                          half_transit_time, path_transit_time, sample_path,
                          timing, total_transit_time)
-from gravitunnel.timing import (_BLOCK, _block_times, _segment_time_partials,
-                               _segment_times)
+from gravitunnel.timing import _segment_time_partials, _segment_times
 
 K_SWEEP = np.geomspace(0.05, 20.0, 20)
 
@@ -215,6 +214,14 @@ class TestPathTransit:
         with pytest.raises(DegenerateSegmentError):
             path_transit_time(path)
 
+    @pytest.mark.parametrize("timer", (path_transit_time,
+                                       cumulative_path_times))
+    def test_arrays_are_refused(self, timer):
+        arrays = ([1.0, 0.5, 1.0], [0.0, -0.5, -1.0])
+        with pytest.raises(DomainError,
+                           match=f"{timer.__name__} expects a DiscretePath"):
+            timer(arrays)
+
     @pytest.mark.parametrize("delta", (1e-12, 1e-9, 1e-6, 1e-3, 1.0, math.pi))
     def test_two_point_chord_takes_pi(self, delta):
         # one segment between two surface points: the gravity train
@@ -368,40 +375,10 @@ def test_error_estimate_is_the_every_other_sample_gap(n):
     assert result.evaluations == (n - 1) + (len(idx) - 1)
 
 
-@st.composite
-def blocked_polyline(draw):
-    """m = 1, B-1, B, B+1 or 2B+1 segments (B = _BLOCK), drawn from a seed:
-    depths inside, a share of them 1e-16 to 1e-12 below the surface, the
-    ends on it or not, and repeated interior samples."""
-    m = draw(st.sampled_from((1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
-                              2 * _BLOCK + 1)))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    depth = rng.uniform(0.0, 1.0, m + 1)
-    shallow = rng.random(m + 1) < draw(st.floats(0.0, 1.0))
-    depth[shallow] = 10.0 ** rng.uniform(-16.0, -12.0, shallow.sum())
-    for i in draw(st.sampled_from(((), (0,), (-1,), (0, -1)))):
-        depth[i] = 0.0
-    theta = np.cumsum(-rng.uniform(1e-6, 1.0 / m, m + 1))
-    repeats = draw(st.integers(0, 50)) if m > 2 else 0
-    for i in rng.integers(1, m - 1, repeats):
-        # sample i + 1 repeats sample i, a zero-length segment inside
-        depth[i + 1], theta[i + 1] = depth[i], theta[i]
-    return 1.0 - depth, theta, depth
-
-
-@settings(max_examples=40, deadline=None)
-@given(blocked_polyline())
-def test_blocked_segment_times_equal_one_block(case):
-    rho, theta, depth = case
-    whole = np.empty(rho.size - 1)
-    _block_times(rho, theta, depth, whole, 0)
-    assert np.array_equal(_segment_times(rho, theta, depth), whole)
-
-
 def test_degenerate_segment_is_named_from_the_path_start():
-    # a zero-length surface segment in the third block
-    m = 3 * _BLOCK
-    j = 2 * _BLOCK + 5
+    # a zero-length surface segment far from the start of a long path
+    m = 24_576
+    j = 16_389
     depth = np.full(m + 1, 0.5)
     theta = np.linspace(0.0, -1.0, m + 1)
     depth[[0, j, j + 1, m]] = 0.0
