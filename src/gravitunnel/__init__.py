@@ -14,10 +14,11 @@ on first use, so a caller that needs no array never loads numpy.
 
 import importlib
 
-from .closed import (BrachFamily, ChordSpec, PhysicalParams, Scaling,
-                     TransitResult, arc_length, chord_from_separation,
-                     chord_transit_time, family_from_separation, make_scaling,
-                     rho_min, separation_angle, total_transit_time)
+from .closed import (DOMAIN_EPS, BrachFamily, ChordSpec, PhysicalParams,
+                     Scaling, TransitResult, arc_length, chord_from_separation,
+                     chord_transit_time, dimensional_time,
+                     family_from_separation, make_scaling, rho_min,
+                     separation_angle, total_transit_time)
 from .errors import (DegenerateSegmentError, DomainError, PathError,
                      QuadratureError, StalledTrajectoryError, TunnelError)
 
@@ -28,22 +29,22 @@ _LAZY = {
     "brachistochrone": ("rho_at_theta", "sample_path", "theta_of_rho",
                         "theta_prime"),
     "chord": ("chord_path",),
-    "core": ("DOMAIN_EPS", "DiscretePath", "dimensional_time"),
     "cycloid": ("CycloidSolution", "SmallArcComparison", "compare_small_arc",
                 "cycloid_between", "cycloid_time"),
     "oracle": ("OptimizationReport", "SimulationTrace", "optimize_path",
                "perturbation_test", "simulate_bead"),
-    "timing": ("arc_integral", "cumulative_path_times", "half_transit_time",
-               "path_transit_time"),
+    "timing": ("DiscretePath", "arc_integral", "cumulative_path_times",
+               "half_transit_time", "path_transit_time"),
 }
 _SOURCE = {name: module for module, names in _LAZY.items() for name in names}
 _SUBMODULES = frozenset(_LAZY) | {"checks", "cli"}
 
-# Every public name, each listed once: the eager imports above and the
-# lazy names.
+# Every public name, each listed once: the eager imports above (the float
+# DOMAIN_EPS has no __module__ to mark it) and the lazy names.
 __all__ = [name for name, value in globals().items()
            if getattr(value, "__module__", None)
-           in (f"{__name__}.closed", f"{__name__}.errors")] + list(_SOURCE)
+           in (f"{__name__}.closed", f"{__name__}.errors")
+           ] + ["DOMAIN_EPS"] + list(_SOURCE)
 
 
 def __getattr__(name):

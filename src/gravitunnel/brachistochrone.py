@@ -48,11 +48,11 @@ import math
 
 import numpy as np
 
-from .closed import (BrachFamily, arc_length, family_from_separation,  # noqa: F401
-                     rho_min, separation_angle, tunnel_point, tunnel_step,
-                     tunnel_turnaround)
-from .core import DOMAIN_EPS, DiscretePath
+from .closed import (DOMAIN_EPS, BrachFamily, arc_length,  # noqa: F401
+                     family_from_separation, rho_min, separation_angle,
+                     tunnel_point, tunnel_step, tunnel_turnaround)
 from .errors import DomainError
+from .timing import DiscretePath
 
 
 def theta_prime(rho, k: float):

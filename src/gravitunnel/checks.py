@@ -23,7 +23,7 @@ from . import closed
 from . import cycloid as cycloid_mod
 from . import oracle as oracle_mod
 from . import timing
-from .core import EARTH, dimensional_time, make_scaling
+from .closed import EARTH, dimensional_time, make_scaling
 from .errors import TunnelError
 
 # Acceptance criteria by number; every check is tagged with one of them.

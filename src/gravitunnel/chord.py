@@ -18,8 +18,8 @@ import numpy as np
 
 from .closed import (ChordSpec, chord_from_separation, chord_point,  # noqa: F401
                      chord_transit_time)
-from .core import DiscretePath
 from .errors import DomainError
+from .timing import DiscretePath
 
 
 def chord_path(spec: ChordSpec, n: int) -> DiscretePath:

@@ -19,6 +19,16 @@ CLI process more than the rest of the package.  The same point
 formulas run on numpy arrays for `sample_path` and `chord_path`.  The
 numerical routes that check the same numbers live in `timing`,
 `oracle` and `checks`.
+
+Everything in the package is computed dimensionless: lengths in units
+of the sphere radius R, times in sqrt(R/g) and speeds in sqrt(g*R),
+where g is the gravitational acceleration at the surface.  In these
+units the interior field pulls inward with magnitude rho (linear in
+radius), the potential energy per unit mass is -(1 - rho^2)/2 with its
+zero on the surface, and a particle released at rest on the surface
+moves with speed sqrt(1 - rho^2) wherever a frictionless tunnel takes
+it, because its total energy is exactly zero.  Physical units enter
+only at the boundary, through `make_scaling` and `dimensional_time`.
 """
 
 import math
@@ -324,3 +334,8 @@ def make_scaling(params: PhysicalParams) -> Scaling:
     return Scaling(time_unit_s=math.sqrt(params.radius_m / params.gravity_m_s2),
                    speed_unit_m_s=math.sqrt(params.gravity_m_s2 * params.radius_m),
                    length_unit_m=params.radius_m)
+
+
+def dimensional_time(tau, scaling: Scaling):
+    """Seconds of a dimensionless time, a float or a numpy array."""
+    return tau * scaling.time_unit_s

@@ -59,12 +59,10 @@ def cycloid_between(horizontal_span: float) -> CycloidSolution:
                            end_angle=2.0 * math.pi, horizontal_span=span)
 
 
-def cycloid_time(sol: CycloidSolution, field_strength: float = 1.0) -> float:
-    """Transit time phi * sqrt(a/g) for release at rest from the cusp."""
-    g = float(field_strength)
-    if not (math.isfinite(g) and g > 0.0):
-        raise DomainError(f"field_strength must be positive; got {g!r}")
-    return sol.end_angle * math.sqrt(sol.rolling_radius / g)
+def cycloid_time(sol: CycloidSolution) -> float:
+    """Transit time phi * sqrt(a/g) for release at rest from the cusp, in
+    the unit field g = 1 of the sphere's surface."""
+    return sol.end_angle * math.sqrt(sol.rolling_radius)
 
 
 class SmallArcComparison(namedtuple(
@@ -135,5 +133,5 @@ def compare_small_arc(delta_theta: float) -> SmallArcComparison:
     x = delta_theta / (2.0 * math.pi)
     return SmallArcComparison(
         delta_theta=delta_theta, max_geometry_deviation=worst / delta_theta,
-        sphere_time=tunnel_time(q), cycloid_time=cycloid_time(flat, 1.0),
+        sphere_time=tunnel_time(q), cycloid_time=cycloid_time(flat),
         relative_time_difference=x / (1.0 + math.sqrt(1.0 - x)))

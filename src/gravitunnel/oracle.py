@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brachistochrone import BrachFamily, sample_path
-from .core import DOMAIN_EPS, DiscretePath
+from .closed import DOMAIN_EPS
 from .errors import DomainError, PathError, StalledTrajectoryError
-from .timing import _segment_time_partials, _segment_times
+from .timing import DiscretePath, _segment_time_partials, _segment_times
 
 
 @dataclass(frozen=True)
@@ -80,16 +80,14 @@ def _newton_step(gradient, diag, off):
                  else 1e-8 * max(float(np.max(np.abs(diag))), 1.0))
 
 
-def optimize_path(delta_theta: float, interior_points: int,
-                  initial_rho=None) -> OptimizationReport:
+def optimize_path(delta_theta: float, interior_points: int) -> OptimizationReport:
     """Minimize the transit time over discretized tunnels directly.
 
     Endpoints are pinned at (rho=1, theta=0) and (rho=1, theta=-delta_theta);
     the interior points sit on a uniform angular grid with only their radii
     free, which keeps every candidate single-valued in theta.  The objective
     is the exact polyline transit time, so the optimum can never undercut
-    the true continuum minimum.  Starts from the straight chord unless
-    ``initial_rho`` supplies radii for the interior stations.
+    the true continuum minimum.  Starts from the straight chord.
 
     Each segment time depends only on its two end radii, so the gradient
     is a sum of two closed-form partials per station and the Hessian is
@@ -113,20 +111,8 @@ def optimize_path(delta_theta: float, interior_points: int,
 
     thetas = np.linspace(0.0, -delta_theta, interior_points + 2)
     lo, hi = _BOUND_MARGIN, 1.0 - _BOUND_MARGIN
-    if initial_rho is None:
-        # polar equation of the straight chord between the endpoints
-        d = math.cos(delta_theta / 2.0)
-        x0 = d / np.cos(thetas[1:-1] + delta_theta / 2.0)
-    else:
-        x0 = np.asarray(initial_rho, dtype=float)
-        if x0.shape != (interior_points,):
-            raise DomainError(f"initial_rho must supply {interior_points} "
-                              "radii, one per interior point; got shape "
-                              f"{x0.shape}")
-        if not np.isfinite(x0).all():
-            i = int(np.argmin(np.isfinite(x0)))
-            raise DomainError("initial_rho must be finite; "
-                              f"initial_rho[{i}] = {float(x0[i])!r}")
+    # polar equation of the straight chord between the endpoints
+    x0 = math.cos(delta_theta / 2.0) / np.cos(thetas[1:-1] + delta_theta / 2.0)
     rho = np.ones(interior_points + 2)
     rho[1:-1] = np.clip(x0, lo, hi)
 

@@ -47,8 +47,8 @@ special case: a segment between two surface points takes pi, the
 gravity train.  The same geometry feeds the closed-form partials of a
 segment time in its end radii, which the transcription optimizer uses.
 
-Each path is timed once: a `DiscretePath` caches its segment times
-(`DiscretePath.segment_times`), which `path_transit_time` and
+Each path is timed once: a `DiscretePath`, a tunnel's polar samples,
+caches its segment times, which `path_transit_time` and
 `cumulative_path_times` share.
 
 A sampled tunnel (`brachistochrone.sample_path`) is its first half and
@@ -60,15 +60,17 @@ half the kernel work.  The stored second-half angles are 2 theta_m -
 theta rounded, so a mirrored segment time is within ~3.4e-12 relative
 of the kernel on the stored arrays, and tau within 3 ulps (measured over
 42 separations from 1e-12 to pi, 2 to 10^4 samples per half).  Paths
-built any other way run the kernel on every segment.
+built any other way run the kernel on every segment (`_path_kernel`).
 """
 
 import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .closed import BrachFamily, TransitResult, total_transit_time  # noqa: F401
-from .core import DiscretePath
+from .closed import (DOMAIN_EPS, BrachFamily, TransitResult,  # noqa: F401
+                     total_transit_time)
 from .errors import DegenerateSegmentError, DomainError, QuadratureError
 
 
@@ -264,6 +266,142 @@ def _mirrored_times(rho, theta, depth):
     return np.concatenate((half, half[:(rho.size - 1) // 2][::-1]))
 
 
+def _path_kernel(path):
+    """The kernel that times a path and its every-other subsample:
+    `_mirrored_times` on a mirror image, `_segment_times` on any other."""
+    return _mirrored_times if path._mirrored else _segment_times
+
+
+def _unit_interval(value, name):
+    """A fresh float array of the values in [0, 1], DOMAIN_EPS overshoot
+    clipped in place."""
+    arr = np.array(value, dtype=float)
+    if arr.size and not (arr.min() >= -DOMAIN_EPS
+                         and arr.max() <= 1.0 + DOMAIN_EPS):
+        bad = ~((arr >= -DOMAIN_EPS) & (arr <= 1.0 + DOMAIN_EPS))
+        raise DomainError(f"{name} must lie in [0, 1]; "
+                          f"got {float(np.ravel(arr[bad])[0])!r}")
+    np.clip(arr, 0.0, 1.0, out=arr)
+    return arr
+
+
+def _owned(values):
+    """Whether values is a read-only float array that owns its memory,
+    or views one through read-only arrays only, so no writable array
+    can change it."""
+    if not (isinstance(values, np.ndarray) and values.dtype == float):
+        return False
+    while isinstance(values, np.ndarray) and not values.flags.writeable:
+        if values.base is None:
+            return True
+        values = values.base
+    return False
+
+
+@dataclass(frozen=True)
+class DiscretePath:
+    """Ordered polar samples of a tunnel, normally surface to surface.
+
+    ``rho``, ``theta`` and ``depth`` are equal-length float arrays,
+    read-only and owned by the path: each owns its memory, or views
+    memory owned by a read-only array through read-only arrays only.
+    The library constructors build them so; anything else passed in
+    directly (a caller's writable array or a view of one, a list) is
+    copied, so no later write by the caller reaches the path.  Paths
+    produced by the library constructors dip monotonically to a single
+    interior minimum and rise back; arbitrary point lists (e.g.
+    perturbed paths) need not.
+
+    ``depth`` holds 1 - rho per sample.  A constructor that knows the
+    geometry (`sample_path`, `chord_path`) computes it without
+    cancellation, since rho cannot resolve a depth much below 1e-16;
+    it must agree with 1 - rho to within DOMAIN_EPS.  For paths given
+    by radii alone it is 1 - rho.  The timing kernel puts a sample on
+    the zero-speed surface exactly when its depth is 0.
+
+    ``segment_times`` holds each segment's exact traversal time as a
+    read-only array, computed on first use by `_path_kernel`'s kernel
+    and cached, so a path is timed once however many of
+    `path_transit_time` and `cumulative_path_times` run on it.  The
+    cache is sound because the path owns its arrays.
+    """
+
+    rho: np.ndarray
+    theta: np.ndarray
+    depth: np.ndarray
+
+    # True only on the paths `sample_path` sets it on; not a field, so
+    # neither the constructor nor `dataclasses.replace` carries it over
+    _mirrored = False
+
+    def __post_init__(self):
+        for name in ("rho", "theta", "depth"):
+            values = getattr(self, name)
+            if not _owned(values):
+                values = np.array(values, dtype=float)
+                values.setflags(write=False)
+                object.__setattr__(self, name, values)
+
+    @classmethod
+    def from_arrays(cls, rho, theta, depth=None):
+        rho = _unit_interval(np.atleast_1d(rho), "rho")
+        theta = np.array(np.reshape(theta, -1), dtype=float)
+        if rho.shape != theta.shape:
+            raise DomainError("rho and theta must have the same length; "
+                              f"got {rho.size} and {theta.size}")
+        if rho.size < 2:
+            raise DomainError(f"a path needs at least 2 points; got {rho.size}")
+        if not np.isfinite(theta).all():
+            i = int(np.argmin(np.isfinite(theta)))
+            raise DomainError("theta samples must be finite; "
+                              f"theta[{i}] = {float(theta[i])!r}")
+        if depth is None:
+            depth = 1.0 - rho
+        else:
+            depth = _unit_interval(np.reshape(depth, -1), "depth")
+            if depth.shape != rho.shape:
+                raise DomainError("depth and rho must have the same length; "
+                                  f"got {depth.size} and {rho.size}")
+            off = 1.0 - rho
+            off -= depth
+            if np.abs(off, out=off).max() > DOMAIN_EPS:
+                i = int(np.argmax(off > DOMAIN_EPS))
+                raise DomainError(f"depth[{i}] = {float(depth[i])!r} "
+                                  f"contradicts rho[{i}] = {float(rho[i])!r}:"
+                                  " depth must be 1 - rho")
+        for values in (rho, theta, depth):
+            values.setflags(write=False)
+        return cls(rho=rho, theta=theta, depth=depth)
+
+    def __len__(self):
+        return self.rho.size
+
+    @cached_property
+    def segment_times(self):
+        """Exact traversal time of each segment, computed once per path."""
+        times = _path_kernel(self)(self.rho, self.theta, self.depth)
+        times.setflags(write=False)
+        return times
+
+    def xy(self):
+        """Cartesian coordinates of the samples in the tunnel plane."""
+        return self.rho * np.cos(self.theta), self.rho * np.sin(self.theta)
+
+    def chord_lengths(self):
+        """Length of each segment, sqrt((d1 - d0)^2 + 4 r0 r1 s2) with
+        s2 = sin(dtheta/2)^2, which keeps the digits of a segment far
+        shorter than an ulp of rho that Cartesian differences lose."""
+        across = np.sin(0.5 * np.diff(self.theta))
+        across *= 2.0 * np.sqrt(self.rho[:-1] * self.rho[1:])
+        return np.hypot(np.diff(self.depth), across)
+
+    def cumulative_arclength(self):
+        return np.concatenate(([0.0], np.cumsum(self.chord_lengths())))
+
+    def endpoint_separation(self):
+        return abs(float(self.theta[-1] - self.theta[0]))
+
+
 def _segment_time_partials(rho, theta, depth):
     """First and second partials of each segment time in its end radii.
 
@@ -347,8 +485,8 @@ def path_transit_time(path: DiscretePath) -> TransitResult:
     """
     if not isinstance(path, DiscretePath):
         raise DomainError("path_transit_time expects a DiscretePath")
-    mirrored = path._mirrored
-    kernel = _mirrored_times if mirrored else _segment_times
+    kernel = _path_kernel(path)
+    mirrored = kernel is _mirrored_times
     times = path.segment_times
     tau = float(np.sum(times))
     evaluations = (times.size + 1) // 2 if mirrored else times.size

@@ -1,17 +1,16 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the package's own quadrature and closed forms:
-bisection for roots, scipy's QUADPACK for integrals, high-order finite
-differences for derivatives.  Bisection, the finite difference and the
-QUADPACK slope sweep are the ones `gravitunnel.checks` runs for
-``gravitunnel verify`` and the acceptance suite, re-used here; the two
-QUADPACK integrals below are needed by the unit tests alone.
+scipy's QUADPACK for integrals.  The QUADPACK slope sweep is the one
+`gravitunnel.checks` runs for ``gravitunnel verify`` and the acceptance
+suite, re-used here; the two QUADPACK integrals below are needed by the
+unit tests alone.
 """
 
 import numpy as np
 from scipy.integrate import quad
 
-from gravitunnel.checks import bisect_root, fd4, quad_slope_sweep  # noqa: F401
+from gravitunnel.checks import quad_slope_sweep  # noqa: F401
 
 
 def quad_half_time(k):

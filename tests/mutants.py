@@ -39,6 +39,13 @@ LEDGER = (
     ("checks.py", "worst < threshold and undercut <= limit",
      "worst < threshold",
      [CHECKS + "test_oracle_triangle_rejects_an_optimizer_undercut"]),
+    ("checks.py", "worst < threshold and undercut <= limit",
+     "undercut <= limit",
+     [CHECKS + "test_oracle_triangle_rejects_a_pairwise_miss"]),
+    ("checks.py", "(worst < threshold, worst, threshold,\n"
+     "            f\"bead energy drift", "(True, worst, threshold,\n"
+     "            f\"bead energy drift",
+     [CHECKS + "test_energy_drift_rejects_a_drift_of_2e_8"]),
     ("checks.py", "ratio_off <= 0.3", "ratio_off <= 3.0",
      [CHECKS + "test_stationarity_rejects_a_doubling_ratio_of_4_5"]),
     ("checks.py", "/ 2531.9 < 5e-4", "/ 2531.9 < 5e-1",
@@ -65,6 +72,9 @@ LEDGER = (
     ("timing.py", "(length == 0.0) & (nu0 == 0.0)", "(length == 0.0)",
      [TIMING + "TestPathTransit::"
       "test_zero_length_interior_segment_is_skipped"]),
+    ("timing.py", "return _mirrored_times if path._mirrored else _segment_times",
+     "return _segment_times",
+     [TIMING + "test_sampled_path_runs_the_kernel_once"]),
     ("brachistochrone.py", "_ULPS = 8", "_ULPS = 2",
      [RHO_SOLVE + "test_cost_per_angle"]),
     ("brachistochrone.py", "_NEWTON_STEPS = 2", "_NEWTON_STEPS = 0",

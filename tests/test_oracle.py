@@ -40,6 +40,8 @@ class TestOptimizePath:
             total_transit_time(family_from_separation(math.pi - 1e-3)).tau - 1e-6
 
     def test_closed_form_start_is_stationary(self):
+        # from the chord, the optimizer ends at most 5e-4 below the time
+        # of the closed-form radii at its stations, and never above it
         delta = math.pi / 2
         fam = family_from_separation(delta)
         thetas = np.linspace(0.0, -delta, 66)
@@ -47,7 +49,7 @@ class TestOptimizePath:
         init_path = DiscretePath.from_arrays(
             np.concatenate(([1.0], init, [1.0])), thetas)
         init_time = path_transit_time(init_path).tau
-        report = optimize_path(delta, 64, initial_rho=init)
+        report = optimize_path(delta, 64)
         improvement = init_time - report.best_time
         assert improvement >= -1e-12
         assert improvement / init_time < 5e-4
@@ -115,8 +117,6 @@ class TestOptimizePath:
             optimize_path(math.pi, 16)
         with pytest.raises(DomainError):
             optimize_path(1.0, 2)
-        with pytest.raises(DomainError):
-            optimize_path(1.0, 16, initial_rho=np.full(5, 0.9))
 
 
 class TestPerturbation:

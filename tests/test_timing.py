@@ -79,13 +79,6 @@ class TestTotalTransit:
                                mpmath.pi * mpmath.sqrt(q * (2 - q)), 4)
             assert within_ulps(arc_length(fam), 2 * q * (2 - q), 4)
 
-    def test_closed_form_conjecture_sweep(self):
-        # regression promoted from the verified conjecture pi*sqrt(1-rho_m^2)
-        for k in K_SWEEP:
-            fam = BrachFamily.from_momentum(float(k))
-            tau = 2 * half_transit_time(fam).tau
-            assert abs(tau - math.pi * math.sqrt(1 - fam.rho_min**2)) < 1e-7
-
     def test_monotone_decreasing_in_k(self):
         taus = [2 * half_transit_time(BrachFamily.from_momentum(float(k))).tau
                 for k in K_SWEEP]
