@@ -15,10 +15,10 @@ integral of ds/speed along sampled chords, and a dynamics simulation.
 import math
 
 from gravitunnel import (PhysicalParams, chord_from_separation, chord_path,
-                         chord_transit_time, dimensional_time, make_scaling,
+                         chord_transit_time, dimensional_time,
                          path_transit_time, simulate_bead)
 
-earth = make_scaling(PhysicalParams(radius_m=6.371e6, gravity_m_s2=9.80665))
+earth = PhysicalParams(radius_m=6.371e6, gravity_m_s2=9.80665)
 print(f"Earth time unit sqrt(R/g) = {earth.time_unit_s:.2f} s")
 print()
 

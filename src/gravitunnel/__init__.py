@@ -15,10 +15,10 @@ on first use, so a caller that needs no array never loads numpy.
 import importlib
 
 from .closed import (DOMAIN_EPS, BrachFamily, ChordSpec, PhysicalParams,
-                     Scaling, TransitResult, arc_length, chord_from_separation,
+                     TransitResult, arc_length, chord_from_separation,
                      chord_transit_time, dimensional_time,
-                     family_from_separation, make_scaling, rho_min,
-                     separation_angle, total_transit_time)
+                     family_from_separation, rho_min, separation_angle,
+                     total_transit_time)
 from .errors import (DegenerateSegmentError, DomainError, PathError,
                      QuadratureError, StalledTrajectoryError, TunnelError)
 

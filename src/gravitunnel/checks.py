@@ -5,10 +5,7 @@ route (bisection, fourth-order finite differences, scipy's QUADPACK, the
 transcription optimizer, the bead simulator).  Each is registered with
 two input tables: ``reduced``, run by ``gravitunnel verify``, and
 ``full``, run by the acceptance suite; conditions and bounds are the same
-at both.  ``tol_scale`` multiplies every numerical tolerance; the lower
-bounds of the two formula traps and the tolerances around rounded
-published values (Earth's 2531.9 s, the 0.00799 small-arc difference)
-stay fixed.  The package does not import this module, and scipy loads
+at both.  The package does not import this module, and scipy loads
 only inside the functions that use it.
 """
 
@@ -23,7 +20,7 @@ from . import closed
 from . import cycloid as cycloid_mod
 from . import oracle as oracle_mod
 from . import timing
-from .closed import EARTH, dimensional_time, make_scaling
+from .closed import EARTH, dimensional_time
 from .errors import TunnelError
 
 # Acceptance criteria by number; every check is tagged with one of them.
@@ -137,14 +134,14 @@ def _register(name, criterion, reduced, full):
     return add
 
 
-def run(size="reduced", tol_scale=1.0, criterion=None):
+def run(size="reduced", criterion=None):
     """Results of every registered check (or one criterion's), in order."""
     results = []
     for name, number, func, inputs in REGISTRY:
         if criterion not in (None, number):
             continue
         try:
-            passed, measure, threshold, detail = func(tol_scale, **inputs[size])
+            passed, measure, threshold, detail = func(**inputs[size])
         except TunnelError as exc:
             passed, measure, threshold = False, math.nan, math.nan
             detail = f"raised {type(exc).__name__}: {exc}"
@@ -163,14 +160,14 @@ K_SWEEP = tuple(np.geomspace(0.05, 20.0, 20))
            reduced=dict(separations=(2.0,), samples=4001),
            full=dict(separations=(0.1, math.pi / 4, math.pi / 2, math.pi),
                      samples=10_000))
-def chord_time(tol_scale, separations, samples):
+def chord_time(separations, samples):
     specs = [chord_mod.chord_from_separation(d) for d in separations]
     exact = all(chord_mod.chord_transit_time(s) == math.pi for s in specs)
-    seconds = dimensional_time(math.pi, make_scaling(EARTH))
+    seconds = dimensional_time(math.pi, EARTH)
     earth_ok = abs(seconds - 2531.9) / 2531.9 < 5e-4
     worst = max(abs(timing.path_transit_time(chord_mod.chord_path(s, samples)).tau
                     - math.pi) / math.pi for s in specs)
-    threshold = 1e-4 * tol_scale
+    threshold = 1e-4
     return (exact and earth_ok and worst < threshold, worst, threshold,
             f"chord tau is pi bitwise: {exact}, Earth {seconds:.1f} s, "
             f"quadrature rel err {worst:.2e} < {threshold:.1e}")
@@ -178,17 +175,16 @@ def chord_time(tol_scale, separations, samples):
 
 @_register("min-radius-root", 2,
            reduced=dict(ks=K_THREE), full=dict(ks=K_FIVE))
-def min_radius_root(tol_scale, ks):
+def min_radius_root(ks):
     worst = max(abs(_denominator_root(k) - brach.rho_min(k)) for k in ks)
-    threshold = 1e-12 * tol_scale
+    threshold = 1e-12
     return (worst < threshold, worst, threshold,
             f"root vs k/sqrt(k^2+1) off {worst:.1e} < {threshold:.1e}")
 
 
 @_register("alt-min-radius-rejected", 2,
            reduced=dict(ks=K_THREE), full=dict(ks=K_FIVE))
-def alt_min_radius(tol_scale, ks):
-    del tol_scale   # a lower bound: the trap must stay visibly wrong
+def alt_min_radius(ks):
     gap = min(abs(_denominator_root(k) - k * k / (k * k + 1.0)) for k in ks)
     return (gap > 1e-3, gap, 1e-3,
             f"squared-ratio alternative differs by >= {gap:.2e} > 1e-3")
@@ -196,18 +192,17 @@ def alt_min_radius(tol_scale, ks):
 
 @_register("slope-antiderivative", 3,
            reduced=dict(ks=K_THREE, points=200), full=dict(ks=K_FIVE, points=500))
-def slope_antiderivative(tol_scale, ks, points):
+def slope_antiderivative(ks, points):
     worst = max(_slope_misfit(lambda r, k: np.asarray(brach.theta_of_rho(r, k)),
                               k, points) for k in ks)
-    threshold = 1e-6 * tol_scale
+    threshold = 1e-6
     return (worst < threshold, worst, threshold,
             f"correct coefficient rel err {worst:.2e} < {threshold:.1e}")
 
 
 @_register("alt-coefficient-misfit", 3,
            reduced=dict(ks=K_THREE, points=200), full=dict(ks=K_FIVE, points=500))
-def alt_coefficient(tol_scale, ks, points):
-    del tol_scale   # a lower bound: the trap must stay visibly wrong
+def alt_coefficient(ks, points):
     ratio = min(_slope_misfit(lambda r, k: antiderivative_with_coefficient(r, k, k),
                               k, points) / (math.sqrt(1.0 + 1.0 / (k * k)) - 1.0)
                 for k in ks)
@@ -218,10 +213,10 @@ def alt_coefficient(tol_scale, ks, points):
 
 @_register("separation-quadrature", 4,
            reduced=dict(ks=K_SEVEN), full=dict(ks=K_SWEEP))
-def separation_quadrature(tol_scale, ks):
+def separation_quadrature(ks):
     worst = max(abs(brach.separation_angle(k) - quad_slope_sweep(float(k)))
                 for k in ks)
-    threshold = 1e-8 * tol_scale
+    threshold = 1e-8
     return (worst < threshold, worst, threshold,
             f"pi(1 - rho_min) vs slope quadrature off {worst:.1e} "
             f"< {threshold:.1e}")
@@ -229,7 +224,7 @@ def separation_quadrature(tol_scale, ks):
 
 @_register("transit-closed-form", 5,
            reduced=dict(ks=K_SEVEN), full=dict(ks=K_SWEEP))
-def transit_closed_form(tol_scale, ks):
+def transit_closed_form(ks):
     worst = 0.0
     for k in ks:
         fam = brach.BrachFamily.from_momentum(k)
@@ -237,7 +232,7 @@ def transit_closed_form(tol_scale, ks):
                                - closed.tunnel_time(fam.depth)))
     k0 = 2.0 * timing.half_transit_time(brach.BrachFamily.from_momentum(0.0)).tau
     worst = max(worst, abs(k0 - math.pi))
-    threshold = 1e-7 * tol_scale
+    threshold = 1e-7
     return (worst < threshold and k0 == math.pi, worst, threshold,
             f"quadrature vs pi*sqrt(1-rho_min^2) off {worst:.1e} "
             f"< {threshold:.1e}; k=0 gives pi exactly: {k0 == math.pi}")
@@ -248,7 +243,7 @@ def transit_closed_form(tol_scale, ks):
                         samples=1500),
            full=dict(separations=(math.pi / 6, math.pi / 2, 5 * math.pi / 6),
                      interior_points=64, samples=10_000))
-def oracle_triangle(tol_scale, separations, interior_points, samples):
+def oracle_triangle(separations, interior_points, samples):
     worst = 0.0
     undercut = -math.inf
     for delta in separations:
@@ -259,8 +254,8 @@ def oracle_triangle(tol_scale, separations, interior_points, samples):
         times = (t_quad, report.best_time, t_bead)
         worst = max(worst, max(abs(a - b) / t_quad for a in times for b in times))
         undercut = max(undercut, t_quad - report.best_time)
-    threshold = 5e-3 * tol_scale
-    limit = 1e-6 * tol_scale
+    threshold = 5e-3
+    limit = 1e-6
     return (worst < threshold and undercut <= limit, worst, threshold,
             f"quadrature/optimizer/bead pairwise within {worst:.2e} "
             f"< {threshold:.1e}; optimizer undercut {undercut:.1e} <= {limit:.1e}")
@@ -271,7 +266,7 @@ def oracle_triangle(tol_scale, separations, interior_points, samples):
                         ratio_amplitudes=(1e-3,)),
            full=dict(ks=K_THREE, modes=(1, 2, 3, 4, 5),
                      amplitudes=(1e-4, 1e-3, 1e-2), ratio_amplitudes=(5e-4, 5e-3)))
-def stationarity(tol_scale, ks, modes, amplitudes, ratio_amplitudes):
+def stationarity(ks, modes, amplitudes, ratio_amplitudes):
     worst_delta = 0.0
     ratio_off = 0.0
     for k in ks:
@@ -284,7 +279,7 @@ def stationarity(tol_scale, ks, modes, amplitudes, ratio_amplitudes):
                 ratio = (oracle_mod.perturbation_test(fam, 2 * amp, mode)
                          / oracle_mod.perturbation_test(fam, amp, mode))
                 ratio_off = max(ratio_off, abs(ratio - 4.0))
-    threshold = 1e-9 * tol_scale
+    threshold = 1e-9
     # 0.0 - x rather than -x, so a zero delta reads +0 and not -0
     return (worst_delta >= -threshold and ratio_off <= 0.3, 0.0 - worst_delta,
             threshold,
@@ -306,10 +301,10 @@ def _drift_path(kind, value, samples):
                             ("separation", math.pi / 2), ("k", 1.0),
                             ("separation", 5 * math.pi / 6)),
                      samples=10_000))
-def energy_drift(tol_scale, paths, samples):
+def energy_drift(paths, samples):
     worst = max(oracle_mod.simulate_bead(_drift_path(kind, value, samples))
                 .max_energy_drift for kind, value in paths)
-    threshold = 1e-8 * tol_scale
+    threshold = 1e-8
     return (worst < threshold, worst, threshold,
             f"bead energy drift {worst:.1e} < {threshold:.1e} on all test paths")
 
@@ -317,7 +312,7 @@ def energy_drift(tol_scale, paths, samples):
 @_register("small-arc-limit", 9,
            reduced=dict(separations=(0.1, 0.05)),
            full=dict(separations=(0.2, 0.1, 0.05, 0.025)))
-def small_arc(tol_scale, separations):
+def small_arc(separations):
     reports = [cycloid_mod.compare_small_arc(d) for d in separations]
     times = [r.relative_time_difference for r in reports]
     devs = [r.max_geometry_deviation for r in reports]
@@ -326,7 +321,7 @@ def small_arc(tol_scale, separations):
     orders = [float(np.polyfit(np.log(separations), np.log(series), 1)[0])
               for series in (times, devs)]
     at_tenth = times[separations.index(0.1)]   # both tables hold 0.1 rad
-    threshold = 1e-2 * tol_scale
+    threshold = 1e-2
     passed = (monotone and min(orders) >= 1.0 and at_tenth < threshold
               and abs(at_tenth - 0.00799) < 3e-4)
     return (passed, at_tenth, threshold,
@@ -337,9 +332,9 @@ def small_arc(tol_scale, separations):
 @_register("depth-span-ratio", 10,
            reduced=dict(separations=tuple(np.linspace(0.05, math.pi, 9))),
            full=dict(separations=tuple(np.linspace(0.01, math.pi, 50))))
-def depth_span_ratio(tol_scale, separations):
+def depth_span_ratio(separations):
     worst = max(abs((1.0 - brach.family_from_separation(d).rho_min) / d
                     - 1.0 / math.pi) for d in separations)
-    threshold = 1e-12 * tol_scale
+    threshold = 1e-12
     return (worst < threshold, worst, threshold,
             f"(1 - rho_min)/separation vs 1/pi off {worst:.1e} < {threshold:.1e}")

@@ -86,16 +86,15 @@ def _endpoint_separation(args):
 
 
 def _resolve_scaling(args):
-    if args.body is None:
+    """The body's name and its `PhysicalParams`, or (None, None)."""
+    if args.body != "custom":
         if args.radius is not None or args.gravity is not None:
             raise _UsageError("--radius/--gravity need --body custom")
-        return None, None
-    if args.body == "earth":
-        return "earth", closed.make_scaling(closed.EARTH)
+        return (None, None) if args.body is None else ("earth", closed.EARTH)
     if args.radius is None or args.gravity is None:
         raise _UsageError("--body custom needs --radius and --gravity")
-    return "custom", closed.make_scaling(closed.PhysicalParams(
-        radius_m=args.radius, gravity_m_s2=args.gravity))
+    return "custom", closed.PhysicalParams(radius_m=args.radius,
+                                           gravity_m_s2=args.gravity)
 
 
 def _open_out(spec):
@@ -166,13 +165,14 @@ def _chord_samples(delta, m):
     is the SHM time 2 asin(sqrt(t)).
     """
     spec = closed.chord_from_separation(delta)
+    half_chord = spec.half_chord
     ts = _grid(0.0, 1.0, m, "linear")
     yield 0.0, 1.0, 0.0, 0.0
     for t in ts[1:-1]:
         rho, theta, _ = closed.chord_point(spec, t)
-        yield (theta, rho, 2.0 * t * spec.half_chord,
+        yield (theta, rho, 2.0 * t * half_chord,
                2.0 * math.asin(math.sqrt(t)))
-    yield -delta, 1.0, 2.0 * spec.half_chord, math.pi
+    yield -delta, 1.0, 2.0 * half_chord, math.pi
 
 
 def _curve_rows(name, samples, scaling):
@@ -361,15 +361,12 @@ def cmd_compare_cycloid(args):
 
 
 def cmd_verify(args):
-    scale = args.tol_scale
-    if not (scale > 0.0):
-        raise _UsageError("--tol-scale must be positive")
     from . import checks   # the oracles load only when verifying
-    results = [r._asdict() for r in checks.run("reduced", scale)]
+    results = [r._asdict() for r in checks.run("reduced")]
     all_passed = all(r["passed"] for r in results)
-    _emit(args, lambda: {"kind": "verify", "tol_scale": scale,
-                         "all_passed": all_passed, "checks": results},
-          [f"gravitunnel verification (tol scale {_fmt(scale)})"],
+    _emit(args, lambda: {"kind": "verify", "all_passed": all_passed,
+                         "checks": results},
+          ["gravitunnel verification"],
           ["check", "status", "measure", "threshold", "detail"],
           (",".join([r["name"], "pass" if r["passed"] else "FAIL",
                      _fmt(r["measure"]), _fmt(r["threshold"]), r["detail"]])
@@ -428,8 +425,6 @@ def build_parser():
     p.set_defaults(func=cmd_sweep)
 
     p = subs.add_parser("verify", help="run the reduced verification suite")
-    p.add_argument("--tol-scale", type=float, default=1.0,
-                   help="multiply every tolerance (tiny values force failure)")
     _add_output_args(p)
     p.set_defaults(func=cmd_verify)
 

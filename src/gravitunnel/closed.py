@@ -28,7 +28,7 @@ radius), the potential energy per unit mass is -(1 - rho^2)/2 with its
 zero on the surface, and a particle released at rest on the surface
 moves with speed sqrt(1 - rho^2) wherever a frictionless tunnel takes
 it, because its total energy is exactly zero.  Physical units enter
-only at the boundary, through `make_scaling` and `dimensional_time`.
+only at the boundary, through `PhysicalParams` and `dimensional_time`.
 """
 
 import math
@@ -239,9 +239,9 @@ def total_transit_time(family: BrachFamily) -> TransitResult:
                          error_estimate=0.0, evaluations=0)
 
 
-class ChordSpec(namedtuple("ChordSpec",
-                           "separation_angle half_chord midpoint_radius")):
-    """Geometry of one straight surface-to-surface chord.
+class ChordSpec(namedtuple("ChordSpec", "separation_angle")):
+    """Geometry of one straight surface-to-surface chord, its endpoints
+    separation_angle in (0, pi] apart; else DomainError naming it.
 
     half_chord = sin(separation_angle/2) is half the chord's length and
     midpoint_radius = cos(separation_angle/2) its closest approach to the
@@ -251,23 +251,21 @@ class ChordSpec(namedtuple("ChordSpec",
 
     __slots__ = ()
 
-    def __new__(cls, separation_angle, half_chord, midpoint_radius):
+    def __new__(cls, separation_angle):
+        separation_angle = float(separation_angle)
         if not (0.0 < separation_angle <= math.pi):
             raise DomainError("separation_angle must lie in (0, pi]; got "
                               f"{separation_angle!r}")
-        return super().__new__(cls, separation_angle, half_chord,
-                               midpoint_radius)
+        return super().__new__(cls, separation_angle)
+
+    half_chord = property(lambda self: math.sin(self.separation_angle / 2.0))
+    midpoint_radius = property(
+        lambda self: math.cos(self.separation_angle / 2.0))
 
 
 def chord_from_separation(delta_theta: float) -> ChordSpec:
     """Chord between two surface points a central angle delta_theta apart."""
-    delta_theta = float(delta_theta)
-    if not (math.isfinite(delta_theta) and 0.0 < delta_theta <= math.pi):
-        raise DomainError("chord separation must lie in (0, pi]; got "
-                          f"{delta_theta!r}")
-    return ChordSpec(separation_angle=delta_theta,
-                     half_chord=math.sin(delta_theta / 2.0),
-                     midpoint_radius=math.cos(delta_theta / 2.0))
+    return ChordSpec(delta_theta)
 
 
 def chord_point(spec: ChordSpec, t, hypot=math.hypot, atan2=math.atan2):
@@ -299,7 +297,10 @@ def chord_transit_time(spec: ChordSpec) -> float:
 
 
 class PhysicalParams(namedtuple("PhysicalParams", "radius_m gravity_m_s2")):
-    """Sphere radius (m) and surface gravity (m/s^2) of a physical body."""
+    """Sphere radius (m) and surface gravity (m/s^2) of a physical body,
+    with its units: time_unit_s = sqrt(R/g), speed_unit_m_s = sqrt(g*R)
+    and length_unit_m = R, where the product of the first two reproduces
+    the third to round-off."""
 
     __slots__ = ()
 
@@ -311,31 +312,17 @@ class PhysicalParams(namedtuple("PhysicalParams", "radius_m gravity_m_s2")):
                                   f"got {value!r}")
         return super().__new__(cls, radius_m, gravity_m_s2)
 
+    time_unit_s = property(
+        lambda self: math.sqrt(self.radius_m / self.gravity_m_s2))
+    speed_unit_m_s = property(
+        lambda self: math.sqrt(self.gravity_m_s2 * self.radius_m))
+    length_unit_m = property(lambda self: self.radius_m)
+
 
 # Mean radius and standard gravity; `gravitunnel --body earth` uses these.
 EARTH = PhysicalParams(radius_m=6.371e6, gravity_m_s2=9.80665)
 
 
-class Scaling(namedtuple("Scaling",
-                         "time_unit_s speed_unit_m_s length_unit_m")):
-    """Conversion factors between dimensionless and physical quantities."""
-
-    __slots__ = ()
-
-
-def make_scaling(params: PhysicalParams) -> Scaling:
-    """Build the dimensionless-to-physical conversion for a body.
-
-    time unit = sqrt(R/g), speed unit = sqrt(g*R), length unit = R;
-    the product of the first two reproduces the third to round-off.
-    """
-    if not isinstance(params, PhysicalParams):
-        params = PhysicalParams(*params)
-    return Scaling(time_unit_s=math.sqrt(params.radius_m / params.gravity_m_s2),
-                   speed_unit_m_s=math.sqrt(params.gravity_m_s2 * params.radius_m),
-                   length_unit_m=params.radius_m)
-
-
-def dimensional_time(tau, scaling: Scaling):
-    """Seconds of a dimensionless time, a float or a numpy array."""
-    return tau * scaling.time_unit_s
+def dimensional_time(tau, body: PhysicalParams):
+    """Seconds of a dimensionless time, a float or a numpy array, on body."""
+    return tau * body.time_unit_s

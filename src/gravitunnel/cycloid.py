@@ -30,39 +30,36 @@ _SAMPLES_PER_HALF = 2001
 _MIN_SEPARATION = 1e-12
 
 
-class CycloidSolution(namedtuple("CycloidSolution",
-                                 "rolling_radius end_angle horizontal_span")):
-    """A cycloid arc through two prescribed points."""
-
-    __slots__ = ()
-
-    def __new__(cls, rolling_radius, end_angle, horizontal_span):
-        if not (rolling_radius > 0.0):
-            raise DomainError("rolling_radius must be positive; got "
-                              f"{rolling_radius!r}")
-        if not (0.0 < end_angle <= 2.0 * math.pi):
-            raise DomainError("end_angle must lie in (0, 2*pi]; got "
-                              f"{end_angle!r}")
-        return super().__new__(cls, rolling_radius, end_angle, horizontal_span)
-
-
-def cycloid_between(horizontal_span: float) -> CycloidSolution:
-    """The full cycloid arch between two level points a span apart.
+class CycloidSolution(namedtuple("CycloidSolution", "horizontal_span")):
+    """The full cycloid arch between two level points a horizontal_span
+    apart; a span that is not finite and positive raises DomainError.
 
     Level endpoints are the two cusps of one arch, phi = 0 and 2*pi, so
     the rolling radius is span / (2*pi) in closed form.
     """
-    span = float(horizontal_span)
-    if not (math.isfinite(span) and span > 0.0):
-        raise DomainError(f"horizontal_span must be positive; got {span!r}")
-    return CycloidSolution(rolling_radius=span / (2.0 * math.pi),
-                           end_angle=2.0 * math.pi, horizontal_span=span)
+
+    __slots__ = ()
+
+    def __new__(cls, horizontal_span):
+        span = float(horizontal_span)
+        if not (math.isfinite(span) and span > 0.0):
+            raise DomainError("horizontal_span must be finite and positive; "
+                              f"got {span!r}")
+        return super().__new__(cls, span)
+
+    rolling_radius = property(
+        lambda self: self.horizontal_span / (2.0 * math.pi))
+
+
+def cycloid_between(horizontal_span: float) -> CycloidSolution:
+    """The full cycloid arch between two level points a span apart."""
+    return CycloidSolution(horizontal_span)
 
 
 def cycloid_time(sol: CycloidSolution) -> float:
-    """Transit time phi * sqrt(a/g) for release at rest from the cusp, in
-    the unit field g = 1 of the sphere's surface."""
-    return sol.end_angle * math.sqrt(sol.rolling_radius)
+    """Transit time 2 pi sqrt(a/g) from the cusp, released at rest, to the
+    arch's far cusp, in the unit field g = 1 of the sphere's surface."""
+    return 2.0 * math.pi * math.sqrt(sol.rolling_radius)
 
 
 class SmallArcComparison(namedtuple(

@@ -81,6 +81,16 @@ LEDGER = (
      [RHO_SOLVE + "test_cost_per_angle"]),
     ("brachistochrone.py", "    if redo.size:\n", "    if False:\n",
      [RHO_SOLVE + "test_missed_seeds_bisect_the_whole_bracket"]),
+    ("closed.py", "half_chord = property(lambda self: math.sin(",
+     "half_chord = property(lambda self: math.cos(",
+     ["tests/test_chord.py::test_chord_from_separation_values"]),
+    ("cycloid.py", "self.horizontal_span / (2.0 * math.pi)",
+     "self.horizontal_span / math.pi",
+     ["tests/test_cycloid.py::TestCycloidBetween::"
+      "test_level_endpoints_full_arch"]),
+    ("closed.py", "math.sqrt(self.radius_m / self.gravity_m_s2)",
+     "math.sqrt(self.gravity_m_s2 / self.radius_m)",
+     ["tests/test_closed.py::test_units_of_earth"]),
 )
 
 

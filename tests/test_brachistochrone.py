@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -357,6 +358,16 @@ class TestRhoAtTheta:
         fam = BrachFamily.from_momentum(1.0)
         with pytest.raises(DomainError):
             rho_at_theta(fam, 0.5)
+
+
+def test_pure_functions_are_thread_safe():
+    fam = family_from_separation(1.0)
+    theta = np.linspace(0.0, -1.0, 10001)
+    expected = rho_at_theta(fam, theta)
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        results = list(pool.map(lambda _: rho_at_theta(fam, theta), range(16)))
+    for r in results:
+        assert np.array_equal(r, expected)
 
 
 @st.composite

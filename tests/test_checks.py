@@ -36,7 +36,7 @@ def _small_arc_with(monkeypatch, times=None, devs=None):
         return report
 
     monkeypatch.setattr(cycloid, "compare_small_arc", patched)
-    return checks.small_arc(1.0, **SMALL_ARC)
+    return checks.small_arc(**SMALL_ARC)
 
 
 def test_small_arc_passes_unpatched(monkeypatch):
@@ -65,12 +65,11 @@ def test_small_arc_rejects_a_series_that_is_not_monotone(monkeypatch):
 
 def test_chord_time_rejects_earth_seconds_one_percent_off(monkeypatch):
     monkeypatch.setattr(checks, "dimensional_time",
-                        lambda tau, scaling: 1.01 * dimensional_time(tau,
-                                                                     scaling))
-    passed, measure, threshold, detail = checks.chord_time(1.0, **CHORD)
+                        lambda tau, body: 1.01 * dimensional_time(tau, body))
+    passed, measure, threshold, detail = checks.chord_time(**CHORD)
     assert not passed
     assert measure < threshold                  # the quadrature clause holds
-    seconds = 1.01 * dimensional_time(np.pi, checks.make_scaling(checks.EARTH))
+    seconds = 1.01 * dimensional_time(np.pi, checks.EARTH)
     assert f"Earth {seconds:.1f} s" in detail
     assert seconds == pytest.approx(1.01 * 2531.9, rel=5e-4)
 
@@ -87,7 +86,7 @@ def _triangle_with(monkeypatch, optimizer_gap, bead_factor):
         best_time=quadrature(d) - optimizer_gap))
     monkeypatch.setattr(oracle, "simulate_bead", lambda path: SimpleNamespace(
         transit_time=bead_factor * quadrature(delta)))
-    return checks.oracle_triangle(1.0, **TRIANGLE)
+    return checks.oracle_triangle(**TRIANGLE)
 
 
 def test_oracle_triangle_rejects_an_optimizer_undercut(monkeypatch):
@@ -113,7 +112,7 @@ def test_oracle_triangle_rejects_a_pairwise_miss(monkeypatch):
 def test_energy_drift_rejects_a_drift_of_2e_8(monkeypatch):
     monkeypatch.setattr(oracle, "simulate_bead",
                         lambda path: SimpleNamespace(max_energy_drift=2e-8))
-    passed, measure, threshold, detail = checks.energy_drift(1.0, **DRIFT)
+    passed, measure, threshold, detail = checks.energy_drift(**DRIFT)
     assert not passed
     assert measure == 2e-8 and measure >= threshold
     assert detail == "bead energy drift 2.0e-08 < 1.0e-08 on all test paths"
@@ -124,7 +123,7 @@ def test_stationarity_rejects_a_doubling_ratio_of_4_5(monkeypatch):
     # zero, so only the doubling-ratio clause can fail
     monkeypatch.setattr(oracle, "perturbation_test",
                         lambda fam, amp, mode: amp ** math.log2(4.5))
-    passed, measure, _, detail = checks.stationarity(1.0, **STATIONARITY)
+    passed, measure, _, detail = checks.stationarity(**STATIONARITY)
     assert not passed
     assert measure == 0.0
     assert detail.endswith("doubling ratio within 4.0 +/- 0.50 (limit 0.3)")

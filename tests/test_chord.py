@@ -5,7 +5,7 @@ import pytest
 
 from gravitunnel import (DomainError, PhysicalParams, chord_from_separation,
                          chord_path, chord_transit_time, dimensional_time,
-                         make_scaling, path_transit_time)
+                         path_transit_time)
 
 
 def test_chord_from_separation_values():
@@ -37,9 +37,9 @@ def test_transit_time_is_pi_bitwise():
 
 
 def test_transit_time_earth_minutes():
-    scaling = make_scaling(PhysicalParams(6.371e6, 9.80665))
+    earth = PhysicalParams(6.371e6, 9.80665)
     minutes = dimensional_time(chord_transit_time(chord_from_separation(1.0)),
-                               scaling) / 60.0
+                               earth) / 60.0
     assert minutes == pytest.approx(42.2, abs=0.1)
 
 

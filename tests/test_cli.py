@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import gravitunnel
 from gravitunnel import (DiscretePath, PhysicalParams, QuadratureError,
                          arc_length, checks, family_from_separation,
-                         make_scaling, path_transit_time, total_transit_time)
+                         path_transit_time, total_transit_time)
 from gravitunnel.cli import _curve_rows, _fmt, _grid, _log10, main
 from gravitunnel.closed import EARTH
 
@@ -147,6 +147,14 @@ class TestUsageErrors:
         assert err.startswith("gravitunnel: ") and err.count("\n") == 1
         assert named in err
 
+    @pytest.mark.parametrize("flag", ["--radius", "--gravity"])
+    def test_earth_refuses_a_radius_or_gravity(self, capsys, flag):
+        # Earth's own values would silently win over the flag's
+        code, out, err = run_cli(capsys, "time", "--sep", "1", "--body",
+                                 "earth", flag, "1")
+        assert (code, out) == (1, "")
+        assert err == "gravitunnel: --radius/--gravity need --body custom\n"
+
     def test_numeric_failure_exit_code(self, capsys, monkeypatch):
         from gravitunnel import cli as cli_mod
 
@@ -219,16 +227,14 @@ class TestPathCommand:
                      st.builds(PhysicalParams,
                                st.floats(1e-3, 1e12), st.floats(1e-3, 1e3))))
     def test_curve_rows_format_each_cell_as_fmt(self, samples, params):
-        scaling = None if params is None else make_scaling(params)
         expected = []
         for theta, rho, arc, tau in samples:
             cells = ["tunnel", theta, rho, rho * math.cos(theta),
                      rho * math.sin(theta), arc, tau]
-            if scaling is not None:
-                cells += [arc * scaling.length_unit_m,
-                          tau * scaling.time_unit_s]
+            if params is not None:
+                cells += [arc * params.length_unit_m, tau * params.time_unit_s]
             expected.append(",".join([cells[0], *map(_fmt, cells[1:])]))
-        assert list(_curve_rows("tunnel", samples, scaling)) == expected
+        assert list(_curve_rows("tunnel", samples, params)) == expected
 
     def test_include_chord_and_earth_columns(self, capsys):
         code, out, _ = run_cli(capsys, "path", "--sep", "90deg", "--body",
@@ -515,13 +521,14 @@ class TestVerifyCommand:
                             if c["name"] == "stationarity")
         assert math.copysign(1.0, stationarity["measure"]) == 1.0
 
-    def test_forced_tolerance_fails(self, capsys, monkeypatch):
-        # the bead and optimizer checks take most of verify's time and are
-        # not needed to see a forced failure; test_default_run_passes
-        # runs every registered check
-        monkeypatch.setattr(checks, "REGISTRY", [
-            c for c in checks.REGISTRY
-            if c.name not in ("oracle-triangle", "energy-drift")])
-        code, out, _ = run_cli(capsys, "verify", "--tol-scale", "1e-30")
+    def test_failing_check_exits_3(self, capsys, monkeypatch):
+        def stub():
+            return False, 2.0, 1.0, "stub measure 2 >= 1"
+        monkeypatch.setattr(checks, "REGISTRY", [checks.Check(
+            "stub", 1, stub, {"reduced": {}, "full": {}})])
+        code, out, _ = run_cli(capsys, "verify")
         assert code == 3
-        assert "FAIL" in out
+        assert out.splitlines()[-1] == "stub,FAIL,2,1,stub measure 2 >= 1"
+        code, out, _ = run_cli(capsys, "verify", "--format", "structured")
+        assert code == 3
+        assert '"all_passed": false' in out

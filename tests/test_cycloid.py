@@ -14,14 +14,14 @@ from gravitunnel import (CycloidSolution, DomainError, compare_small_arc,
 class TestCycloidBetween:
     def test_level_endpoints_full_arch(self):
         sol = cycloid_between(1.0)
-        assert sol.end_angle == 2 * math.pi
+        assert sol == CycloidSolution(1.0)
         assert sol.rolling_radius == pytest.approx(1 / (2 * math.pi), rel=1e-15)
 
     def test_residuals_on_grid(self):
         worst = 0.0
         for span in np.linspace(0.05, 3.0, 10):
             sol = cycloid_between(float(span))
-            a, phi = sol.rolling_radius, sol.end_angle
+            a, phi = sol.rolling_radius, 2 * math.pi
             worst = max(worst,
                         abs(a * (phi - math.sin(phi)) - span),
                         abs(a * (1 - math.cos(phi))))
@@ -40,10 +40,8 @@ class TestCycloidTime:
                                                   rel=1e-14)
 
     def test_scaling_in_rolling_radius(self):
-        sol = CycloidSolution(rolling_radius=0.2, end_angle=math.pi,
-                              horizontal_span=0.2 * math.pi)
-        doubled = CycloidSolution(rolling_radius=0.4, end_angle=math.pi,
-                                  horizontal_span=0.4 * math.pi)
+        sol = CycloidSolution(horizontal_span=0.2 * math.pi)
+        doubled = CycloidSolution(horizontal_span=0.4 * math.pi)
         assert cycloid_time(doubled) == pytest.approx(
             math.sqrt(2) * cycloid_time(sol), rel=1e-14)
 

@@ -134,13 +134,9 @@ RECORDS = {
     closed.BrachFamily: dict(k=0.0),
     closed.TransitResult: dict(tau=math.pi, error_estimate=0.0,
                                evaluations=0),
-    closed.ChordSpec: dict(separation_angle=math.pi / 3, half_chord=0.5,
-                           midpoint_radius=math.sqrt(0.75)),
+    closed.ChordSpec: dict(separation_angle=math.pi / 3),
     closed.PhysicalParams: dict(radius_m=6.371e6, gravity_m_s2=9.80665),
-    closed.Scaling: dict(time_unit_s=2.0, speed_unit_m_s=3.0,
-                         length_unit_m=6.0),
-    cycloid.CycloidSolution: dict(rolling_radius=0.5, end_angle=math.pi,
-                                  horizontal_span=1.0),
+    cycloid.CycloidSolution: dict(horizontal_span=1.0),
     cycloid.SmallArcComparison: dict(delta_theta=0.1,
                                      max_geometry_deviation=1e-3,
                                      sphere_time=0.7, cycloid_time=0.71,
@@ -153,8 +149,9 @@ BAD_FIELDS = [
     (closed.ChordSpec, dict(separation_angle=0.0), "separation_angle must"),
     (closed.PhysicalParams, dict(radius_m=0.0), "radius_m must"),
     (closed.PhysicalParams, dict(gravity_m_s2=math.nan), "gravity_m_s2 must"),
-    (cycloid.CycloidSolution, dict(rolling_radius=0.0), "rolling_radius"),
-    (cycloid.CycloidSolution, dict(end_angle=7.0), "end_angle"),
+    (cycloid.CycloidSolution, dict(horizontal_span=0.0), "horizontal_span"),
+    (cycloid.CycloidSolution, dict(horizontal_span=math.inf),
+     "horizontal_span"),
 ]
 
 
@@ -193,8 +190,8 @@ def test_record_rejects_bad_fields(record, change, message):
      "got 3 and 2"),
     (lambda: timing.DiscretePath.from_arrays([1.0, 0.5], [0.0, -1.0],
                                              [0.0, 0.5, 0.0]), "got 3 and 2"),
-    (lambda: cycloid.CycloidSolution(-1.0, 1.0, 1.0), "got -1.0"),
-    (lambda: cycloid.CycloidSolution(1.0, 7.0, 1.0), "got 7.0"),
+    (lambda: cycloid.CycloidSolution(-1.0), "got -1.0"),
+    (lambda: closed.ChordSpec(7.0), "got 7.0"),
 ])
 def test_domain_errors_name_the_input(call, named):
     with pytest.raises(DomainError) as err:

@@ -149,6 +149,69 @@ class TestArcIntegral:
             assert abs(value - exact) <= 1e-12 * exact
 
 
+class TestDiscretePath:
+    def test_from_arrays_basics(self):
+        path = DiscretePath.from_arrays([1.0, 0.5, 1.0], [0.0, -0.5, -1.0])
+        assert len(path) == 3
+        assert path.endpoint_separation() == 1.0
+
+    def test_arrays_are_read_only(self):
+        path = DiscretePath.from_arrays([1.0, 0.5, 1.0], [0.0, -0.5, -1.0])
+        with pytest.raises(ValueError):
+            path.rho[0] = 0.0
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(DomainError):
+            DiscretePath.from_arrays([1.0], [0.0])
+        with pytest.raises(DomainError):
+            DiscretePath.from_arrays([1.0, 0.5], [0.0])
+        with pytest.raises(DomainError):
+            DiscretePath.from_arrays([1.0, 1.2], [0.0, -0.5])
+        with pytest.raises(DomainError):
+            DiscretePath.from_arrays([1.0, 0.5], [0.0, math.inf])
+
+    def test_depth(self):
+        plain = DiscretePath.from_arrays([1.0, 0.5, 1.0], [0.0, -0.5, -1.0])
+        assert np.array_equal(plain.depth, 1.0 - plain.rho)
+        path = DiscretePath.from_arrays([1.0, 0.5, 1.0], [0.0, -0.5, -1.0],
+                                        [0.0, 0.5, 0.0])
+        assert path.depth.tolist() == [0.0, 0.5, 0.0]
+        with pytest.raises(ValueError):
+            path.depth[0] = 0.5
+        with pytest.raises(DomainError):
+            DiscretePath.from_arrays([1.0, 0.5], [0.0, -0.5], [0.0])
+        with pytest.raises(DomainError):
+            DiscretePath.from_arrays([1.0, 0.5], [0.0, -0.5], [0.0, 1.5])
+        # a depth that contradicts rho would decide the surface wrongly
+        with pytest.raises(DomainError,
+                           match=r"depth\[0\] = 0\.5.*rho\[0\] = 1\.0"):
+            DiscretePath.from_arrays([1.0, 0.5, 1.0], [0.0, -0.5, -1.0],
+                                     [0.5, 0.5, 0.5])
+        near = DiscretePath.from_arrays([1.0, 0.5], [0.0, -0.5],
+                                        [1e-13, 0.5])
+        assert near.depth[0] == 1e-13
+
+    def test_xy_and_arclength(self):
+        path = DiscretePath.from_arrays([1.0, 0.0, 1.0], [0.0, -0.1, -math.pi])
+        x, y = path.xy()
+        assert x[0] == 1.0 and abs(y[0]) == 0.0
+        s = path.cumulative_arclength()
+        assert s[0] == 0.0
+        assert s[-1] == pytest.approx(2.0, rel=1e-15)
+
+    def test_chord_lengths_below_an_ulp_of_rho(self):
+        # the first segments of a 1e-12 tunnel are ~1e-20 long
+        path = sample_path(family_from_separation(1e-12), 100)
+        with mpmath.workdps(50):
+            r = [1 - mpmath.mpf(d) for d in path.depth]
+            t = [mpmath.mpf(a) for a in path.theta]
+            ref = np.array([mpmath.sqrt((r[i + 1] - r[i]) ** 2
+                                        + 4 * r[i] * r[i + 1]
+                                        * mpmath.sin((t[i + 1] - t[i]) / 2) ** 2)
+                            for i in range(len(path) - 1)], dtype=float)
+        assert np.max(np.abs(path.chord_lengths() - ref) / ref) < 1e-14
+
+
 class TestPathTransit:
     def test_sampled_family_matches_quadrature(self):
         fam = BrachFamily.from_momentum(1.0)
