@@ -14,7 +14,7 @@ integral of ds/speed along sampled chords, and a dynamics simulation.
 
 import math
 
-from gravitunnel import (PhysicalParams, chord_from_separation, chord_path,
+from gravitunnel import (ChordSpec, PhysicalParams, chord_path,
                          chord_transit_time, dimensional_time,
                          path_transit_time, simulate_bead)
 
@@ -26,7 +26,7 @@ print(f"{'separation':>12} {'closed form':>12} {'quadrature':>14} "
       f"{'bead':>12} {'minutes':>9}")
 for degrees in (5, 30, 90, 150, 180):
     delta = math.radians(degrees)
-    spec = chord_from_separation(delta)
+    spec = ChordSpec(delta)
     exact = chord_transit_time(spec)
     sampled = chord_path(spec, 10_000)
     quad = path_transit_time(sampled).tau

@@ -17,20 +17,20 @@ import math
 
 import numpy as np
 
-from gravitunnel import (BrachFamily, arc_length, sample_path,
-                         total_transit_time)
+from gravitunnel import (BrachFamily, arc_length, family_from_separation,
+                         sample_path, total_transit_time)
 
 print(f"{'k':>8} {'rho_min':>9} {'sweep (deg)':>12} {'arc len':>9} "
       f"{'time':>10} {'vs chord':>9}")
 for k in np.geomspace(0.05, 20.0, 9):
-    fam = BrachFamily.from_momentum(float(k))
+    fam = BrachFamily(k)
     tau = total_transit_time(fam).tau
     print(f"{fam.k:>8.3f} {fam.rho_min:>9.5f} "
           f"{math.degrees(fam.separation_angle):>12.3f} "
           f"{arc_length(fam):>9.5f} {tau:>10.6f} {tau / math.pi:>9.5f}")
 
 print()
-fam = BrachFamily.from_separation(math.pi / 2)
+fam = family_from_separation(math.pi / 2)
 print(f"A quarter-turn tunnel (k = {fam.k:.6f}) dips to rho = "
       f"{fam.rho_min:.3f} and takes {total_transit_time(fam).tau:.6f};")
 print(f"the straight chord between the same mouths takes pi = {math.pi:.6f}.")

@@ -21,9 +21,9 @@ import math
 
 import numpy as np
 
-from gravitunnel import compare_small_arc, cycloid_between, cycloid_time
+from gravitunnel import CycloidSolution, compare_small_arc, cycloid_time
 
-sol = cycloid_between(1.0)
+sol = CycloidSolution(1.0)
 print(f"Reference cycloid through level endpoints one unit apart: "
       f"rolling radius {sol.rolling_radius:.6f}, transit "
       f"{cycloid_time(sol):.6f} = sqrt(2 pi).")

@@ -15,10 +15,9 @@ on first use, so a caller that needs no array never loads numpy.
 import importlib
 
 from .closed import (DOMAIN_EPS, BrachFamily, ChordSpec, PhysicalParams,
-                     TransitResult, arc_length, chord_from_separation,
-                     chord_transit_time, dimensional_time,
-                     family_from_separation, rho_min, separation_angle,
-                     total_transit_time)
+                     TransitResult, arc_length, chord_transit_time,
+                     dimensional_time, family_from_separation, rho_min,
+                     separation_angle, total_transit_time)
 from .errors import (DegenerateSegmentError, DomainError, PathError,
                      QuadratureError, StalledTrajectoryError, TunnelError)
 
@@ -30,7 +29,7 @@ _LAZY = {
                         "theta_prime"),
     "chord": ("chord_path",),
     "cycloid": ("CycloidSolution", "SmallArcComparison", "compare_small_arc",
-                "cycloid_between", "cycloid_time"),
+                "cycloid_time"),
     "oracle": ("OptimizationReport", "SimulationTrace", "optimize_path",
                "perturbation_test", "simulate_bead"),
     "timing": ("DiscretePath", "arc_integral", "cumulative_path_times",

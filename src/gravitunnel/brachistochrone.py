@@ -37,9 +37,10 @@ k = 0 is admitted by continuity as the degenerate through-center member
 separations up to and including pi.
 
 The closed forms that need no array (`rho_min`, `separation_angle`,
-`BrachFamily`, `family_from_separation`, `arc_length`) live in `closed`
-and are re-exported here; a `BrachFamily` stores k alone and derives
-rho_m, the depth 1 - rho_m and the separation by those formulas.  This
+`BrachFamily`, `family_from_separation`, `arc_length`) live in `closed`;
+a `BrachFamily(k)` stores k alone and derives rho_m, the depth 1 - rho_m
+and the separation by those formulas.  `family_from_separation` and
+`arc_length` are re-exported here, where the benchmark times them.  This
 module adds the curve itself: its slope, its angle at a radius, its
 radius at an angle and its samples.
 """
@@ -49,8 +50,8 @@ import math
 import numpy as np
 
 from .closed import (DOMAIN_EPS, BrachFamily, arc_length,  # noqa: F401
-                     family_from_separation, rho_min, separation_angle,
-                     tunnel_point, tunnel_step, tunnel_turnaround)
+                     family_from_separation, rho_min, tunnel_point,
+                     tunnel_step, tunnel_turnaround)
 from .errors import DomainError
 from .timing import DiscretePath
 
@@ -146,12 +147,12 @@ def sample_path(family: BrachFamily, n: int) -> DiscretePath:
     half_depth, half_theta, _, _ = tunnel_point(
         q, np.arange(n - 1) * step, np.sin, np.sqrt, np.arctan2)
     depth_mid, theta_mid, _, _ = tunnel_turnaround(q)
-    # Built directly: the closed form already meets every condition
-    # `DiscretePath.from_arrays` checks, and the checks' full-length
+    # Built unchecked: the closed form already meets every condition
+    # the `DiscretePath` constructor checks, and the checks' full-length
     # copies cost more than the formula.  One block holds the three
     # arrays; three separate ones page-faulted more in the timing calls
     # that follow (glibc returns freed heap tops to the system).  The
-    # block ends read-only, so the path owns its rows without a copy.
+    # block ends read-only, so the path holds its rows without a copy.
     block = np.empty((3, 2 * n - 1))
     rho, theta, depth = block
     depth[:n - 1] = half_depth
@@ -163,9 +164,7 @@ def sample_path(family: BrachFamily, n: int) -> DiscretePath:
     np.subtract(1.0, depth, out=rho)
     rho[n - 1] = family.rho_min
     block.setflags(write=False)
-    path = DiscretePath(*block)
-    object.__setattr__(path, "_mirrored", True)
-    return path
+    return DiscretePath._mirror_image(*block)
 
 
 def rho_at_theta(family: BrachFamily, theta):

@@ -20,7 +20,9 @@ from . import closed
 from . import cycloid as cycloid_mod
 from . import oracle as oracle_mod
 from . import timing
-from .closed import EARTH, dimensional_time
+from .closed import (EARTH, BrachFamily, ChordSpec, chord_transit_time,
+                     dimensional_time, family_from_separation, rho_min,
+                     separation_angle)
 from .errors import TunnelError
 
 # Acceptance criteria by number; every check is tagged with one of them.
@@ -84,7 +86,7 @@ def antiderivative_with_coefficient(rho, k, c):
     particular, fails to differentiate back to the slope field.  The
     arcsine is evaluated as atan2, as in `theta_of_rho`.
     """
-    rm = brach.rho_min(k)
+    rm = rho_min(k)
     s = math.sqrt(k * k + 1.0)
     u = np.sqrt((1.0 - rho) * (1.0 + rho))
     w = s * np.sqrt(rho - rm) * np.sqrt(rho + rm) / k
@@ -97,7 +99,7 @@ def _denominator_root(k):
 
 def _slope_misfit(antiderivative, k, points):
     """Worst relative gap between fd4 of an antiderivative and theta_prime."""
-    grid = np.linspace(brach.rho_min(k) + 1e-4, 1.0 - 1e-4, points)
+    grid = np.linspace(rho_min(k) + 1e-4, 1.0 - 1e-4, points)
     slope = brach.theta_prime(grid, k)
     fd = fd4(lambda r: antiderivative(r, k), grid, 2e-6)
     return float(np.max(np.abs(fd - slope) / np.abs(slope)))
@@ -161,8 +163,8 @@ K_SWEEP = tuple(np.geomspace(0.05, 20.0, 20))
            full=dict(separations=(0.1, math.pi / 4, math.pi / 2, math.pi),
                      samples=10_000))
 def chord_time(separations, samples):
-    specs = [chord_mod.chord_from_separation(d) for d in separations]
-    exact = all(chord_mod.chord_transit_time(s) == math.pi for s in specs)
+    specs = [ChordSpec(d) for d in separations]
+    exact = all(chord_transit_time(s) == math.pi for s in specs)
     seconds = dimensional_time(math.pi, EARTH)
     earth_ok = abs(seconds - 2531.9) / 2531.9 < 5e-4
     worst = max(abs(timing.path_transit_time(chord_mod.chord_path(s, samples)).tau
@@ -176,7 +178,7 @@ def chord_time(separations, samples):
 @_register("min-radius-root", 2,
            reduced=dict(ks=K_THREE), full=dict(ks=K_FIVE))
 def min_radius_root(ks):
-    worst = max(abs(_denominator_root(k) - brach.rho_min(k)) for k in ks)
+    worst = max(abs(_denominator_root(k) - rho_min(k)) for k in ks)
     threshold = 1e-12
     return (worst < threshold, worst, threshold,
             f"root vs k/sqrt(k^2+1) off {worst:.1e} < {threshold:.1e}")
@@ -214,7 +216,7 @@ def alt_coefficient(ks, points):
 @_register("separation-quadrature", 4,
            reduced=dict(ks=K_SEVEN), full=dict(ks=K_SWEEP))
 def separation_quadrature(ks):
-    worst = max(abs(brach.separation_angle(k) - quad_slope_sweep(float(k)))
+    worst = max(abs(separation_angle(k) - quad_slope_sweep(float(k)))
                 for k in ks)
     threshold = 1e-8
     return (worst < threshold, worst, threshold,
@@ -227,10 +229,10 @@ def separation_quadrature(ks):
 def transit_closed_form(ks):
     worst = 0.0
     for k in ks:
-        fam = brach.BrachFamily.from_momentum(k)
+        fam = BrachFamily(k)
         worst = max(worst, abs(2.0 * timing.half_transit_time(fam).tau
                                - closed.tunnel_time(fam.depth)))
-    k0 = 2.0 * timing.half_transit_time(brach.BrachFamily.from_momentum(0.0)).tau
+    k0 = 2.0 * timing.half_transit_time(BrachFamily(0.0)).tau
     worst = max(worst, abs(k0 - math.pi))
     threshold = 1e-7
     return (worst < threshold and k0 == math.pi, worst, threshold,
@@ -247,7 +249,7 @@ def oracle_triangle(separations, interior_points, samples):
     worst = 0.0
     undercut = -math.inf
     for delta in separations:
-        fam = brach.family_from_separation(delta)
+        fam = family_from_separation(delta)
         t_quad = 2.0 * timing.half_transit_time(fam).tau
         report = oracle_mod.optimize_path(delta, interior_points)
         t_bead = oracle_mod.simulate_bead(brach.sample_path(fam, samples)).transit_time
@@ -270,7 +272,7 @@ def stationarity(ks, modes, amplitudes, ratio_amplitudes):
     worst_delta = 0.0
     ratio_off = 0.0
     for k in ks:
-        fam = brach.BrachFamily.from_momentum(k)
+        fam = BrachFamily(k)
         for mode in modes:
             for amp in amplitudes:
                 worst_delta = min(worst_delta,
@@ -289,9 +291,9 @@ def stationarity(ks, modes, amplitudes, ratio_amplitudes):
 
 def _drift_path(kind, value, samples):
     if kind == "chord":
-        return chord_mod.chord_path(chord_mod.chord_from_separation(value), samples)
-    fam = (brach.BrachFamily.from_momentum(value) if kind == "k"
-           else brach.family_from_separation(value))
+        return chord_mod.chord_path(ChordSpec(value), samples)
+    fam = (BrachFamily(value) if kind == "k"
+           else family_from_separation(value))
     return brach.sample_path(fam, samples)
 
 
@@ -333,7 +335,7 @@ def small_arc(separations):
            reduced=dict(separations=tuple(np.linspace(0.05, math.pi, 9))),
            full=dict(separations=tuple(np.linspace(0.01, math.pi, 50))))
 def depth_span_ratio(separations):
-    worst = max(abs((1.0 - brach.family_from_separation(d).rho_min) / d
+    worst = max(abs((1.0 - family_from_separation(d).rho_min) / d
                     - 1.0 / math.pi) for d in separations)
     threshold = 1e-12
     return (worst < threshold, worst, threshold,

@@ -9,15 +9,14 @@ benchmark the curved minimum-time tunnels have to beat.
 Chord endpoints follow the same convention as the curved family: the
 release point sits at (rho=1, theta=0) and the destination at
 (rho=1, theta=-separation_angle), so chord and tunnel samples can be fed
-to the same integrators and plotted on the same axes.  `ChordSpec`,
-`chord_from_separation` and `chord_transit_time` are closed forms and
-live in `closed`; this module samples a chord.
+to the same integrators and plotted on the same axes.  A chord is
+`closed.ChordSpec(separation_angle)`, and its transit time
+`closed.chord_transit_time`; this module samples a chord.
 """
 
 import numpy as np
 
-from .closed import (ChordSpec, chord_from_separation, chord_point,  # noqa: F401
-                     chord_transit_time)
+from .closed import ChordSpec, chord_point
 from .errors import DomainError
 from .timing import DiscretePath
 
@@ -42,4 +41,4 @@ def chord_path(spec: ChordSpec, n: int) -> DiscretePath:
     rho[-1] = 1.0
     theta[0] = 0.0
     theta[-1] = -spec.separation_angle
-    return DiscretePath.from_arrays(rho, theta, depth)
+    return DiscretePath(rho, theta, depth)

@@ -164,7 +164,7 @@ def _chord_samples(delta, m):
     The points are `chord_path`'s; the bead's time to chord fraction t
     is the SHM time 2 asin(sqrt(t)).
     """
-    spec = closed.chord_from_separation(delta)
+    spec = closed.ChordSpec(delta)
     half_chord = spec.half_chord
     ts = _grid(0.0, 1.0, m, "linear")
     yield 0.0, 1.0, 0.0, 0.0
@@ -227,7 +227,8 @@ def cmd_time(args):
     body, scaling = _resolve_scaling(args)
     family = closed.family_from_separation(delta)
     tunnel_tau = closed.total_transit_time(family).tau
-    chord_tau = closed.chord_transit_time(closed.chord_from_separation(delta))
+    spec = closed.ChordSpec(delta)
+    chord_tau = closed.chord_transit_time(spec)
     items = [
         ("separation_rad", delta),
         ("separation_deg", math.degrees(delta)),
@@ -237,7 +238,7 @@ def cmd_time(args):
         ("chord_tau", chord_tau),
         ("tau_ratio", tunnel_tau / chord_tau),
         ("tunnel_arc", closed.arc_length(family)),
-        ("chord_length", 2.0 * math.sin(delta / 2.0)),
+        ("chord_length", 2.0 * spec.half_chord),
     ]
     if scaling is not None:
         items += [
@@ -318,7 +319,7 @@ def cmd_sweep(args):
         if args.spacing == "log":
             if lo <= 0.0:
                 raise _UsageError("log spacing needs a positive lower bound")
-        families = [closed.BrachFamily.from_momentum(k)
+        families = [closed.BrachFamily(k)
                     for k in _grid(lo, hi, count, args.spacing)]
     else:
         lo, hi = _parse_range(args.sep_range, angle=True)

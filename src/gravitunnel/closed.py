@@ -12,13 +12,16 @@ length to reach it, is a closed form too (`tunnel_point`), and so is
 each point of a chord (`chord_point`).  This module holds them, with
 the records they fill and the physical units, in plain `math`, so
 ``import gravitunnel`` and every command but `verify` load no numpy.
-The records are immutable named tuples that check their fields on
-construction, not dataclasses: `collections` is loaded by `argparse`
-anyway, while `dataclasses` pulls in `inspect` and would cost a fresh
-CLI process more than the rest of the package.  The same point
-formulas run on numpy arrays for `sample_path` and `chord_path`.  The
-numerical routes that check the same numbers live in `timing`,
-`oracle` and `checks`.
+Each record has one constructor, the record itself: `BrachFamily(k)`,
+`ChordSpec(separation_angle)`, `PhysicalParams(radius_m, gravity_m_s2)`
+and `cycloid.CycloidSolution(horizontal_span)`.  It converts each field
+with float() and checks it, and raises DomainError naming any value it
+refuses.  The records are immutable named tuples, not dataclasses:
+`collections` is loaded by `argparse` anyway, while `dataclasses` pulls
+in `inspect` and would cost a fresh CLI process more than the rest of
+the package.  The same point formulas run on numpy arrays for
+`sample_path` and `chord_path`.  The numerical routes that check the
+same numbers live in `timing`, `oracle` and `checks`.
 
 Everything in the package is computed dimensionless: lengths in units
 of the sphere radius R, times in sqrt(R/g) and speeds in sqrt(g*R),
@@ -35,6 +38,14 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError
+
+
+def _number(value, name: str) -> float:
+    """float(value), or DomainError naming a value that float() refuses."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a number; got {value!r}") from None
 
 
 def rho_min(k: float) -> float:
@@ -74,49 +85,41 @@ class BrachFamily(namedtuple("BrachFamily", "k")):
 
     Its turnaround radius `rho_min`, turnaround depth `depth` = 1 -
     rho_min and surface sweep `separation_angle` = pi depth are the
-    module's formulas of k.  Built for k up to about 4.7e153, where the
-    depth is still a normal float; past that, raises DomainError naming k.
+    module's formulas of k.  Built for k from 0 up to about 4.7e153,
+    where the depth is still a normal float; a k outside that range, or
+    one that float() refuses, raises DomainError naming it.
     """
 
     __slots__ = ()
 
     def __new__(cls, k):
+        k = _number(k, "k")
         if not _depth(k) >= _MIN_DEPTH:
             raise DomainError(f"k = {k!r} is too large: the depth "
                               "1/(h (h + k)) of its turnaround, "
                               "h = sqrt(k^2 + 1), underflows")
-        return super().__new__(cls, float(k))
+        return super().__new__(cls, k)
 
     rho_min = property(lambda self: rho_min(self.k))
     depth = property(lambda self: _depth(self.k))
     separation_angle = property(lambda self: separation_angle(self.k))
 
-    @classmethod
-    def from_momentum(cls, k: float) -> "BrachFamily":
-        """Family member k, for k from 0 to about 4.7e153."""
-        return cls(k)
-
-    @classmethod
-    def from_separation(cls, delta_theta: float) -> "BrachFamily":
-        """Family member whose surface endpoints are delta_theta apart,
-        for delta_theta in (0, pi] down to about 7e-308, where the depth
-        delta_theta/pi is still a normal float; else DomainError."""
-        delta_theta = float(delta_theta)
-        if not (math.isfinite(delta_theta) and 0.0 < delta_theta <= math.pi):
-            raise DomainError("separation must lie in (0, pi]; got "
-                              f"{delta_theta!r}")
-        # k = rho_min / sqrt(1 - rho_min^2) in x = 1 - rho_min, which the
-        # rounded rho_min no longer holds at tiny separations
-        x = delta_theta / math.pi
-        if not x >= _MIN_DEPTH:
-            raise DomainError(f"separation {delta_theta!r} is too small: "
-                              "its depth separation/pi underflows")
-        return cls((1.0 - x) / math.sqrt(x * (2.0 - x)))
-
 
 def family_from_separation(delta_theta: float) -> BrachFamily:
-    """Family member whose surface endpoints are delta_theta apart."""
-    return BrachFamily.from_separation(delta_theta)
+    """Family member whose surface endpoints are delta_theta apart,
+    for delta_theta in (0, pi] down to about 7e-308, where the depth
+    delta_theta/pi is still a normal float; else DomainError."""
+    delta_theta = float(delta_theta)
+    if not (math.isfinite(delta_theta) and 0.0 < delta_theta <= math.pi):
+        raise DomainError("separation must lie in (0, pi]; got "
+                          f"{delta_theta!r}")
+    # k = rho_min / sqrt(1 - rho_min^2) in x = 1 - rho_min, which the
+    # rounded rho_min no longer holds at tiny separations
+    x = delta_theta / math.pi
+    if not x >= _MIN_DEPTH:
+        raise DomainError(f"separation {delta_theta!r} is too small: "
+                          "its depth separation/pi underflows")
+    return BrachFamily((1.0 - x) / math.sqrt(x * (2.0 - x)))
 
 
 def arc_length(family: BrachFamily) -> float:
@@ -252,7 +255,7 @@ class ChordSpec(namedtuple("ChordSpec", "separation_angle")):
     __slots__ = ()
 
     def __new__(cls, separation_angle):
-        separation_angle = float(separation_angle)
+        separation_angle = _number(separation_angle, "separation_angle")
         if not (0.0 < separation_angle <= math.pi):
             raise DomainError("separation_angle must lie in (0, pi]; got "
                               f"{separation_angle!r}")
@@ -261,11 +264,6 @@ class ChordSpec(namedtuple("ChordSpec", "separation_angle")):
     half_chord = property(lambda self: math.sin(self.separation_angle / 2.0))
     midpoint_radius = property(
         lambda self: math.cos(self.separation_angle / 2.0))
-
-
-def chord_from_separation(delta_theta: float) -> ChordSpec:
-    """Chord between two surface points a central angle delta_theta apart."""
-    return ChordSpec(delta_theta)
 
 
 def chord_point(spec: ChordSpec, t, hypot=math.hypot, atan2=math.atan2):
@@ -298,19 +296,22 @@ def chord_transit_time(spec: ChordSpec) -> float:
 
 class PhysicalParams(namedtuple("PhysicalParams", "radius_m gravity_m_s2")):
     """Sphere radius (m) and surface gravity (m/s^2) of a physical body,
-    with its units: time_unit_s = sqrt(R/g), speed_unit_m_s = sqrt(g*R)
-    and length_unit_m = R, where the product of the first two reproduces
-    the third to round-off."""
+    each a positive finite number, else DomainError naming it, with its
+    units: time_unit_s = sqrt(R/g), speed_unit_m_s = sqrt(g*R) and
+    length_unit_m = R, where the product of the first two reproduces the
+    third to round-off."""
 
     __slots__ = ()
 
     def __new__(cls, radius_m, gravity_m_s2):
-        for name, value in (("radius_m", radius_m),
-                            ("gravity_m_s2", gravity_m_s2)):
+        fields = []
+        for name, value in zip(cls._fields, (radius_m, gravity_m_s2)):
+            value = _number(value, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise DomainError(f"{name} must be a positive finite number; "
                                   f"got {value!r}")
-        return super().__new__(cls, radius_m, gravity_m_s2)
+            fields.append(value)
+        return super().__new__(cls, *fields)
 
     time_unit_s = property(
         lambda self: math.sqrt(self.radius_m / self.gravity_m_s2))

@@ -12,13 +12,14 @@ Cycloid conventions: a point on a circle of radius a rolling under a
 horizontal line traces x = a (phi - sin phi), y = a (1 - cos phi) with
 depth y positive downward; release is from rest at the cusp phi = 0 and
 the time to reach parameter phi in a field of strength g is
-phi * sqrt(a / g).
+phi * sqrt(a / g).  The arch between two level points a span apart is
+`CycloidSolution(span)`, the record's one constructor.
 """
 
 import math
 from collections import namedtuple
 
-from .closed import tunnel_half, tunnel_time
+from .closed import _number, tunnel_half, tunnel_time
 from .errors import DomainError
 
 # samples per half of the spherical tunnel in compare_small_arc
@@ -32,7 +33,8 @@ _MIN_SEPARATION = 1e-12
 
 class CycloidSolution(namedtuple("CycloidSolution", "horizontal_span")):
     """The full cycloid arch between two level points a horizontal_span
-    apart; a span that is not finite and positive raises DomainError.
+    apart; a span that is not a finite positive number raises
+    DomainError naming it.
 
     Level endpoints are the two cusps of one arch, phi = 0 and 2*pi, so
     the rolling radius is span / (2*pi) in closed form.
@@ -41,7 +43,7 @@ class CycloidSolution(namedtuple("CycloidSolution", "horizontal_span")):
     __slots__ = ()
 
     def __new__(cls, horizontal_span):
-        span = float(horizontal_span)
+        span = _number(horizontal_span, "horizontal_span")
         if not (math.isfinite(span) and span > 0.0):
             raise DomainError("horizontal_span must be finite and positive; "
                               f"got {span!r}")
@@ -49,11 +51,6 @@ class CycloidSolution(namedtuple("CycloidSolution", "horizontal_span")):
 
     rolling_radius = property(
         lambda self: self.horizontal_span / (2.0 * math.pi))
-
-
-def cycloid_between(horizontal_span: float) -> CycloidSolution:
-    """The full cycloid arch between two level points a span apart."""
-    return CycloidSolution(horizontal_span)
 
 
 def cycloid_time(sol: CycloidSolution) -> float:
@@ -111,7 +108,7 @@ def compare_small_arc(delta_theta: float) -> SmallArcComparison:
                           f"[{_MIN_SEPARATION!r}, 0.2] rad; got separation "
                           f"{delta_theta!r}")
     q = delta_theta / math.pi
-    flat = cycloid_between(delta_theta)
+    flat = CycloidSolution(delta_theta)
     b, sin = flat.rolling_radius, math.sin
     scale = math.sqrt(b * (1.0 - b))
     worst = 0.0

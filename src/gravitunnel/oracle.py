@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .brachistochrone import BrachFamily, sample_path
-from .closed import DOMAIN_EPS
+from .brachistochrone import sample_path
+from .closed import DOMAIN_EPS, BrachFamily
 from .errors import DomainError, PathError, StalledTrajectoryError
 from .timing import DiscretePath, _segment_time_partials, _segment_times
 
@@ -146,7 +146,7 @@ def optimize_path(delta_theta: float, interior_points: int) -> OptimizationRepor
         gradient, diag, off = derivatives(rho)
         steps += 1
     residual = float(np.max(np.abs(gradient)))
-    return OptimizationReport(best_path=DiscretePath.from_arrays(rho, thetas),
+    return OptimizationReport(best_path=DiscretePath(rho, thetas),
                               best_time=best,
                               iterations=steps,
                               converged=residual <= _RESIDUAL_THRESHOLD,

@@ -48,8 +48,8 @@ gravity train.  The same geometry feeds the closed-form partials of a
 segment time in its end radii, which the transcription optimizer uses.
 
 Each path is timed once: a `DiscretePath`, a tunnel's polar samples,
-caches its segment times, which `path_transit_time` and
-`cumulative_path_times` share.
+checked and copied by its one constructor, caches its segment times,
+which `path_transit_time` and `cumulative_path_times` share.
 
 A sampled tunnel (`brachistochrone.sample_path`) is its first half and
 that half's mirror image, and a segment's time depends only on its end
@@ -59,8 +59,10 @@ first half and the times reversed for the second (`_mirrored_times`):
 half the kernel work.  The stored second-half angles are 2 theta_m -
 theta rounded, so a mirrored segment time is within ~3.4e-12 relative
 of the kernel on the stored arrays, and tau within 3 ulps (measured over
-42 separations from 1e-12 to pi, 2 to 10^4 samples per half).  Paths
-built any other way run the kernel on every segment (`_path_kernel`).
+42 separations from 1e-12 to pi, 2 to 10^4 samples per half).  Such a
+path is built by `DiscretePath._mirror_image`, which skips the checks
+the closed form already meets; paths from the constructor run the
+kernel on every segment (`_path_kernel`).
 """
 
 import math
@@ -285,65 +287,42 @@ def _unit_interval(value, name):
     return arr
 
 
-def _owned(values):
-    """Whether values is a read-only float array that owns its memory,
-    or views one through read-only arrays only, so no writable array
-    can change it."""
-    if not (isinstance(values, np.ndarray) and values.dtype == float):
-        return False
-    while isinstance(values, np.ndarray) and not values.flags.writeable:
-        if values.base is None:
-            return True
-        values = values.base
-    return False
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DiscretePath:
     """Ordered polar samples of a tunnel, normally surface to surface.
 
-    ``rho``, ``theta`` and ``depth`` are equal-length float arrays,
-    read-only and owned by the path: each owns its memory, or views
-    memory owned by a read-only array through read-only arrays only.
-    The library constructors build them so; anything else passed in
-    directly (a caller's writable array or a view of one, a list) is
-    copied, so no later write by the caller reaches the path.  Paths
-    produced by the library constructors dip monotonically to a single
-    interior minimum and rise back; arbitrary point lists (e.g.
-    perturbed paths) need not.
+    ``DiscretePath(rho, theta, depth=None)`` checks its input and raises
+    DomainError naming the first bad value: each rho and depth must lie
+    in [0, 1] (DOMAIN_EPS overshoot is clipped), each theta must be
+    finite, the arrays must have one length of at least 2, and a given
+    depth must agree with 1 - rho to within DOMAIN_EPS.  It stores fresh
+    read-only float copies, so no later write by the caller reaches the
+    path.  Paths produced by the library (`sample_path`, `chord_path`,
+    `optimize_path`) dip monotonically to a single interior minimum and
+    rise back; arbitrary point lists (e.g. perturbed paths) need not.
 
-    ``depth`` holds 1 - rho per sample.  A constructor that knows the
-    geometry (`sample_path`, `chord_path`) computes it without
+    ``depth`` holds 1 - rho per sample.  A caller that knows the
+    geometry (`sample_path`, `chord_path`) passes it, computed without
     cancellation, since rho cannot resolve a depth much below 1e-16;
-    it must agree with 1 - rho to within DOMAIN_EPS.  For paths given
-    by radii alone it is 1 - rho.  The timing kernel puts a sample on
+    without it the depth is 1 - rho.  The timing kernel puts a sample on
     the zero-speed surface exactly when its depth is 0.
 
     ``segment_times`` holds each segment's exact traversal time as a
     read-only array, computed on first use by `_path_kernel`'s kernel
     and cached, so a path is timed once however many of
     `path_transit_time` and `cumulative_path_times` run on it.  The
-    cache is sound because the path owns its arrays.
+    cache is sound because no one can write the path's arrays.
     """
 
     rho: np.ndarray
     theta: np.ndarray
     depth: np.ndarray
 
-    # True only on the paths `sample_path` sets it on; not a field, so
-    # neither the constructor nor `dataclasses.replace` carries it over
+    # True only on the paths `_mirror_image` builds; not a field, so
+    # `dataclasses.replace` does not carry it over
     _mirrored = False
 
-    def __post_init__(self):
-        for name in ("rho", "theta", "depth"):
-            values = getattr(self, name)
-            if not _owned(values):
-                values = np.array(values, dtype=float)
-                values.setflags(write=False)
-                object.__setattr__(self, name, values)
-
-    @classmethod
-    def from_arrays(cls, rho, theta, depth=None):
+    def __init__(self, rho, theta, depth=None):
         rho = _unit_interval(np.atleast_1d(rho), "rho")
         theta = np.array(np.reshape(theta, -1), dtype=float)
         if rho.shape != theta.shape:
@@ -371,7 +350,17 @@ class DiscretePath:
                                   " depth must be 1 - rho")
         for values in (rho, theta, depth):
             values.setflags(write=False)
-        return cls(rho=rho, theta=theta, depth=depth)
+        vars(self).update(rho=rho, theta=theta, depth=depth)
+
+    @classmethod
+    def _mirror_image(cls, rho, theta, depth):
+        """The path of `sample_path`'s arrays, whose sample -1 - i mirrors
+        sample i, without the constructor's checks and copies: they meet
+        every condition it checks, are read-only and only view memory that
+        no writable array holds.  Timed over its first half."""
+        path = cls.__new__(cls)
+        vars(path).update(rho=rho, theta=theta, depth=depth, _mirrored=True)
+        return path
 
     def __len__(self):
         return self.rho.size

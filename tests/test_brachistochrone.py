@@ -171,7 +171,7 @@ class TestFamily:
     @example(12.0)
     @example(math.log10(K_LIMIT))
     @example(math.log10(1.3e154))
-    def test_from_momentum_within_4_ulp_or_names_k(self, log_k):
+    def test_momentum_within_4_ulp_or_names_k(self, log_k):
         # 1 - rho_min = 1/(h (h + k)) with h = sqrt(k^2 + 1), the transit
         # time pi sqrt(1 - rho_min^2) is pi/h and the arc length 2/h^2:
         # all free of cancellation, so exact at 50 digits.  Past K_LIMIT
@@ -179,9 +179,9 @@ class TestFamily:
         k = 10.0 ** log_k
         if k > K_LIMIT:
             with pytest.raises(DomainError, match=re.escape(repr(k))):
-                BrachFamily.from_momentum(k)
+                BrachFamily(k)
             return
-        fam = BrachFamily.from_momentum(k)
+        fam = BrachFamily(k)
         with mpmath.workdps(50):
             h = mpmath.sqrt(mpmath.mpf(k) ** 2 + 1)
             for value, exact in ((fam.separation_angle, mpmath.pi / (h * (h + k))),
@@ -195,7 +195,7 @@ class TestFamily:
     @given(st.one_of(
         st.just(0.0), st.floats(-300.0, 12.0).map(lambda e: 10.0 ** e)))
     def test_each_quantity_has_one_formula_from_k(self, k):
-        assert_one_formula(BrachFamily.from_momentum(k))
+        assert_one_formula(BrachFamily(k))
 
     @settings(max_examples=400, deadline=None)
     @given(st.floats(math.log(1e-12), math.log(math.pi)))
@@ -218,22 +218,22 @@ class TestFamily:
         for sep in (5e-324, 1e-310, math.nextafter(SEP_LIMIT, 0.0)):
             with pytest.raises(DomainError, match=re.escape(repr(sep))):
                 family_from_separation(sep)
-        assert BrachFamily.from_momentum(K_LIMIT).depth >= sys.float_info.min
+        assert BrachFamily(K_LIMIT).depth >= sys.float_info.min
         for k in (math.nextafter(K_LIMIT, math.inf), 1e200, sys.float_info.max):
             with pytest.raises(DomainError, match=re.escape(repr(k))):
-                BrachFamily.from_momentum(k)
+                BrachFamily(k)
 
 
 class TestSamplePath:
     def test_degenerate_diameter_three_points(self):
-        path = sample_path(BrachFamily.from_momentum(0.0), 2)
+        path = sample_path(BrachFamily(0.0), 2)
         assert len(path) == 3
         assert list(path.rho) == [1.0, 0.0, 1.0]
         assert path.theta[0] == 0.0
         assert path.theta[-1] == pytest.approx(-math.pi, rel=1e-15)
 
     @pytest.mark.parametrize("fam", [
-        *(pytest.param(BrachFamily.from_momentum(k), id=str(k))
+        *(pytest.param(BrachFamily(k), id=str(k))
           for k in (0.3, 1.0, 5.0)),
         pytest.param(family_from_separation(1e-4), id="sep1e-4")])
     def test_midpoint_is_turnaround(self, fam):
@@ -248,7 +248,7 @@ class TestSamplePath:
         assert 0.0 <= tau - reference <= 1e-6 * reference
 
     def test_mirror_congruence(self):
-        path = sample_path(BrachFamily.from_momentum(1.0), 100)
+        path = sample_path(BrachFamily(1.0), 100)
         mid_theta = path.theta[99]
         assert np.max(np.abs(path.rho - path.rho[::-1])) < 1e-12
         folded = 2 * mid_theta - path.theta[::-1]
@@ -256,7 +256,7 @@ class TestSamplePath:
 
     @pytest.mark.parametrize("k", (0.0, 0.3, 1.0, 5.0))
     def test_monotone_dip_and_separation(self, k):
-        fam = BrachFamily.from_momentum(k)
+        fam = BrachFamily(k)
         path = sample_path(fam, 200)
         steps = np.diff(path.depth)             # deepest at sample 199
         assert np.all(steps[:199] > 0.0) and np.all(steps[199:] < 0.0)
@@ -266,7 +266,7 @@ class TestSamplePath:
 
     def test_needs_two_samples(self):
         with pytest.raises(DomainError):
-            sample_path(BrachFamily.from_momentum(1.0), 1)
+            sample_path(BrachFamily(1.0), 1)
 
 
 class TestHypocycloid:
@@ -304,7 +304,7 @@ class TestHypocycloid:
 
     def test_diameter(self):
         # b = 1/2: the straight diameter, theta 0 down to the center
-        fam = BrachFamily.from_momentum(0.0)
+        fam = BrachFamily(0.0)
         path = sample_path(fam, 1000)
         assert np.max(np.abs(path.theta[:999])) <= 1e-15
         assert path.theta[999] == -math.pi / 2
@@ -314,10 +314,10 @@ class TestHypocycloid:
 
 class TestArcLength:
     def test_diameter(self):
-        assert arc_length(BrachFamily.from_momentum(0.0)) == 2.0
+        assert arc_length(BrachFamily(0.0)) == 2.0
 
     def test_k1_against_quadpack_and_chord_bound(self):
-        fam = BrachFamily.from_momentum(1.0)
+        fam = BrachFamily(1.0)
         value = arc_length(fam)
         assert value == pytest.approx(2.0 * quad_half_length(1.0), abs=1e-9)
         assert value > 2.0 * math.sin(fam.separation_angle / 2.0)
@@ -326,27 +326,27 @@ class TestArcLength:
         ks = np.geomspace(0.05, 20.0, 12)
         lengths = []
         for k in ks:
-            fam = BrachFamily.from_momentum(float(k))
+            fam = BrachFamily(float(k))
             value = arc_length(fam)
             assert value >= 2.0 * math.sin(fam.separation_angle / 2.0)
             lengths.append(value)
         assert np.all(np.diff(lengths) < 0)
 
     def test_short_tunnel_limit(self):
-        assert arc_length(BrachFamily.from_momentum(1e-6)) == pytest.approx(
+        assert arc_length(BrachFamily(1e-6)) == pytest.approx(
             2.0, abs=1e-6)
 
 
 class TestRhoAtTheta:
     def test_inverts_theta_of_rho(self):
-        fam = BrachFamily.from_momentum(1.0)
+        fam = BrachFamily(1.0)
         for rho in np.linspace(fam.rho_min + 1e-6, 1.0, 9):
             theta = theta_of_rho(float(rho), fam.k)
             assert rho_at_theta(fam, theta) == pytest.approx(float(rho),
                                                              abs=1e-12)
 
     def test_mirror_half(self):
-        fam = BrachFamily.from_momentum(1.0)
+        fam = BrachFamily(1.0)
         sep = fam.separation_angle
         assert rho_at_theta(fam, -sep + 0.1) == pytest.approx(
             rho_at_theta(fam, -0.1), abs=1e-12)
@@ -355,7 +355,7 @@ class TestRhoAtTheta:
                                                             abs=1e-12)
 
     def test_domain(self):
-        fam = BrachFamily.from_momentum(1.0)
+        fam = BrachFamily(1.0)
         with pytest.raises(DomainError):
             rho_at_theta(fam, 0.5)
 
@@ -377,7 +377,7 @@ def family_and_angle(draw):
     if draw(st.booleans()):
         fam = family_from_separation(draw(st.floats(1e-12, math.pi)))
     else:
-        fam = BrachFamily.from_momentum(10.0 ** draw(st.floats(-300, -100)))
+        fam = BrachFamily(10.0 ** draw(st.floats(-300, -100)))
     return fam, draw(st.floats(-fam.separation_angle, 0.0))
 
 

@@ -183,8 +183,8 @@ class TestPathCommand:
         assert code == 0
         header, rows = parse_csv(out)
         itheta, irho = header.index("theta"), header.index("rho")
-        path = DiscretePath.from_arrays([float(r[irho]) for r in rows],
-                                        [float(r[itheta]) for r in rows])
+        path = DiscretePath([float(r[irho]) for r in rows],
+                            [float(r[itheta]) for r in rows])
         emitted_tau = rows[-1][header.index("tau")]
         closed_tau = total_transit_time(family_from_separation(2.0)).tau
         assert emitted_tau == format(closed_tau, ".12g")

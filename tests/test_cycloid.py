@@ -7,20 +7,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gravitunnel import (CycloidSolution, DomainError, compare_small_arc,
-                         cycloid, cycloid_between, cycloid_time,
+                         cycloid, cycloid_time,
                          family_from_separation)
 
 
 class TestCycloidBetween:
     def test_level_endpoints_full_arch(self):
-        sol = cycloid_between(1.0)
-        assert sol == CycloidSolution(1.0)
+        sol = CycloidSolution(1.0)
+        assert sol.horizontal_span == 1.0
         assert sol.rolling_radius == pytest.approx(1 / (2 * math.pi), rel=1e-15)
 
     def test_residuals_on_grid(self):
         worst = 0.0
         for span in np.linspace(0.05, 3.0, 10):
-            sol = cycloid_between(float(span))
+            sol = CycloidSolution(float(span))
             a, phi = sol.rolling_radius, 2 * math.pi
             worst = max(worst,
                         abs(a * (phi - math.sin(phi)) - span),
@@ -30,12 +30,12 @@ class TestCycloidBetween:
     @pytest.mark.parametrize("span", [0.0, -1.0, math.nan, math.inf])
     def test_domain(self, span):
         with pytest.raises(DomainError):
-            cycloid_between(span)
+            CycloidSolution(span)
 
 
 class TestCycloidTime:
     def test_level_unit_span(self):
-        sol = cycloid_between(1.0)
+        sol = CycloidSolution(1.0)
         assert cycloid_time(sol) == pytest.approx(math.sqrt(2 * math.pi),
                                                   rel=1e-14)
 

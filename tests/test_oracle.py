@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from gravitunnel import oracle
-from gravitunnel import (BrachFamily, DiscretePath, DomainError, PathError,
-                         StalledTrajectoryError,
-                         chord_from_separation, chord_path,
+from gravitunnel import (BrachFamily, ChordSpec, DiscretePath, DomainError,
+                         PathError, StalledTrajectoryError, chord_path,
                          family_from_separation, optimize_path,
                          path_transit_time, perturbation_test, rho_at_theta,
                          sample_path, simulate_bead, total_transit_time)
@@ -46,7 +45,7 @@ class TestOptimizePath:
         fam = family_from_separation(delta)
         thetas = np.linspace(0.0, -delta, 66)
         init = np.array([rho_at_theta(fam, t) for t in thetas[1:-1]])
-        init_path = DiscretePath.from_arrays(
+        init_path = DiscretePath(
             np.concatenate(([1.0], init, [1.0])), thetas)
         init_time = path_transit_time(init_path).tau
         report = optimize_path(delta, 64)
@@ -121,10 +120,10 @@ class TestOptimizePath:
 
 class TestPerturbation:
     def test_zero_amplitude(self):
-        assert perturbation_test(BrachFamily.from_momentum(1.0), 0.0, 1) == 0.0
+        assert perturbation_test(BrachFamily(1.0), 0.0, 1) == 0.0
 
     def test_quadratic_scaling(self):
-        fam = BrachFamily.from_momentum(1.0)
+        fam = BrachFamily(1.0)
         for mode in (1, 3, 5):
             d1 = perturbation_test(fam, 1e-3, mode)
             d2 = perturbation_test(fam, 2e-3, mode)
@@ -132,13 +131,13 @@ class TestPerturbation:
             assert d2 / d1 == pytest.approx(4.0, abs=0.3)
 
     def test_sign_flip_agrees_to_leading_order(self):
-        fam = BrachFamily.from_momentum(1.0)
+        fam = BrachFamily(1.0)
         plus = perturbation_test(fam, 1e-3, 1)
         minus = perturbation_test(fam, -1e-3, 1)
         assert minus == pytest.approx(plus, rel=0.05)
 
     def test_domain(self):
-        fam = BrachFamily.from_momentum(1.0)
+        fam = BrachFamily(1.0)
         with pytest.raises(DomainError):
             perturbation_test(fam, 0.05, 1)
         with pytest.raises(DomainError):
@@ -148,7 +147,7 @@ class TestPerturbation:
         # pushing the center of the diameter below rho = 0
         with pytest.raises(DomainError, match=r"through the centre \(rho < 0\)"
                            r".* 1\.0 deep"):
-            perturbation_test(BrachFamily.from_momentum(0.0), -1e-2, 1)
+            perturbation_test(BrachFamily(0.0), -1e-2, 1)
 
     def test_bump_above_shallow_tunnel_names_its_inputs(self):
         # a 1e-3 bump lifts a tunnel 3.2e-4 deep out of the sphere
@@ -174,13 +173,13 @@ class TestPerturbation:
 
 class TestSimulateBead:
     def test_diameter_chord_is_shm(self):
-        trace = simulate_bead(chord_path(chord_from_separation(math.pi), 10_000))
+        trace = simulate_bead(chord_path(ChordSpec(math.pi), 10_000))
         assert trace.transit_time == pytest.approx(math.pi, rel=1e-4)
         assert trace.max_energy_drift < 1e-8
 
     @pytest.mark.slow
     def test_family_path_matches_quadrature(self):
-        fam = BrachFamily.from_momentum(1.0)
+        fam = BrachFamily(1.0)
         reference = total_transit_time(fam).tau
         trace = simulate_bead(sample_path(fam, 10_000))
         assert abs(trace.transit_time - reference) / reference < 1e-3
@@ -188,7 +187,7 @@ class TestSimulateBead:
 
     @pytest.mark.slow
     def test_trace_invariants(self):
-        trace = simulate_bead(sample_path(BrachFamily.from_momentum(1.0), 2000))
+        trace = simulate_bead(sample_path(BrachFamily(1.0), 2000))
         assert np.all(trace.speed >= 0)
         assert np.all(np.diff(trace.tau) > 0)
         assert trace.arclength[0] == 0.0
@@ -201,13 +200,13 @@ class TestSimulateBead:
         # speed and turns around a round-off gap from the end; that
         # turnaround is the arrival, with no correction added; a path
         # ending inside the sphere is reached with speed and has no gap
-        surface = simulate_bead(chord_path(chord_from_separation(math.pi), 50))
+        surface = simulate_bead(chord_path(ChordSpec(math.pi), 50))
         assert surface.rhs_evaluations > surface.steps > 0
         assert type(surface.end_gap) is float
         assert surface.end_gap != 0.0
         assert abs(surface.end_gap) < 1e-6
         assert surface.tau[-1] == surface.transit_time
-        interior = simulate_bead(DiscretePath.from_arrays(
+        interior = simulate_bead(DiscretePath(
             [1.0, 0.8, 0.6, 0.5], [0.0, -0.1, -0.2, -0.3]))
         assert interior.rhs_evaluations > interior.steps > 0
         assert type(interior.end_gap) is float
@@ -222,7 +221,7 @@ class TestSimulateBead:
         reference = total_transit_time(fam).tau
         assert abs(trace.transit_time - reference) / reference < 1e-8
 
-    @pytest.mark.parametrize("fam", [BrachFamily.from_momentum(1e9),
+    @pytest.mark.parametrize("fam", [BrachFamily(1e9),
                                      family_from_separation(1e-12),
                                      family_from_separation(2e-9)])
     def test_too_shallow_path_is_refused(self, fam):
@@ -233,20 +232,20 @@ class TestSimulateBead:
 
     def test_point_above_surface_rejected_at_validation(self):
         with pytest.raises(DomainError):
-            DiscretePath.from_arrays([1.0, 1.05, 1.0], [0.0, -0.5, -1.0])
+            DiscretePath([1.0, 1.05, 1.0], [0.0, -0.5, -1.0])
 
     def test_turnaround_just_short_of_the_end_stalls(self):
         # released 1e-4 deeper than the far end, the bead turns around
         # 7.0e-5 of the chordwise arc short of it: far outside the
         # round-off gap that counts as arrival
-        path = DiscretePath.from_arrays([0.9, 0.5, 0.9 + 1e-4],
-                                        [0.0, -0.5, -1.0])
+        path = DiscretePath([0.9, 0.5, 0.9 + 1e-4],
+                            [0.0, -0.5, -1.0])
         with pytest.raises(StalledTrajectoryError, match="turned around"):
             simulate_bead(path)
 
     def test_rising_path_stalls_with_turning_point(self):
-        path = DiscretePath.from_arrays([0.8, 0.82, 0.95],
-                                        [0.0, -0.3, -0.6])
+        path = DiscretePath([0.8, 0.82, 0.95],
+                            [0.0, -0.3, -0.6])
         with pytest.raises(StalledTrajectoryError) as err:
             simulate_bead(path)
         assert err.value.rho is not None

@@ -8,11 +8,15 @@ import gravitunnel
 from gravitunnel import (DomainError, brachistochrone, chord, closed, cycloid,
                          timing)
 
+# Closed forms still reached through the modules they moved out of.
+# The benchmark calls and traces family_from_separation and arc_length
+# on brachistochrone and total_transit_time on timing, so those three
+# stay re-exported; the rest are names the modules use themselves.
 MOVED = {
-    brachistochrone: ("rho_min", "separation_angle", "BrachFamily",
-                      "family_from_separation", "arc_length"),
+    brachistochrone: ("rho_min", "BrachFamily", "family_from_separation",
+                      "arc_length"),
     timing: ("TransitResult", "total_transit_time"),
-    chord: ("ChordSpec", "chord_from_separation", "chord_transit_time"),
+    chord: ("ChordSpec",),
 }
 
 
@@ -146,12 +150,19 @@ BAD_FIELDS = [
     (closed.BrachFamily, dict(k=-1.0), "k must be a finite number >= 0"),
     (closed.BrachFamily, dict(k=math.inf), "k must be a finite number >= 0"),
     (closed.BrachFamily, dict(k=1e155), r"k = 1e\+155 is too large"),
+    (closed.BrachFamily, dict(k="abc"), "k must be a number; got 'abc'"),
     (closed.ChordSpec, dict(separation_angle=0.0), "separation_angle must"),
+    (closed.ChordSpec, dict(separation_angle="wide"),
+     "separation_angle must be a number; got 'wide'"),
     (closed.PhysicalParams, dict(radius_m=0.0), "radius_m must"),
     (closed.PhysicalParams, dict(gravity_m_s2=math.nan), "gravity_m_s2 must"),
+    (closed.PhysicalParams, dict(radius_m="six"),
+     "radius_m must be a number; got 'six'"),
     (cycloid.CycloidSolution, dict(horizontal_span=0.0), "horizontal_span"),
     (cycloid.CycloidSolution, dict(horizontal_span=math.inf),
      "horizontal_span"),
+    (cycloid.CycloidSolution, dict(horizontal_span=None),
+     "horizontal_span must be a number; got None"),
 ]
 
 
@@ -179,17 +190,32 @@ def test_record_rejects_bad_fields(record, change, message):
         record(**{**RECORDS[record], **change})
 
 
+INT_FIELDS = {closed.BrachFamily: (1,), closed.ChordSpec: (1,),
+              closed.PhysicalParams: (6371000, 10),
+              cycloid.CycloidSolution: (1,)}
+
+
+@pytest.mark.parametrize("record", list(INT_FIELDS), ids=lambda r: r.__name__)
+def test_record_fields_are_floats(record):
+    value = record(*INT_FIELDS[record])
+    assert value == INT_FIELDS[record]
+    assert all(type(field) is float for field in value)
+
+
 @pytest.mark.parametrize("call, named", [
-    (lambda: timing.DiscretePath.from_arrays([1.0, 2.0], [0.0, -1.0]), "got 2.0"),
-    (lambda: timing.DiscretePath.from_arrays([1.0, float("nan")], [0.0, -1.0]),
+    (lambda: timing.DiscretePath([1.0, 2.0], [0.0, -1.0]), "got 2.0"),
+    (lambda: timing.DiscretePath([1.0, float("nan")], [0.0, -1.0]),
      "got nan"),
     (lambda: gravitunnel.optimize_path(1.0, 2), "got 2"),
-    (lambda: timing.DiscretePath.from_arrays([1.0, 0.5], [0.0, math.nan]),
+    (lambda: timing.DiscretePath([1.0, 0.5], [0.0, math.nan]),
      "theta[1] = nan"),
-    (lambda: timing.DiscretePath.from_arrays([1.0, 0.5, 1.0], [0.0, -1.0]),
+    (lambda: timing.DiscretePath([1.0, 0.5, 1.0], [0.0, -1.0]),
      "got 3 and 2"),
-    (lambda: timing.DiscretePath.from_arrays([1.0, 0.5], [0.0, -1.0],
-                                             [0.0, 0.5, 0.0]), "got 3 and 2"),
+    (lambda: timing.DiscretePath([1.0, 0.5], [0.0, -1.0],
+                                 [0.0, 0.5, 0.0]), "got 3 and 2"),
+    (lambda: timing.DiscretePath([1.0, 0.5, 1.0], [0.0, -0.5, -1.0],
+                                 [0.0, 0.9, 0.0]),
+     "depth[1] = 0.9 contradicts rho[1] = 0.5"),
     (lambda: cycloid.CycloidSolution(-1.0), "got -1.0"),
     (lambda: closed.ChordSpec(7.0), "got 7.0"),
 ])

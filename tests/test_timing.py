@@ -8,10 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import quad_half_time
-from gravitunnel import (BrachFamily, DegenerateSegmentError, DiscretePath,
-                         DomainError, QuadratureError,
-                         arc_integral, arc_length,
-                         chord_from_separation, chord_path,
+from gravitunnel import (BrachFamily, ChordSpec, DegenerateSegmentError,
+                         DiscretePath, DomainError, QuadratureError,
+                         arc_integral, arc_length, chord_path,
                          cumulative_path_times, family_from_separation,
                          half_transit_time, path_transit_time, sample_path,
                          timing, total_transit_time)
@@ -22,13 +21,13 @@ K_SWEEP = np.geomspace(0.05, 20.0, 20)
 
 class TestHalfTransit:
     def test_through_center_closed_form(self):
-        result = half_transit_time(BrachFamily.from_momentum(0.0))
+        result = half_transit_time(BrachFamily(0.0))
         assert result.tau == math.pi / 2
         assert result.error_estimate == 0.0
         assert result.evaluations == 0
 
     def test_k1(self):
-        result = half_transit_time(BrachFamily.from_momentum(1.0))
+        result = half_transit_time(BrachFamily(1.0))
         assert 2 * result.tau == pytest.approx(math.pi / math.sqrt(2), abs=1e-8)
         assert result.error_estimate < 1e-10 * result.tau + 1e-10
         assert result.evaluations > 0
@@ -36,17 +35,17 @@ class TestHalfTransit:
     @pytest.mark.parametrize("k", (0.3, 1.0, 3.0))
     def test_against_quadpack(self, k):
         # in-house tanh-sinh vs scipy QUADPACK on the same integrand
-        result = half_transit_time(BrachFamily.from_momentum(k))
+        result = half_transit_time(BrachFamily(k))
         assert result.tau == pytest.approx(quad_half_time(k), abs=1e-9)
 
     def test_vanishing_tunnel(self):
-        assert 2 * half_transit_time(BrachFamily.from_momentum(100.0)).tau < 0.05
+        assert 2 * half_transit_time(BrachFamily(100.0)).tau < 0.05
 
     def test_nonconvergence_raises_at_the_level_cap(self, monkeypatch):
         # one halving of the step cannot agree with the first level to 1e-10
         monkeypatch.setattr(timing, "_MAX_LEVEL", 1)
         with pytest.raises(QuadratureError, match="time integral") as err:
-            half_transit_time(BrachFamily.from_momentum(1.0))
+            half_transit_time(BrachFamily(1.0))
         assert err.value.evaluations > 0
         assert err.value.error_estimate > 0
 
@@ -59,7 +58,7 @@ def within_ulps(value, exact, ulps):
 class TestTotalTransit:
     def test_closed_form_record(self):
         # nothing is integrated; the quadrature route agrees to round-off
-        fam = BrachFamily.from_momentum(0.7)
+        fam = BrachFamily(0.7)
         total = total_transit_time(fam)
         assert total.error_estimate == 0.0
         assert total.evaluations == 0
@@ -80,7 +79,7 @@ class TestTotalTransit:
             assert within_ulps(arc_length(fam), 2 * q * (2 - q), 4)
 
     def test_monotone_decreasing_in_k(self):
-        taus = [2 * half_transit_time(BrachFamily.from_momentum(float(k))).tau
+        taus = [2 * half_transit_time(BrachFamily(float(k))).tau
                 for k in K_SWEEP]
         assert np.all(np.diff(taus) < 0)
 
@@ -94,13 +93,13 @@ class TestTotalTransit:
 
 class TestArcIntegral:
     def test_degenerate_closed_forms(self):
-        fam0 = BrachFamily.from_momentum(0.0)
+        fam0 = BrachFamily(0.0)
         assert arc_integral(fam0) == 1.0
         assert half_transit_time(fam0).tau == math.pi / 2
 
     def test_length_selector_against_closed_form(self):
         for k in K_SWEEP:
-            fam = BrachFamily.from_momentum(float(k))
+            fam = BrachFamily(float(k))
             q = fam.separation_angle / math.pi
             assert abs(arc_integral(fam) - q * (2 - q)) < 1e-9
 
@@ -119,16 +118,16 @@ class TestArcIntegral:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(
         st.floats(-300.0, 153.6).map(
-            lambda e: BrachFamily.from_momentum(10.0 ** e)),
+            lambda e: BrachFamily(10.0 ** e)),
         st.floats(-300.0, math.log10(math.pi)).map(
             lambda e: family_from_separation(min(10.0 ** e, math.pi))),
         st.integers(1, 16).map(
             lambda j: family_from_separation(math.pi - 10.0 ** -j))))
-    @example(BrachFamily.from_momentum(1e-8))
-    @example(BrachFamily.from_momentum(3e-8))
-    @example(BrachFamily.from_momentum(1e-10))
-    @example(BrachFamily.from_momentum(1e8))
-    @example(BrachFamily.from_momentum(6e7))
+    @example(BrachFamily(1e-8))
+    @example(BrachFamily(3e-8))
+    @example(BrachFamily(1e-10))
+    @example(BrachFamily(1e8))
+    @example(BrachFamily(6e7))
     @example(family_from_separation(1e-17))
     @example(family_from_separation(3.16e-8))
     @pytest.mark.parametrize("selector", ("time", "length"))
@@ -150,49 +149,49 @@ class TestArcIntegral:
 
 
 class TestDiscretePath:
-    def test_from_arrays_basics(self):
-        path = DiscretePath.from_arrays([1.0, 0.5, 1.0], [0.0, -0.5, -1.0])
+    def test_basics(self):
+        path = DiscretePath([1.0, 0.5, 1.0], [0.0, -0.5, -1.0])
         assert len(path) == 3
         assert path.endpoint_separation() == 1.0
 
     def test_arrays_are_read_only(self):
-        path = DiscretePath.from_arrays([1.0, 0.5, 1.0], [0.0, -0.5, -1.0])
+        path = DiscretePath([1.0, 0.5, 1.0], [0.0, -0.5, -1.0])
         with pytest.raises(ValueError):
             path.rho[0] = 0.0
 
     def test_rejects_bad_input(self):
         with pytest.raises(DomainError):
-            DiscretePath.from_arrays([1.0], [0.0])
+            DiscretePath([1.0], [0.0])
         with pytest.raises(DomainError):
-            DiscretePath.from_arrays([1.0, 0.5], [0.0])
+            DiscretePath([1.0, 0.5], [0.0])
         with pytest.raises(DomainError):
-            DiscretePath.from_arrays([1.0, 1.2], [0.0, -0.5])
+            DiscretePath([1.0, 1.2], [0.0, -0.5])
         with pytest.raises(DomainError):
-            DiscretePath.from_arrays([1.0, 0.5], [0.0, math.inf])
+            DiscretePath([1.0, 0.5], [0.0, math.inf])
 
     def test_depth(self):
-        plain = DiscretePath.from_arrays([1.0, 0.5, 1.0], [0.0, -0.5, -1.0])
+        plain = DiscretePath([1.0, 0.5, 1.0], [0.0, -0.5, -1.0])
         assert np.array_equal(plain.depth, 1.0 - plain.rho)
-        path = DiscretePath.from_arrays([1.0, 0.5, 1.0], [0.0, -0.5, -1.0],
-                                        [0.0, 0.5, 0.0])
+        path = DiscretePath([1.0, 0.5, 1.0], [0.0, -0.5, -1.0],
+                            [0.0, 0.5, 0.0])
         assert path.depth.tolist() == [0.0, 0.5, 0.0]
         with pytest.raises(ValueError):
             path.depth[0] = 0.5
         with pytest.raises(DomainError):
-            DiscretePath.from_arrays([1.0, 0.5], [0.0, -0.5], [0.0])
+            DiscretePath([1.0, 0.5], [0.0, -0.5], [0.0])
         with pytest.raises(DomainError):
-            DiscretePath.from_arrays([1.0, 0.5], [0.0, -0.5], [0.0, 1.5])
+            DiscretePath([1.0, 0.5], [0.0, -0.5], [0.0, 1.5])
         # a depth that contradicts rho would decide the surface wrongly
         with pytest.raises(DomainError,
                            match=r"depth\[0\] = 0\.5.*rho\[0\] = 1\.0"):
-            DiscretePath.from_arrays([1.0, 0.5, 1.0], [0.0, -0.5, -1.0],
-                                     [0.5, 0.5, 0.5])
-        near = DiscretePath.from_arrays([1.0, 0.5], [0.0, -0.5],
-                                        [1e-13, 0.5])
+            DiscretePath([1.0, 0.5, 1.0], [0.0, -0.5, -1.0],
+                         [0.5, 0.5, 0.5])
+        near = DiscretePath([1.0, 0.5], [0.0, -0.5],
+                            [1e-13, 0.5])
         assert near.depth[0] == 1e-13
 
     def test_xy_and_arclength(self):
-        path = DiscretePath.from_arrays([1.0, 0.0, 1.0], [0.0, -0.1, -math.pi])
+        path = DiscretePath([1.0, 0.0, 1.0], [0.0, -0.1, -math.pi])
         x, y = path.xy()
         assert x[0] == 1.0 and abs(y[0]) == 0.0
         s = path.cumulative_arclength()
@@ -214,7 +213,7 @@ class TestDiscretePath:
 
 class TestPathTransit:
     def test_sampled_family_matches_quadrature(self):
-        fam = BrachFamily.from_momentum(1.0)
+        fam = BrachFamily(1.0)
         reference = total_transit_time(fam).tau
         result = path_transit_time(sample_path(fam, 10_000))
         assert abs(result.tau - reference) / reference < 1e-4
@@ -223,7 +222,7 @@ class TestPathTransit:
 
     @pytest.mark.parametrize("k", (0.25, 1.0, 4.0))
     def test_self_consistency(self, k):
-        fam = BrachFamily.from_momentum(k)
+        fam = BrachFamily(k)
         reference = total_transit_time(fam).tau
         result = path_transit_time(sample_path(fam, 10_000))
         assert abs(result.tau - reference) / reference < 1e-3
@@ -249,7 +248,7 @@ class TestPathTransit:
         assert tau >= reference
 
     def test_convergence_order_on_curved_paths(self):
-        fam = BrachFamily.from_momentum(1.0)
+        fam = BrachFamily(1.0)
         reference = total_transit_time(fam).tau
         errors = []
         for n in (200, 400, 800, 1600):
@@ -259,14 +258,14 @@ class TestPathTransit:
         assert min(orders) >= 1.0
 
     def test_error_estimate_tracks_refinement(self):
-        fam = BrachFamily.from_momentum(1.0)
+        fam = BrachFamily(1.0)
         reference = total_transit_time(fam).tau
         result = path_transit_time(sample_path(fam, 2000))
         true_error = abs(result.tau - reference)
         assert result.error_estimate > true_error / 10
 
     def test_degenerate_two_point_path(self):
-        path = DiscretePath.from_arrays([1.0, 1.0], [0.0, 0.0])
+        path = DiscretePath([1.0, 1.0], [0.0, 0.0])
         with pytest.raises(DegenerateSegmentError):
             path_transit_time(path)
 
@@ -281,13 +280,13 @@ class TestPathTransit:
     @pytest.mark.parametrize("delta", (1e-12, 1e-9, 1e-6, 1e-3, 1.0, math.pi))
     def test_two_point_chord_takes_pi(self, delta):
         # one segment between two surface points: the gravity train
-        tau = path_transit_time(chord_path(chord_from_separation(delta), 2)).tau
+        tau = path_transit_time(chord_path(ChordSpec(delta), 2)).tau
         assert abs(tau - math.pi) <= math.ulp(math.pi)
 
     def test_zero_length_interior_segment_is_skipped(self):
-        base = DiscretePath.from_arrays([1.0, 0.5, 1.0], [0.0, -0.5, -1.0])
-        doubled = DiscretePath.from_arrays([1.0, 0.5, 0.5, 1.0],
-                                           [0.0, -0.5, -0.5, -1.0])
+        base = DiscretePath([1.0, 0.5, 1.0], [0.0, -0.5, -1.0])
+        doubled = DiscretePath([1.0, 0.5, 0.5, 1.0],
+                               [0.0, -0.5, -0.5, -1.0])
         assert path_transit_time(doubled).tau == pytest.approx(
             path_transit_time(base).tau, rel=1e-15)
 
@@ -421,12 +420,12 @@ def test_rho_only_segment_times_match_mpmath_on_a_short_tunnel():
 @pytest.mark.parametrize("n", (79, 78))
 def test_error_estimate_is_the_every_other_sample_gap(n):
     # sample_path(family, 40) has 79 samples; dropping the second leaves 78
-    path = sample_path(BrachFamily.from_momentum(1.0), 40)
+    path = sample_path(BrachFamily(1.0), 40)
     keep = [i for i in range(79) if n == 79 or i != 1]
     rho, theta = path.rho[keep], path.theta[keep]
     idx = sorted(set(range(0, n, 2)) | {n - 1})
-    result = path_transit_time(DiscretePath.from_arrays(rho, theta))
-    coarse = path_transit_time(DiscretePath.from_arrays(rho[idx], theta[idx]))
+    result = path_transit_time(DiscretePath(rho, theta))
+    coarse = path_transit_time(DiscretePath(rho[idx], theta[idx]))
     assert result.error_estimate == abs(result.tau - coarse.tau)
     assert result.evaluations == (n - 1) + (len(idx) - 1)
 
@@ -444,7 +443,7 @@ def test_degenerate_segment_is_named_from_the_path_start():
 
 
 def test_sampled_path_runs_the_kernel_once(monkeypatch):
-    path = sample_path(BrachFamily.from_momentum(1.0), 10_000)
+    path = sample_path(BrachFamily(1.0), 10_000)
     calls = []
 
     def counted(rho, theta, depth):
@@ -466,7 +465,7 @@ def test_direct_path_keeps_its_times_when_the_caller_writes(time_first):
     rho = np.array([1.0, 0.5, 0.4, 1.0])
     theta = np.array([0.0, -0.4, -0.6, -1.0])
     depth = 1.0 - rho
-    reference = path_transit_time(DiscretePath.from_arrays(rho, theta))
+    reference = path_transit_time(DiscretePath(rho, theta))
     path = DiscretePath(rho=rho, theta=theta, depth=depth)
     if time_first:
         path_transit_time(path)
@@ -479,10 +478,7 @@ def test_direct_path_keeps_its_times_when_the_caller_writes(time_first):
         assert not values.flags.writeable
 
 
-def test_owned_arrays_are_kept_and_views_of_writable_ones_copied():
-    path = sample_path(BrachFamily.from_momentum(1.0), 50)
-    again = DiscretePath(path.rho, path.theta, path.depth)
-    assert again.rho is path.rho and again.depth is path.depth
+def test_views_of_writable_arrays_are_copied():
     writable = np.array([1.0, 0.5, 1.0])
     view = writable.view()
     view.setflags(write=False)
@@ -492,7 +488,7 @@ def test_owned_arrays_are_kept_and_views_of_writable_ones_copied():
 
 
 def test_cumulative_path_times():
-    fam = BrachFamily.from_momentum(1.0)
+    fam = BrachFamily(1.0)
     path = sample_path(fam, 500)
     cumulative = cumulative_path_times(path)
     assert cumulative[0] == 0.0
@@ -503,11 +499,11 @@ def test_cumulative_path_times():
 
 def test_transit_result_positive():
     for k in (0.0, 0.5, 5.0):
-        assert total_transit_time(BrachFamily.from_momentum(k)).tau > 0
+        assert total_transit_time(BrachFamily(k)).tau > 0
 
 
 def test_concurrent_sweep_matches_serial():
-    families = [BrachFamily.from_momentum(float(k)) for k in K_SWEEP]
+    families = [BrachFamily(float(k)) for k in K_SWEEP]
     serial = [half_transit_time(f).tau for f in families]
     with ThreadPoolExecutor(max_workers=8) as pool:
         threaded = list(pool.map(lambda f: half_transit_time(f).tau, families))
@@ -524,7 +520,7 @@ def test_mirrored_times_match_the_kernel_on_the_stored_arrays(separation, n):
     # second-half angles are rounded, so the kernel on them differs by
     # round-off only
     path = sample_path(family_from_separation(separation), n)
-    plain = DiscretePath.from_arrays(path.rho, path.theta, path.depth)
+    plain = DiscretePath(path.rho, path.theta, path.depth)
     reference = _segment_times(path.rho, path.theta, path.depth)
     times = path.segment_times
     assert np.all(np.abs(times - reference) <= 1e-11 * reference)
@@ -540,8 +536,8 @@ def test_mirrored_times_match_the_kernel_on_the_stored_arrays(separation, n):
 @pytest.mark.parametrize("n", (3, 40, 41, 1500))
 def test_sampled_path_reports_the_kernel_evaluations_made(n):
     # 2n - 2 segments and n - 1 coarse ones, each timed over its first half
-    path = sample_path(BrachFamily.from_momentum(1.0), n)
-    plain = DiscretePath.from_arrays(path.rho, path.theta, path.depth)
+    path = sample_path(BrachFamily(1.0), n)
+    plain = DiscretePath(path.rho, path.theta, path.depth)
     assert path_transit_time(path).evaluations == (n - 1) + n // 2
     assert path_transit_time(plain).evaluations == 3 * (n - 1)
 
