@@ -49,9 +49,9 @@ import math
 
 import numpy as np
 
-from .closed import (DOMAIN_EPS, BrachFamily, arc_length,  # noqa: F401
-                     family_from_separation, rho_min, tunnel_point,
-                     tunnel_step, tunnel_turnaround)
+from .closed import (DOMAIN_EPS, BrachFamily, _count,  # noqa: F401
+                     _number, arc_length, family_from_separation, rho_min,
+                     tunnel_point, tunnel_step, tunnel_turnaround)
 from .errors import DomainError
 from .timing import DiscretePath
 
@@ -62,7 +62,7 @@ def theta_prime(rho, k: float):
     Positive and finite on the open interval; tends to 0 at the surface
     and diverges at the minimum radius.  Accepts scalar or array rho.
     """
-    k = float(k)
+    k = _number(k, "k")
     if not (math.isfinite(k) and k > 0.0):
         raise DomainError(f"theta_prime needs k > 0; got {k!r}")
     rm = rho_min(k)
@@ -86,9 +86,7 @@ def theta_of_rho(rho, k: float):
     the degenerate k = 0 diameter the angle is 0 above the center and
     -pi/2 (the symmetry bisector) at the center itself.
     """
-    k = float(k)
-    if not (math.isfinite(k) and k >= 0.0):
-        raise DomainError(f"k must be a finite number >= 0; got {k!r}")
+    k = _number(k, "k")
     rm = rho_min(k)
     arr = np.asarray(rho, dtype=float)
     if np.any(arr < rm - DOMAIN_EPS) or np.any(arr > 1.0 + DOMAIN_EPS):
@@ -143,6 +141,7 @@ def sample_path(family: BrachFamily, n: int) -> DiscretePath:
     first half (`timing._mirrored_times`: ~3.4e-12 per segment, 3 ulps).
     """
     q = family.depth
+    n = _count(n, "n")
     step = tunnel_step(q, n)
     half_depth, half_theta, _, _ = tunnel_point(
         q, np.arange(n - 1) * step, np.sin, np.sqrt, np.arctan2)

@@ -16,7 +16,7 @@ to the same integrators and plotted on the same axes.  A chord is
 
 import numpy as np
 
-from .closed import ChordSpec, chord_point
+from .closed import ChordSpec, _count, chord_point
 from .errors import DomainError
 from .timing import DiscretePath
 
@@ -32,7 +32,7 @@ def chord_path(spec: ChordSpec, n: int) -> DiscretePath:
     """
     if not isinstance(spec, ChordSpec):
         raise DomainError("chord_path expects a ChordSpec")
-    n = int(n)
+    n = _count(n, "n")
     if n < 2:
         raise DomainError(f"chord_path needs n >= 2 samples; got {n}")
     t = np.linspace(0.0, 1.0, n)

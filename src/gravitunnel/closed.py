@@ -16,10 +16,11 @@ Each record has one constructor, the record itself: `BrachFamily(k)`,
 `ChordSpec(separation_angle)`, `PhysicalParams(radius_m, gravity_m_s2)`
 and `cycloid.CycloidSolution(horizontal_span)`.  It converts each field
 with float() and checks it, and raises DomainError naming any value it
-refuses.  The records are immutable named tuples, not dataclasses:
-`collections` is loaded by `argparse` anyway, while `dataclasses` pulls
-in `inspect` and would cost a fresh CLI process more than the rest of
-the package.  The same point formulas run on numpy arrays for
+refuses, as does every public function of a number.  Every record of
+the package, results too, is a named tuple of what it was given or
+measured, with what follows from that as properties; `dataclasses`
+would pull in `inspect`, costing a CLI process more than the package.
+The same point formulas run on numpy arrays for
 `sample_path` and `chord_path`.  The numerical routes that check the
 same numbers live in `timing`, `oracle` and `checks`.
 
@@ -44,13 +45,21 @@ def _number(value, name: str) -> float:
     """float(value), or DomainError naming a value that float() refuses."""
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{name} must be a number; got {value!r}") from None
+
+
+def _count(value, name: str) -> int:
+    """int(value) of a finite number, or DomainError naming any other."""
+    count = _number(value, name)
+    if not math.isfinite(count):
+        raise DomainError(f"{name} must be a finite number; got {value!r}")
+    return int(count)
 
 
 def rho_min(k: float) -> float:
     """Minimum radius k / sqrt(k^2 + 1) reached by the family member k."""
-    k = float(k)
+    k = _number(k, "k")
     if not (math.isfinite(k) and k >= 0.0):
         raise DomainError(f"k must be a finite number >= 0; got {k!r}")
     return k / math.hypot(k, 1.0)
@@ -109,7 +118,7 @@ def family_from_separation(delta_theta: float) -> BrachFamily:
     """Family member whose surface endpoints are delta_theta apart,
     for delta_theta in (0, pi] down to about 7e-308, where the depth
     delta_theta/pi is still a normal float; else DomainError."""
-    delta_theta = float(delta_theta)
+    delta_theta = _number(delta_theta, "separation")
     if not (math.isfinite(delta_theta) and 0.0 < delta_theta <= math.pi):
         raise DomainError("separation must lie in (0, pi]; got "
                           f"{delta_theta!r}")

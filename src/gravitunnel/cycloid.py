@@ -13,7 +13,8 @@ horizontal line traces x = a (phi - sin phi), y = a (1 - cos phi) with
 depth y positive downward; release is from rest at the cusp phi = 0 and
 the time to reach parameter phi in a field of strength g is
 phi * sqrt(a / g).  The arch between two level points a span apart is
-`CycloidSolution(span)`, the record's one constructor.
+`CycloidSolution(span)`, the record's one constructor.  A comparison
+stores its separation and measured mismatch; its times are properties.
 """
 
 import math
@@ -60,14 +61,26 @@ def cycloid_time(sol: CycloidSolution) -> float:
 
 
 class SmallArcComparison(namedtuple(
-        "SmallArcComparison", "delta_theta max_geometry_deviation sphere_time "
-        "cycloid_time relative_time_difference")):
+        "SmallArcComparison", "delta_theta max_geometry_deviation")):
     """Spherical tunnel vs uniform-field cycloid over the same endpoints.
 
-    max_geometry_deviation is the largest depth mismatch per unit span.
+    max_geometry_deviation is the largest depth mismatch per unit span;
+    the two transit times and their relative difference follow from
+    delta_theta.
     """
 
     __slots__ = ()
+
+    sphere_time = property(lambda self: tunnel_time(self.delta_theta / math.pi))
+    cycloid_time = property(
+        lambda self: cycloid_time(CycloidSolution(self.delta_theta)))
+
+    @property
+    def relative_time_difference(self):
+        """1 - sqrt(1 - x), x = delta_theta/(2 pi), as x / (1 + sqrt(1 - x)),
+        which does not cancel: within a few ulps at every separation."""
+        x = self.delta_theta / (2.0 * math.pi)
+        return x / (1.0 + math.sqrt(1.0 - x))
 
 
 def compare_small_arc(delta_theta: float) -> SmallArcComparison:
@@ -92,17 +105,12 @@ def compare_small_arc(delta_theta: float) -> SmallArcComparison:
     family's few-ulp-off formula of k, which would move the (cancelling)
     depth differences.
 
-    The tunnel takes pi sqrt(q (2 - q)) and the cycloid sqrt(2 pi delta),
-    so with x = delta/(2 pi) the relative time difference is
-    1 - sqrt(1 - x), taken as x / (1 + sqrt(1 - x)), which does not
-    cancel: within a few ulps at every separation.
-
     Separations above 0.2 rad are outside the small-arc regime; use the
     family and timing tools directly to compare large tunnels.  Below
     1e-12 the stations' round-off swamps the mismatch; a separation
     outside [1e-12, 0.2] raises DomainError naming it.
     """
-    delta_theta = float(delta_theta)
+    delta_theta = _number(delta_theta, "delta_theta")
     if not _MIN_SEPARATION <= delta_theta <= 0.2:
         raise DomainError("compare_small_arc covers separations in "
                           f"[{_MIN_SEPARATION!r}, 0.2] rad; got separation "
@@ -123,9 +131,4 @@ def compare_small_arc(delta_theta: float) -> SmallArcComparison:
                 break
         half = sin(0.5 * p)
         worst = max(worst, abs(depth - 2.0 * b * half * half))
-
-    x = delta_theta / (2.0 * math.pi)
-    return SmallArcComparison(
-        delta_theta=delta_theta, max_geometry_deviation=worst / delta_theta,
-        sphere_time=tunnel_time(q), cycloid_time=cycloid_time(flat),
-        relative_time_difference=x / (1.0 + math.sqrt(1.0 - x)))
+    return SmallArcComparison(delta_theta, worst / delta_theta)

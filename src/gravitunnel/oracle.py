@@ -6,33 +6,36 @@ paths directly, by Newton's method on the exact derivatives of the
 polyline time (numpy only), and the bead simulator integrates Newton's
 law along an interpolated tunnel (the one user of scipy here); both
 have to land on the same transit times as the quadrature of the closed
-form, or something upstream is wrong.
+form, or something upstream is wrong.  Each run returns a named tuple
+of what it measured.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .brachistochrone import sample_path
-from .closed import DOMAIN_EPS, BrachFamily
+from .closed import DOMAIN_EPS, BrachFamily, _count, _number
 from .errors import DomainError, PathError, StalledTrajectoryError
 from .timing import DiscretePath, _segment_time_partials, _segment_times
 
-
-@dataclass(frozen=True)
-class OptimizationReport:
-    """Outcome of a direct transcription run."""
-
-    best_path: DiscretePath
-    best_time: float
-    iterations: int
-    converged: bool
-    first_order_residual: float
-
-
 _BOUND_MARGIN = 1e-9
 _RESIDUAL_THRESHOLD = 1e-6
+
+
+class OptimizationReport(namedtuple(
+        "OptimizationReport",
+        "best_path best_time iterations first_order_residual")):
+    """Outcome of a direct transcription run: the best path, its time, the
+    Newton steps taken and the gradient's max norm, which ``converged``
+    holds to at most 1e-6."""
+
+    __slots__ = ()
+
+    converged = property(
+        lambda self: self.first_order_residual <= _RESIDUAL_THRESHOLD)
+
 _NEWTON_STEPS = 100
 _HALVINGS = 40
 # sampling of the tunnel that perturbation_test bumps
@@ -100,11 +103,11 @@ def optimize_path(delta_theta: float, interior_points: int) -> OptimizationRepor
     when it is at most 1e-6.  Returns a report rather than raising when
     it is not.
     """
-    delta_theta = float(delta_theta)
+    delta_theta = _number(delta_theta, "delta_theta")
     if not (math.isfinite(delta_theta) and 0.0 < delta_theta < math.pi):
         raise DomainError("optimize_path needs a separation in (0, pi); got "
                           f"{delta_theta!r}")
-    interior_points = int(interior_points)
+    interior_points = _count(interior_points, "interior_points")
     if interior_points < 3:
         raise DomainError("optimize_path needs at least 3 interior points; "
                           f"got {interior_points}")
@@ -145,12 +148,9 @@ def optimize_path(delta_theta: float, interior_points: int) -> OptimizationRepor
         rho, best = candidate, trial
         gradient, diag, off = derivatives(rho)
         steps += 1
-    residual = float(np.max(np.abs(gradient)))
-    return OptimizationReport(best_path=DiscretePath(rho, thetas),
-                              best_time=best,
-                              iterations=steps,
-                              converged=residual <= _RESIDUAL_THRESHOLD,
-                              first_order_residual=residual)
+    return OptimizationReport(
+        best_path=DiscretePath(rho, thetas), best_time=best, iterations=steps,
+        first_order_residual=float(np.max(np.abs(gradient))))
 
 
 def perturbation_test(family: BrachFamily, amplitude: float,
@@ -167,11 +167,11 @@ def perturbation_test(family: BrachFamily, amplitude: float,
     """
     if not isinstance(family, BrachFamily):
         raise DomainError("perturbation_test expects a BrachFamily")
-    amplitude = float(amplitude)
+    amplitude = _number(amplitude, "amplitude")
     if not (math.isfinite(amplitude) and abs(amplitude) <= 1e-2):
         raise DomainError("perturbation amplitude must satisfy |a| <= 1e-2; "
                           f"got {amplitude!r}")
-    mode = int(mode)
+    mode = _count(mode, "mode")
     if mode < 1:
         raise DomainError(f"mode must be a positive integer; got {mode}")
     path = sample_path(family, _SAMPLES_PER_HALF)
@@ -213,26 +213,20 @@ _TRACE_SAMPLES = 2001
 _MIN_DEPTH = 1e4 * _ATOL
 
 
-@dataclass(frozen=True)
-class SimulationTrace:
+class SimulationTrace(namedtuple(
+        "SimulationTrace", "tau rho speed transit_time max_energy_drift "
+        "rhs_evaluations steps end_gap")):
     """Sampled history of a bead run plus its summary numbers.
 
-    ``rhs_evaluations`` and ``steps`` count the integrator's right-hand
-    side calls and accepted steps.  ``end_gap`` is the signed chordwise
-    distance from a zero-speed turnaround to the far end (positive when
-    the bead stopped short), whose time is reported as the arrival, and
-    0.0 when the bead crossed the end with speed.
+    ``tau``, ``rho`` and ``speed`` are read-only arrays, sampled where
+    the drift is taken.  ``rhs_evaluations`` and ``steps`` count the
+    integrator's right-hand side calls and accepted steps.  ``end_gap``
+    is the signed chordwise distance from a zero-speed turnaround, timed
+    as the arrival, to the far end (positive when the bead stopped
+    short), and 0.0 when the bead crossed the end with speed.
     """
 
-    tau: np.ndarray
-    arclength: np.ndarray
-    rho: np.ndarray
-    speed: np.ndarray
-    transit_time: float
-    max_energy_drift: float
-    rhs_evaluations: int
-    steps: int
-    end_gap: float
+    __slots__ = ()
 
 
 def _end_slope(sigma, values, at_start):
@@ -260,7 +254,7 @@ def simulate_bead(path: DiscretePath) -> SimulationTrace:
     turning point, if the bead fails to reach the far end by tau = 8 pi,
     and PathError for a path shallower than _MIN_DEPTH (separation ~3e-9).
     """
-    from scipy.integrate import cumulative_trapezoid, solve_ivp
+    from scipy.integrate import solve_ivp
     from scipy.interpolate import CubicSpline
 
     if not isinstance(path, DiscretePath):
@@ -274,7 +268,8 @@ def simulate_bead(path: DiscretePath) -> SimulationTrace:
     x, y = x[keep], y[keep]
     if x.size < 2:
         raise PathError("path has no extent after removing duplicate points")
-    sigma = np.concatenate(([0.0], np.cumsum(np.hypot(np.diff(x), np.diff(y)))))
+    # a dropped point equals the one before it: no second hypot pass
+    sigma = np.concatenate(([0.0], np.cumsum(seg[keep[1:]])))
     pts = np.column_stack((x, y))
     d_start = np.array([_end_slope(sigma, x, True), _end_slope(sigma, y, True)])
     d_end = np.array([_end_slope(sigma, x, False), _end_slope(sigma, y, False)])
@@ -319,26 +314,23 @@ def simulate_bead(path: DiscretePath) -> SimulationTrace:
         if abs(gap) <= 1e-6 * max(sigma_end, 1.0) and decel > 0.0:
             end_gap = float(gap)
         else:
-            p_turn = spline(s_turn)
+            rho_turn = float(np.hypot(*spline(s_turn)))
             raise StalledTrajectoryError(
                 "bead turned around before the far end: turning point at "
                 f"tau = {t_end:.6g}, arclength parameter {s_turn:.6g} of "
-                f"{sigma_end:.6g}, rho = {float(np.hypot(*p_turn)):.6g}",
-                tau=t_end, arclength=s_turn,
-                rho=float(np.hypot(*p_turn)))
+                f"{sigma_end:.6g}, rho = {rho_turn:.6g}",
+                tau=t_end, arclength=s_turn, rho=rho_turn)
     else:
         probe = np.linspace(0.0, sol.t[-1], 2001)
         s_probe, w_probe = sol.sol(probe)
         i = int(np.argmax(s_probe))
-        p_turn = spline(s_probe[i])
+        rho_turn = float(np.hypot(*spline(s_probe[i])))
         raise StalledTrajectoryError(
             "bead failed to reach the far end within tau = "
             f"{_MAX_TAU:.6g}; deepest progress at tau = {probe[i]:.6g}, "
-            f"sigma = {s_probe[i]:.6g}, rho = {float(np.hypot(*p_turn)):.6g} "
+            f"sigma = {s_probe[i]:.6g}, rho = {rho_turn:.6g} "
             f"(residual speed parameter {w_probe[i]:.2e})",
-            tau=float(probe[i]),
-            arclength=float(s_probe[i]),
-            rho=float(np.hypot(*p_turn)))
+            tau=float(probe[i]), arclength=float(s_probe[i]), rho=rho_turn)
 
     taus = np.unique(np.concatenate((np.linspace(0.0, t_end, _TRACE_SAMPLES),
                                      sol.t[sol.t <= t_end])))
@@ -346,18 +338,12 @@ def simulate_bead(path: DiscretePath) -> SimulationTrace:
     s_tau = np.clip(s_tau, 0.0, sigma_end)
     p = spline(s_tau)
     g1 = dspline(s_tau)
-    speed = np.linalg.norm(g1, axis=1) * w_tau
+    speed = np.abs(np.linalg.norm(g1, axis=1) * w_tau)
     rho = np.hypot(p[:, 0], p[:, 1])
-    # chordwise parameter -> true arclength, tabulated once
-    fine = np.linspace(0.0, sigma_end, max(4 * sigma.size, 1000))
-    speed_of_sigma = np.linalg.norm(dspline(fine), axis=1)
-    arclen_table = cumulative_trapezoid(speed_of_sigma, fine, initial=0.0)
-    arclength = np.interp(s_tau, fine, arclen_table)
     drift = float(np.max(np.abs(0.5 * speed**2 - 0.5 * (1.0 - rho**2))))
-    for arr in (taus, arclength, rho, speed):
+    for arr in (taus, rho, speed):
         arr.setflags(write=False)
-    return SimulationTrace(tau=taus, arclength=arclength, rho=rho,
-                           speed=np.abs(speed), transit_time=t_end,
+    return SimulationTrace(tau=taus, rho=rho, speed=speed, transit_time=t_end,
                            max_energy_drift=drift,
                            rhs_evaluations=int(sol.nfev), steps=sol.t.size - 1,
                            end_gap=end_gap)

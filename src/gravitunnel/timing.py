@@ -49,7 +49,8 @@ segment time in its end radii, which the transcription optimizer uses.
 
 Each path is timed once: a `DiscretePath`, a tunnel's polar samples,
 checked and copied by its one constructor, caches its segment times,
-which `path_transit_time` and `cumulative_path_times` share.
+which `path_transit_time` and `cumulative_path_times` share.  Its
+arrays make it a plain class, equal and hashed by identity.
 
 A sampled tunnel (`brachistochrone.sample_path`) is its first half and
 that half's mirror image, and a segment's time depends only on its end
@@ -66,7 +67,6 @@ kernel on every segment (`_path_kernel`).
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -287,7 +287,6 @@ def _unit_interval(value, name):
     return arr
 
 
-@dataclass(frozen=True, init=False)
 class DiscretePath:
     """Ordered polar samples of a tunnel, normally surface to surface.
 
@@ -312,14 +311,11 @@ class DiscretePath:
     and cached, so a path is timed once however many of
     `path_transit_time` and `cumulative_path_times` run on it.  The
     cache is sound because no one can write the path's arrays.
+
+    A path is immutable, and equal only to itself.
     """
 
-    rho: np.ndarray
-    theta: np.ndarray
-    depth: np.ndarray
-
-    # True only on the paths `_mirror_image` builds; not a field, so
-    # `dataclasses.replace` does not carry it over
+    # True only on the paths `_mirror_image` builds
     _mirrored = False
 
     def __init__(self, rho, theta, depth=None):
@@ -361,6 +357,11 @@ class DiscretePath:
         path = cls.__new__(cls)
         vars(path).update(rho=rho, theta=theta, depth=depth, _mirrored=True)
         return path
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"DiscretePath.{name} is read-only")
+
+    __delattr__ = __setattr__
 
     def __len__(self):
         return self.rho.size

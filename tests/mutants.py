@@ -100,6 +100,15 @@ LEDGER = (
      ["tests/test_package.py::test_record_fields_are_floats[PhysicalParams]",
       "tests/test_package.py::test_record_rejects_bad_fields"
       "[PhysicalParams-radius_m=six]"]),
+    ("oracle.py",
+     "lambda self: self.first_order_residual <= _RESIDUAL_THRESHOLD)",
+     "lambda self: True)",
+     ["tests/test_oracle.py::TestOptimizePath::"
+      "test_non_convergence_reports_instead_of_raising"]),
+    ("cycloid.py", "return x / (1.0 + math.sqrt(1.0 - x))",
+     "return 1.0 - math.sqrt(1.0 - x)",
+     ["tests/test_cycloid.py::TestSmallArc::"
+      "test_relative_time_difference_within_4_ulp"]),
 )
 
 

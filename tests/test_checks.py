@@ -29,11 +29,11 @@ def _small_arc_with(monkeypatch, times=None, devs=None):
     def patched(delta):
         i = separations.index(delta)
         report = real(delta)
-        if times is not None:
-            report = report._replace(relative_time_difference=times[i])
-        if devs is not None:
-            report = report._replace(max_geometry_deviation=devs[i])
-        return report
+        return SimpleNamespace(
+            relative_time_difference=(report.relative_time_difference
+                                      if times is None else times[i]),
+            max_geometry_deviation=(report.max_geometry_deviation
+                                    if devs is None else devs[i]))
 
     monkeypatch.setattr(cycloid, "compare_small_arc", patched)
     return checks.small_arc(**SMALL_ARC)

@@ -490,10 +490,12 @@ def test_optimizer_and_small_arc_never_import_scipy():
         compare_small_arc(0.1)
         loaded = sorted(m for m in sys.modules
                         if m == "scipy" or m.startswith("scipy."))
-        print(json.dumps({"converged": converged, "scipy": loaded}))
+        print(json.dumps({"converged": converged, "scipy": loaded,
+                          "dataclasses": "dataclasses" in sys.modules}))
     """)
     assert report["converged"]
     assert report["scipy"] == []
+    assert not report["dataclasses"]
 
 
 class TestVerifyCommand:

@@ -190,7 +190,6 @@ class TestSimulateBead:
         trace = simulate_bead(sample_path(BrachFamily(1.0), 2000))
         assert np.all(trace.speed >= 0)
         assert np.all(np.diff(trace.tau) > 0)
-        assert trace.arclength[0] == 0.0
         assert trace.transit_time > 0
         assert trace.tau[0] == 0.0
         assert trace.speed[0] == pytest.approx(0.0, abs=1e-12)

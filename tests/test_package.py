@@ -2,11 +2,12 @@ import ast
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gravitunnel
 from gravitunnel import (DomainError, brachistochrone, chord, closed, cycloid,
-                         timing)
+                         oracle, timing)
 
 # Closed forms still reached through the modules they moved out of.
 # The benchmark calls and traces family_from_separation and arc_length
@@ -134,6 +135,7 @@ def test_unknown_name_raises_attribute_error():
 
 
 # each record with valid fields, and field sets its construction rejects
+PATH = timing.DiscretePath([1.0, 0.5, 1.0], [0.0, -0.5, -1.0])
 RECORDS = {
     closed.BrachFamily: dict(k=0.0),
     closed.TransitResult: dict(tau=math.pi, error_estimate=0.0,
@@ -142,9 +144,13 @@ RECORDS = {
     closed.PhysicalParams: dict(radius_m=6.371e6, gravity_m_s2=9.80665),
     cycloid.CycloidSolution: dict(horizontal_span=1.0),
     cycloid.SmallArcComparison: dict(delta_theta=0.1,
-                                     max_geometry_deviation=1e-3,
-                                     sphere_time=0.7, cycloid_time=0.71,
-                                     relative_time_difference=0.014),
+                                     max_geometry_deviation=1e-3),
+    oracle.OptimizationReport: dict(best_path=PATH, best_time=2.5,
+                                    iterations=3, first_order_residual=1e-9),
+    oracle.SimulationTrace: dict(tau=np.zeros(2), rho=np.ones(2),
+                                 speed=np.zeros(2), transit_time=math.pi,
+                                 max_energy_drift=1e-10, rhs_evaluations=40,
+                                 steps=3, end_gap=0.0),
 }
 BAD_FIELDS = [
     (closed.BrachFamily, dict(k=-1.0), "k must be a finite number >= 0"),
@@ -218,6 +224,30 @@ def test_record_fields_are_floats(record):
      "depth[1] = 0.9 contradicts rho[1] = 0.5"),
     (lambda: cycloid.CycloidSolution(-1.0), "got -1.0"),
     (lambda: closed.ChordSpec(7.0), "got 7.0"),
+    # each public function of a number names a value float() refuses
+    (lambda: closed.rho_min("abc"), "k must be a number; got 'abc'"),
+    (lambda: closed.family_from_separation("abc"),
+     "separation must be a number; got 'abc'"),
+    (lambda: brachistochrone.theta_prime(0.5, "x"),
+     "k must be a number; got 'x'"),
+    (lambda: brachistochrone.theta_of_rho(0.5, "x"),
+     "k must be a number; got 'x'"),
+    (lambda: cycloid.compare_small_arc("wide"),
+     "delta_theta must be a number; got 'wide'"),
+    (lambda: oracle.optimize_path("wide", 24),
+     "delta_theta must be a number; got 'wide'"),
+    (lambda: oracle.optimize_path(1.0, "many"),
+     "interior_points must be a number; got 'many'"),
+    (lambda: oracle.perturbation_test(closed.BrachFamily(1.0), "big", 1),
+     "amplitude must be a number; got 'big'"),
+    (lambda: oracle.perturbation_test(closed.BrachFamily(1.0), 1e-3, "first"),
+     "mode must be a number; got 'first'"),
+    (lambda: brachistochrone.sample_path(closed.BrachFamily(1.0), "ten"),
+     "n must be a number; got 'ten'"),
+    (lambda: chord.chord_path(closed.ChordSpec(1.0), "ten"),
+     "n must be a number; got 'ten'"),
+    (lambda: chord.chord_path(closed.ChordSpec(1.0), math.inf),
+     "n must be a finite number; got inf"),
 ])
 def test_domain_errors_name_the_input(call, named):
     with pytest.raises(DomainError) as err:

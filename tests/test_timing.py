@@ -159,6 +159,15 @@ class TestDiscretePath:
         with pytest.raises(ValueError):
             path.rho[0] = 0.0
 
+    def test_identity_equality_and_no_assignment(self):
+        path = DiscretePath([1.0, 0.5, 1.0], [0.0, -0.5, -1.0])
+        assert hash(path) == hash(path)
+        assert {path} == {path}
+        assert path == path
+        assert (path == DiscretePath(path.rho, path.theta)) is False
+        with pytest.raises(AttributeError):
+            path.rho = np.zeros(3)
+
     def test_rejects_bad_input(self):
         with pytest.raises(DomainError):
             DiscretePath([1.0], [0.0])
