@@ -49,11 +49,10 @@ import math
 
 import numpy as np
 
-from .closed import (DOMAIN_EPS, BrachFamily, _count,  # noqa: F401
-                     _number, arc_length, family_from_separation, rho_min,
-                     tunnel_point, tunnel_step, tunnel_turnaround)
-from .errors import DomainError
-from .timing import DiscretePath
+from .closed import (_ABOVE_ZERO, BrachFamily, _count,  # noqa: F401
+                     _real, _record, arc_length, family_from_separation,
+                     rho_min, tunnel_point, tunnel_step, tunnel_turnaround)
+from .timing import DiscretePath, _array
 
 
 def theta_prime(rho, k: float):
@@ -62,20 +61,13 @@ def theta_prime(rho, k: float):
     Positive and finite on the open interval; tends to 0 at the surface
     and diverges at the minimum radius.  Accepts scalar or array rho.
     """
-    k = _number(k, "k")
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError(f"theta_prime needs k > 0; got {k!r}")
+    k = _real(k, "k", _ABOVE_ZERO)
     rm = rho_min(k)
-    arr = np.asarray(rho, dtype=float)
-    if np.any(arr <= rm) or np.any(arr > 1.0 + DOMAIN_EPS):
-        offender = float(np.ravel(arr[(arr <= rm) | (arr > 1.0 + DOMAIN_EPS)])[0])
-        raise DomainError("theta_prime is defined for rho_min < rho <= 1 "
-                          f"(rho_min = {rm!r}); got rho = {offender!r}")
-    arr = np.clip(arr, rm, 1.0)
+    arr = _array(rho, "rho", math.nextafter(rm, 2.0), 1.0, lo_slack=0.0)
     u = np.sqrt((1.0 - arr) * (1.0 + arr))
     w = _w(arr, k, rm)
     out = u / (arr * w)
-    return float(out) if np.ndim(rho) == 0 else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def theta_of_rho(rho, k: float):
@@ -86,20 +78,14 @@ def theta_of_rho(rho, k: float):
     the degenerate k = 0 diameter the angle is 0 above the center and
     -pi/2 (the symmetry bisector) at the center itself.
     """
-    k = _number(k, "k")
+    k = _real(k, "k", 0.0)
     rm = rho_min(k)
-    arr = np.asarray(rho, dtype=float)
-    if np.any(arr < rm - DOMAIN_EPS) or np.any(arr > 1.0 + DOMAIN_EPS):
-        bad = (arr < rm - DOMAIN_EPS) | (arr > 1.0 + DOMAIN_EPS)
-        offender = float(np.ravel(arr[bad])[0])
-        raise DomainError("theta_of_rho is defined for rho_min <= rho <= 1 "
-                          f"(rho_min = {rm!r}); got rho = {offender!r}")
-    arr = np.clip(arr, rm, 1.0)
+    arr = _array(rho, "rho", rm, 1.0)
     if k == 0.0:
         out = np.where(arr > 0.0, 0.0, -math.pi / 2.0)
     else:
         out = _theta_closed_form(arr, k, rm)
-    return float(out) if np.ndim(rho) == 0 else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def _w(rho, k, rm):
@@ -140,8 +126,8 @@ def sample_path(family: BrachFamily, n: int) -> DiscretePath:
     path records that it is a mirror image, so it is timed over its
     first half (`timing._mirrored_times`: ~3.4e-12 per segment, 3 ulps).
     """
-    q = family.depth
-    n = _count(n, "n")
+    q = _record(family, BrachFamily, "family", "sample_path").depth
+    n = _count(n, "n", 2)
     step = tunnel_step(q, n)
     half_depth, half_theta, _, _ = tunnel_point(
         q, np.arange(n - 1) * step, np.sin, np.sqrt, np.arctan2)
@@ -184,20 +170,14 @@ def rho_at_theta(family: BrachFamily, theta):
     float for scalar theta and an array of theta's shape otherwise.  A
     non-finite or out-of-range angle raises DomainError naming it.
     """
+    family = _record(family, BrachFamily, "family", "rho_at_theta")
     k, rm, sep = family.k, family.rho_min, family.separation_angle
-    arr = np.asarray(theta, dtype=float)
-    good = (arr <= DOMAIN_EPS) & (arr >= -sep - DOMAIN_EPS)   # not nan
-    if not good.all():
-        offender = float(np.ravel(arr[~good])[0])
-        raise DomainError("theta must be a finite angle in "
-                          f"[-separation_angle, 0] (separation_angle = "
-                          f"{sep!r}); got theta = {offender!r}")
-    arr = np.clip(arr, -sep, 0.0)
+    arr = _array(theta, "theta", -sep, 0.0)
     mid = -sep / 2.0
     target = np.maximum(arr, 2.0 * mid - arr)   # the mirror image
     if k == 0.0:
         out = np.where(target >= 0.0, 1.0, 0.0)
-        return float(out) if np.ndim(theta) == 0 else out
+        return float(out) if arr.ndim == 0 else out
     out = np.where(target >= 0.0, 1.0, rm)
     turn = max(mid, _theta_closed_form(rm, k, rm))
     inner = (target < 0.0) & (target > turn)
@@ -215,7 +195,7 @@ def rho_at_theta(family: BrachFamily, theta):
         lo[redo] = _bisect_bits(np.full(redo.size, ends[0]),
                                 int(ends[1] - ends[0]), t[redo], k, rm)
     out[inner] = (lo + 1).view(float)
-    return float(out) if np.ndim(theta) == 0 else out
+    return float(out) if arr.ndim == 0 else out
 
 
 # Half-width, in floats, of the bracket bisected around each seed.  Over

@@ -16,8 +16,7 @@ to the same integrators and plotted on the same axes.  A chord is
 
 import numpy as np
 
-from .closed import ChordSpec, _count, chord_point
-from .errors import DomainError
+from .closed import ChordSpec, _count, _record, chord_point
 from .timing import DiscretePath
 
 
@@ -30,12 +29,8 @@ def chord_path(spec: ChordSpec, n: int) -> DiscretePath:
     (`closed.chord_point`), so a chord too shallow for rho to resolve
     (separation below ~1e-5) is still timed.
     """
-    if not isinstance(spec, ChordSpec):
-        raise DomainError("chord_path expects a ChordSpec")
-    n = _count(n, "n")
-    if n < 2:
-        raise DomainError(f"chord_path needs n >= 2 samples; got {n}")
-    t = np.linspace(0.0, 1.0, n)
+    spec = _record(spec, ChordSpec, "spec", "chord_path")
+    t = np.linspace(0.0, 1.0, _count(n, "n", 2))
     rho, theta, depth = chord_point(spec, t, np.hypot, np.arctan2)
     rho[0] = 1.0
     rho[-1] = 1.0

@@ -12,17 +12,36 @@ length to reach it, is a closed form too (`tunnel_point`), and so is
 each point of a chord (`chord_point`).  This module holds them, with
 the records they fill and the physical units, in plain `math`, so
 ``import gravitunnel`` and every command but `verify` load no numpy.
+The same point formulas run on numpy arrays for `sample_path` and
+`chord_path`.  The numerical routes that check the same numbers live
+in `timing`, `oracle` and `checks`.
+
 Each record has one constructor, the record itself: `BrachFamily(k)`,
 `ChordSpec(separation_angle)`, `PhysicalParams(radius_m, gravity_m_s2)`
-and `cycloid.CycloidSolution(horizontal_span)`.  It converts each field
-with float() and checks it, and raises DomainError naming any value it
-refuses, as does every public function of a number.  Every record of
-the package, results too, is a named tuple of what it was given or
+and `cycloid.CycloidSolution(horizontal_span)`.  Every record of the
+package, results too, is a named tuple of what it was given or
 measured, with what follows from that as properties; `dataclasses`
 would pull in `inspect`, costing a CLI process more than the package.
-The same point formulas run on numpy arrays for
-`sample_path` and `chord_path`.  The numerical routes that check the
-same numbers live in `timing`, `oracle` and `checks`.
+
+Every public function and record constructor checks each argument
+with one call to one of four gates, and raises DomainError whose text
+names the argument and the value's repr as the caller gave it:
+
+- a number (`_real`) goes through float(), then must lie in its closed
+  domain [lo, hi] with finite bounds, so nan and +-inf fail the same
+  test; an open end is passed as the nearest float inside it;
+- a count (`_count`) is a number that is an integer, at least its
+  least value: 10.0 is a count, 2.5 is not;
+- a record (`_record`) must be an instance of its type; the message
+  names the function and the record it expects;
+- an array (`timing._array`) becomes a fresh float array whose
+  elements must lie in the domain; one within DOMAIN_EPS past a closed
+  end is clamped onto it.  On any failure the first bad element, as
+  given ('x', None, nan), goes to the number gate, so every message
+  has one format.
+
+The one argument left unchecked is `dimensional_time`'s tau, a float
+or an array that is only multiplied.
 
 Everything in the package is computed dimensionless: lengths in units
 of the sphere radius R, times in sqrt(R/g) and speeds in sqrt(g*R),
@@ -36,32 +55,49 @@ only at the boundary, through `PhysicalParams` and `dimensional_time`.
 """
 
 import math
+import sys
 from collections import namedtuple
 
 from .errors import DomainError
 
 
-def _number(value, name: str) -> float:
-    """float(value), or DomainError naming a value that float() refuses."""
+# The largest float: a number gate's default bound, so nan and +-inf fail.
+_MAX = sys.float_info.max
+# The nearest float inside an open end at 0.
+_ABOVE_ZERO = math.nextafter(0.0, 1.0)
+
+
+def _real(value, name: str, lo: float = -_MAX, hi: float = _MAX) -> float:
+    """float(value) in [lo, hi], or DomainError naming name and value."""
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{name} must be a number; got {value!r}") from None
+    if not lo <= number <= hi:
+        raise DomainError(f"{name} must lie in [{lo!r}, {hi!r}]; "
+                          f"got {value!r}")
+    return number
 
 
-def _count(value, name: str) -> int:
-    """int(value) of a finite number, or DomainError naming any other."""
-    count = _number(value, name)
-    if not math.isfinite(count):
-        raise DomainError(f"{name} must be a finite number; got {value!r}")
+def _count(value, name: str, least: int) -> int:
+    """int of an integral number >= least, or DomainError naming it."""
+    count = _real(value, name, least)
+    if not count.is_integer():
+        raise DomainError(f"{name} must be an integer; got {value!r}")
     return int(count)
+
+
+def _record(value, kind: type, name: str, caller: str):
+    """value if it is a kind, or DomainError naming caller and kind."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{caller} expects a {kind.__name__} as {name}; "
+                          f"got {value!r}")
+    return value
 
 
 def rho_min(k: float) -> float:
     """Minimum radius k / sqrt(k^2 + 1) reached by the family member k."""
-    k = _number(k, "k")
-    if not (math.isfinite(k) and k >= 0.0):
-        raise DomainError(f"k must be a finite number >= 0; got {k!r}")
+    k = _real(k, "k", 0.0)
     return k / math.hypot(k, 1.0)
 
 
@@ -70,7 +106,7 @@ def _depth(k: float) -> float:
     1 / (h (h + k)), h = hypot(k, 1), past rho_m = 1/2, where 1 - k/h
     cancels (q, pi q, pi sqrt(q (2 - q)) and 2 q (2 - q) are within 4
     ulp of 50-digit values over k from 1e-300 to 1e12)."""
-    k = float(k)
+    k = _real(k, "k", 0.0)
     rm = rho_min(k)
     if rm <= 0.5:
         return 1.0 - rm
@@ -83,8 +119,10 @@ def separation_angle(k: float) -> float:
     return math.pi * _depth(k)
 
 
-# The least normal float: a shallower turnaround depth keeps fewer digits.
-_MIN_DEPTH = 2.2250738585072014e-308
+# The largest k, and the least separation, whose turnaround depth is
+# at least the least normal float: a shallower one keeps fewer digits.
+_K_MAX = 4.740375954054588e+153
+_SEPARATION_MIN = 6.990275687580919e-308
 # Values this near a domain boundary are clamped onto it: solvers land there.
 DOMAIN_EPS = 1e-12
 
@@ -102,12 +140,7 @@ class BrachFamily(namedtuple("BrachFamily", "k")):
     __slots__ = ()
 
     def __new__(cls, k):
-        k = _number(k, "k")
-        if not _depth(k) >= _MIN_DEPTH:
-            raise DomainError(f"k = {k!r} is too large: the depth "
-                              "1/(h (h + k)) of its turnaround, "
-                              "h = sqrt(k^2 + 1), underflows")
-        return super().__new__(cls, k)
+        return super().__new__(cls, _real(k, "k", 0.0, _K_MAX))
 
     rho_min = property(lambda self: rho_min(self.k))
     depth = property(lambda self: _depth(self.k))
@@ -118,16 +151,11 @@ def family_from_separation(delta_theta: float) -> BrachFamily:
     """Family member whose surface endpoints are delta_theta apart,
     for delta_theta in (0, pi] down to about 7e-308, where the depth
     delta_theta/pi is still a normal float; else DomainError."""
-    delta_theta = _number(delta_theta, "separation")
-    if not (math.isfinite(delta_theta) and 0.0 < delta_theta <= math.pi):
-        raise DomainError("separation must lie in (0, pi]; got "
-                          f"{delta_theta!r}")
+    delta_theta = _real(delta_theta, "delta_theta", _SEPARATION_MIN,
+                        math.pi)
     # k = rho_min / sqrt(1 - rho_min^2) in x = 1 - rho_min, which the
     # rounded rho_min no longer holds at tiny separations
     x = delta_theta / math.pi
-    if not x >= _MIN_DEPTH:
-        raise DomainError(f"separation {delta_theta!r} is too small: "
-                          "its depth separation/pi underflows")
     return BrachFamily((1.0 - x) / math.sqrt(x * (2.0 - x)))
 
 
@@ -140,9 +168,7 @@ def arc_length(family: BrachFamily) -> float:
     otherwise.  ``2 * timing.arc_integral(family)`` is the
     singular-quadrature route to the same number.
     """
-    if not isinstance(family, BrachFamily):
-        raise DomainError("arc_length expects a BrachFamily")
-    q = family.depth
+    q = _record(family, BrachFamily, "family", "arc_length").depth
     return 2.0 * q * (2.0 - q)
 
 
@@ -205,11 +231,8 @@ def tunnel_step(q: float, n: int) -> float:
     which keeps its relative precision at tiny separations.  Raises
     DomainError for n < 2 or q outside (0, 1].
     """
-    if not 0.0 < q <= 1.0:
-        raise DomainError(f"a tunnel's depth must lie in (0, 1]; got {q!r}")
-    n = int(n)
-    if n < 2:
-        raise DomainError(f"a tunnel half needs n >= 2 samples; got {n}")
+    q = _real(q, "q", _ABOVE_ZERO, 1.0)
+    n = _count(n, "n", 2)
     return 2.0 * math.asin(math.sqrt(0.5 * q)) / (n - 1)
 
 
@@ -245,8 +268,7 @@ def total_transit_time(family: BrachFamily) -> TransitResult:
     evaluation count are 0.  ``2 * timing.half_transit_time(family).tau``
     is the singular-quadrature route to the same number.
     """
-    if not isinstance(family, BrachFamily):
-        raise DomainError("total_transit_time expects a BrachFamily")
+    family = _record(family, BrachFamily, "family", "total_transit_time")
     return TransitResult(tau=tunnel_time(family.depth),
                          error_estimate=0.0, evaluations=0)
 
@@ -264,11 +286,8 @@ class ChordSpec(namedtuple("ChordSpec", "separation_angle")):
     __slots__ = ()
 
     def __new__(cls, separation_angle):
-        separation_angle = _number(separation_angle, "separation_angle")
-        if not (0.0 < separation_angle <= math.pi):
-            raise DomainError("separation_angle must lie in (0, pi]; got "
-                              f"{separation_angle!r}")
-        return super().__new__(cls, separation_angle)
+        return super().__new__(cls, _real(separation_angle, "separation_angle",
+                                          _ABOVE_ZERO, math.pi))
 
     half_chord = property(lambda self: math.sin(self.separation_angle / 2.0))
     midpoint_radius = property(
@@ -298,8 +317,7 @@ def chord_transit_time(spec: ChordSpec) -> float:
     Returned as the exact constant; the quadrature route that must agree
     with it is exercised separately through `timing.path_transit_time`.
     """
-    if not isinstance(spec, ChordSpec):
-        raise DomainError("chord_transit_time expects a ChordSpec")
+    _record(spec, ChordSpec, "spec", "chord_transit_time")
     return math.pi
 
 
@@ -313,14 +331,9 @@ class PhysicalParams(namedtuple("PhysicalParams", "radius_m gravity_m_s2")):
     __slots__ = ()
 
     def __new__(cls, radius_m, gravity_m_s2):
-        fields = []
-        for name, value in zip(cls._fields, (radius_m, gravity_m_s2)):
-            value = _number(value, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(f"{name} must be a positive finite number; "
-                                  f"got {value!r}")
-            fields.append(value)
-        return super().__new__(cls, *fields)
+        return super().__new__(cls, _real(radius_m, "radius_m", _ABOVE_ZERO),
+                               _real(gravity_m_s2, "gravity_m_s2",
+                                     _ABOVE_ZERO))
 
     time_unit_s = property(
         lambda self: math.sqrt(self.radius_m / self.gravity_m_s2))
@@ -335,4 +348,5 @@ EARTH = PhysicalParams(radius_m=6.371e6, gravity_m_s2=9.80665)
 
 def dimensional_time(tau, body: PhysicalParams):
     """Seconds of a dimensionless time, a float or a numpy array, on body."""
-    return tau * body.time_unit_s
+    return tau * _record(body, PhysicalParams, "body",
+                         "dimensional_time").time_unit_s

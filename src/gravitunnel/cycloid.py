@@ -20,8 +20,7 @@ stores its separation and measured mismatch; its times are properties.
 import math
 from collections import namedtuple
 
-from .closed import _number, tunnel_half, tunnel_time
-from .errors import DomainError
+from .closed import _ABOVE_ZERO, _real, _record, tunnel_half, tunnel_time
 
 # samples per half of the spherical tunnel in compare_small_arc
 _SAMPLES_PER_HALF = 2001
@@ -44,11 +43,8 @@ class CycloidSolution(namedtuple("CycloidSolution", "horizontal_span")):
     __slots__ = ()
 
     def __new__(cls, horizontal_span):
-        span = _number(horizontal_span, "horizontal_span")
-        if not (math.isfinite(span) and span > 0.0):
-            raise DomainError("horizontal_span must be finite and positive; "
-                              f"got {span!r}")
-        return super().__new__(cls, span)
+        return super().__new__(cls, _real(horizontal_span, "horizontal_span",
+                                          _ABOVE_ZERO))
 
     rolling_radius = property(
         lambda self: self.horizontal_span / (2.0 * math.pi))
@@ -57,6 +53,7 @@ class CycloidSolution(namedtuple("CycloidSolution", "horizontal_span")):
 def cycloid_time(sol: CycloidSolution) -> float:
     """Transit time 2 pi sqrt(a/g) from the cusp, released at rest, to the
     arch's far cusp, in the unit field g = 1 of the sphere's surface."""
+    sol = _record(sol, CycloidSolution, "sol", "cycloid_time")
     return 2.0 * math.pi * math.sqrt(sol.rolling_radius)
 
 
@@ -110,11 +107,7 @@ def compare_small_arc(delta_theta: float) -> SmallArcComparison:
     1e-12 the stations' round-off swamps the mismatch; a separation
     outside [1e-12, 0.2] raises DomainError naming it.
     """
-    delta_theta = _number(delta_theta, "delta_theta")
-    if not _MIN_SEPARATION <= delta_theta <= 0.2:
-        raise DomainError("compare_small_arc covers separations in "
-                          f"[{_MIN_SEPARATION!r}, 0.2] rad; got separation "
-                          f"{delta_theta!r}")
+    delta_theta = _real(delta_theta, "delta_theta", _MIN_SEPARATION, 0.2)
     q = delta_theta / math.pi
     flat = CycloidSolution(delta_theta)
     b, sin = flat.rolling_radius, math.sin

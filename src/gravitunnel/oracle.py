@@ -16,7 +16,8 @@ from collections import namedtuple
 import numpy as np
 
 from .brachistochrone import sample_path
-from .closed import DOMAIN_EPS, BrachFamily, _count, _number
+from .closed import (_ABOVE_ZERO, DOMAIN_EPS, BrachFamily, _count, _real,
+                     _record)
 from .errors import DomainError, PathError, StalledTrajectoryError
 from .timing import DiscretePath, _segment_time_partials, _segment_times
 
@@ -103,14 +104,9 @@ def optimize_path(delta_theta: float, interior_points: int) -> OptimizationRepor
     when it is at most 1e-6.  Returns a report rather than raising when
     it is not.
     """
-    delta_theta = _number(delta_theta, "delta_theta")
-    if not (math.isfinite(delta_theta) and 0.0 < delta_theta < math.pi):
-        raise DomainError("optimize_path needs a separation in (0, pi); got "
-                          f"{delta_theta!r}")
-    interior_points = _count(interior_points, "interior_points")
-    if interior_points < 3:
-        raise DomainError("optimize_path needs at least 3 interior points; "
-                          f"got {interior_points}")
+    delta_theta = _real(delta_theta, "delta_theta", _ABOVE_ZERO,
+                        math.nextafter(math.pi, 0.0))
+    interior_points = _count(interior_points, "interior_points", 3)
 
     thetas = np.linspace(0.0, -delta_theta, interior_points + 2)
     lo, hi = _BOUND_MARGIN, 1.0 - _BOUND_MARGIN
@@ -165,15 +161,9 @@ def perturbation_test(family: BrachFamily, amplitude: float,
     an interior sample onto or above the surface, or through the
     centre, raises DomainError.
     """
-    if not isinstance(family, BrachFamily):
-        raise DomainError("perturbation_test expects a BrachFamily")
-    amplitude = _number(amplitude, "amplitude")
-    if not (math.isfinite(amplitude) and abs(amplitude) <= 1e-2):
-        raise DomainError("perturbation amplitude must satisfy |a| <= 1e-2; "
-                          f"got {amplitude!r}")
-    mode = _count(mode, "mode")
-    if mode < 1:
-        raise DomainError(f"mode must be a positive integer; got {mode}")
+    family = _record(family, BrachFamily, "family", "perturbation_test")
+    amplitude = _real(amplitude, "amplitude", -1e-2, 1e-2)
+    mode = _count(mode, "mode", 1)
     path = sample_path(family, _SAMPLES_PER_HALF)
     s = path.cumulative_arclength()
     bump = amplitude * np.sin(mode * math.pi * s / s[-1])
@@ -257,8 +247,7 @@ def simulate_bead(path: DiscretePath) -> SimulationTrace:
     from scipy.integrate import solve_ivp
     from scipy.interpolate import CubicSpline
 
-    if not isinstance(path, DiscretePath):
-        raise DomainError("simulate_bead expects a DiscretePath")
+    path = _record(path, DiscretePath, "path", "simulate_bead")
     if not path.depth.max() >= _MIN_DEPTH:
         raise PathError(f"path depth {path.depth.max():.3e} is below "
                         f"{_MIN_DEPTH:.0e}, too shallow for the bead")

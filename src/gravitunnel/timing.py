@@ -71,8 +71,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .closed import (DOMAIN_EPS, BrachFamily, TransitResult,  # noqa: F401
-                     total_transit_time)
+from .closed import (_MAX, DOMAIN_EPS, BrachFamily,  # noqa: F401
+                     TransitResult, _real, _record, total_transit_time)
 from .errors import DegenerateSegmentError, DomainError, QuadratureError
 
 
@@ -143,8 +143,7 @@ def arc_integral(family: BrachFamily) -> float:
     QuadratureError if the rule's levels do not agree within its level
     cap.
     """
-    if not isinstance(family, BrachFamily):
-        raise DomainError("arc_integral expects a BrachFamily")
+    family = _record(family, BrachFamily, "family", "arc_integral")
     if family.k == 0.0:
         return 1.0
     value, _, _ = _integral(family, "length")
@@ -153,8 +152,7 @@ def arc_integral(family: BrachFamily) -> float:
 
 def half_transit_time(family: BrachFamily) -> TransitResult:
     """Time from the surface to the minimum radius, by singular quadrature."""
-    if not isinstance(family, BrachFamily):
-        raise DomainError("half_transit_time expects a BrachFamily")
+    family = _record(family, BrachFamily, "family", "half_transit_time")
     if family.k == 0.0:
         return TransitResult(tau=math.pi / 2.0, error_estimate=0.0, evaluations=0)
     value, err, evals = _integral(family, "time")
@@ -274,16 +272,27 @@ def _path_kernel(path):
     return _mirrored_times if path._mirrored else _segment_times
 
 
-def _unit_interval(value, name):
-    """A fresh float array of the values in [0, 1], DOMAIN_EPS overshoot
-    clipped in place."""
-    arr = np.array(value, dtype=float)
-    if arr.size and not (arr.min() >= -DOMAIN_EPS
-                         and arr.max() <= 1.0 + DOMAIN_EPS):
-        bad = ~((arr >= -DOMAIN_EPS) & (arr <= 1.0 + DOMAIN_EPS))
-        raise DomainError(f"{name} must lie in [0, 1]; "
-                          f"got {float(np.ravel(arr[bad])[0])!r}")
-    np.clip(arr, 0.0, 1.0, out=arr)
+def _array(value, name, lo, hi, lo_slack=DOMAIN_EPS):
+    """value as a fresh float array of elements in [lo, hi], any within
+    lo_slack below lo or DOMAIN_EPS above hi clamped onto the end.
+
+    Otherwise the first element outside, as the caller gave it, goes to
+    `closed._real` with those widened bounds, which names it in its
+    DomainError.  A domain open at its lower end passes the nearest
+    float inside it as lo, with lo_slack 0.
+    """
+    lo_in, hi_in = lo - lo_slack, hi + DOMAIN_EPS
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = np.array(math.nan)
+    if arr.size:
+        least, most = arr.min(), arr.max()
+        if not (lo_in <= least and most <= hi_in):
+            for item in np.ravel(np.array(value, dtype=object)):
+                _real(item, name, lo_in, hi_in)
+        if least < lo or most > hi:
+            np.clip(arr, lo, hi, out=arr)
     return arr
 
 
@@ -319,21 +328,17 @@ class DiscretePath:
     _mirrored = False
 
     def __init__(self, rho, theta, depth=None):
-        rho = _unit_interval(np.atleast_1d(rho), "rho")
-        theta = np.array(np.reshape(theta, -1), dtype=float)
+        rho = np.atleast_1d(_array(rho, "rho", 0.0, 1.0))
+        theta = _array(theta, "theta", -_MAX, _MAX).reshape(-1)
         if rho.shape != theta.shape:
             raise DomainError("rho and theta must have the same length; "
                               f"got {rho.size} and {theta.size}")
         if rho.size < 2:
             raise DomainError(f"a path needs at least 2 points; got {rho.size}")
-        if not np.isfinite(theta).all():
-            i = int(np.argmin(np.isfinite(theta)))
-            raise DomainError("theta samples must be finite; "
-                              f"theta[{i}] = {float(theta[i])!r}")
         if depth is None:
             depth = 1.0 - rho
         else:
-            depth = _unit_interval(np.reshape(depth, -1), "depth")
+            depth = _array(depth, "depth", 0.0, 1.0).reshape(-1)
             if depth.shape != rho.shape:
                 raise DomainError("depth and rho must have the same length; "
                                   f"got {depth.size} and {rho.size}")
@@ -473,8 +478,7 @@ def path_transit_time(path: DiscretePath) -> TransitResult:
     ``evaluations`` counts the segment-kernel evaluations of both
     passes, the cached one included; a mirrored path's are half.
     """
-    if not isinstance(path, DiscretePath):
-        raise DomainError("path_transit_time expects a DiscretePath")
+    path = _record(path, DiscretePath, "path", "path_transit_time")
     kernel = _path_kernel(path)
     mirrored = kernel is _mirrored_times
     times = path.segment_times
@@ -495,6 +499,5 @@ def path_transit_time(path: DiscretePath) -> TransitResult:
 
 def cumulative_path_times(path: DiscretePath) -> np.ndarray:
     """Running transit time at each sample of a path, starting at 0."""
-    if not isinstance(path, DiscretePath):
-        raise DomainError("cumulative_path_times expects a DiscretePath")
+    path = _record(path, DiscretePath, "path", "cumulative_path_times")
     return np.concatenate(([0.0], np.cumsum(path.segment_times)))

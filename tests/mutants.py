@@ -26,6 +26,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 CHECKS = "tests/test_checks.py::"
+CONTRACT = "tests/test_package.py::test_domain_errors_name_the_input"
 TIMING = "tests/test_timing.py::"
 RHO_SOLVE = "tests/test_brachistochrone.py::TestRhoAtThetaSolve::"
 
@@ -96,7 +97,7 @@ LEDGER = (
     ("closed.py", "math.sqrt(x * (2.0 - x))", "math.sqrt(x * (2.0 + x))",
      ["tests/test_brachistochrone.py::TestFamily::test_right_angle",
       "tests/test_brachistochrone.py::TestFamily::test_round_trip_bijection"]),
-    ("closed.py", "            value = _number(value, name)\n", "",
+    ("closed.py", '_real(radius_m, "radius_m", _ABOVE_ZERO)', "radius_m",
      ["tests/test_package.py::test_record_fields_are_floats[PhysicalParams]",
       "tests/test_package.py::test_record_rejects_bad_fields"
       "[PhysicalParams-radius_m=six]"]),
@@ -109,6 +110,21 @@ LEDGER = (
      "return 1.0 - math.sqrt(1.0 - x)",
      ["tests/test_cycloid.py::TestSmallArc::"
       "test_relative_time_difference_within_4_ulp"]),
+    ("closed.py", "    if not lo <= number <= hi:\n", "    if False:\n",
+     [CONTRACT + "[rho_min-k=nan]",
+      CONTRACT + "[compare_small_arc-delta_theta=nan]"]),
+    ("closed.py", "    if not count.is_integer():\n", "    if False:\n",
+     [CONTRACT + "[sample_path-n=2.5]", CONTRACT + "[chord_path-n=2.5]"]),
+    ("closed.py", "    if not isinstance(value, kind):\n", "    if False:\n",
+     [CONTRACT + "[cycloid_time-sol=1.0]",
+      CONTRACT + "[path_transit_time-path=BrachFamily(k=1.0)]"]),
+    ("timing.py", "        arr = np.array(math.nan)\n", "        raise\n",
+     [CONTRACT + "[theta_of_rho-rho=[0.9, 'x']]",
+      CONTRACT + "[DiscretePath-rho=[0.5, 'x']]"]),
+    ("timing.py", "                _real(item, name, lo_in, hi_in)\n",
+     "                pass\n",
+     [CONTRACT + "[theta_prime-rho=[0.9, nan]]",
+      CONTRACT + "[rho_at_theta-theta=[-0.5, None]]"]),
 )
 
 

@@ -131,12 +131,16 @@ class TestUsageErrors:
         assert err.strip()
 
     @pytest.mark.parametrize("argv, named", [
-        (("time", "--sep", "5e-324"), "separation 5e-324"),
-        (("path", "--sep", "6e-308", "--include-chord"), "separation 6e-308"),
-        (("compare-cycloid", "--sep", "1e-310"), "separation 1e-310"),
+        (("time", "--sep", "5e-324"), "delta_theta must lie in "
+         "[6.990275687580919e-308, 3.141592653589793]; got 5e-324"),
+        (("path", "--sep", "6e-308", "--include-chord"), "delta_theta must "
+         "lie in [6.990275687580919e-308, 3.141592653589793]; got 6e-308"),
+        (("compare-cycloid", "--sep", "1e-310"),
+         "delta_theta must lie in [1e-12, 0.2]; got 1e-310"),
         (("sweep", "--k-range", "1e150:1e155", "--count", "3"),
-         "k = 1e+155"),
-        (("compare-cycloid", "--sep", "1e-13"), "separation 1e-13"),
+         "k must lie in [0.0, 4.740375954054588e+153]; got 1e+155"),
+        (("compare-cycloid", "--sep", "1e-13"),
+         "delta_theta must lie in [1e-12, 0.2]; got 1e-13"),
         (("time", "--lat1", "91deg", "--lat2", "0"), "'91deg'"),
         (("time", "--lat1", "nan", "--lat2", "0"), "'nan'"),
     ])
